@@ -184,7 +184,7 @@ def measure_shape(m: int, n: int, repeats: int = REPEATS) -> dict:
     )
     native_s = max(min(native_samples) - memcpy_s, 1e-9)
     plan = plan_cache.get_single_plan(m, n, "C", "auto", proto.dtype)
-    passes = len(plan._steps)
+    passes = 3 if plan.dec.c > 1 else 2  # the pre-rotation vanishes when gcd is 1
 
     # Best-pass fraction, measured exactly the way `repro profile` does
     # (traced per-pass bandwidth over a same-size memcpy ceiling).

@@ -3,9 +3,10 @@
 Data-layout pipelines rarely transpose one matrix: they transpose a batch
 of same-shaped matrices (attention heads, image tiles, per-timestep state).
 Because the decomposition's gather maps depend only on the shape, a batch
-shares one :class:`~repro.core.plan.TransposePlan`-style set of index maps,
-and the passes apply to all matrices at once as 3-D gathers — the batch
-dimension rides along for free.
+shares one :class:`~repro.core.plan.TransposePlan`-style set of index maps
+(built lazily, on the first numpy execute), and the passes apply to all
+matrices at once as 3-D gathers — the batch dimension rides along for free.
+The compiled native kernel loops over the tiles itself and needs no maps.
 
 The buffer layout is the standard batched one: ``k`` matrices of ``m x n``
 stored consecutively (``buf[b * m * n : (b + 1) * m * n]`` is matrix ``b``).
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import equations as eq
 from .indexing import Decomposition
-from .transpose import choose_algorithm
+from .plan import MapsPlan
 
 __all__ = [
     "BatchedTransposePlan",
@@ -68,6 +69,11 @@ def _native():
 
 
 _BACKENDS = (None, "auto", "native", "numpy")
+
+#: batched step kind of each compiled pass (the rotation is a row gather)
+_BATCHED_KIND = {
+    "rotate_groups": "rows3", "gather_rows": "rows3", "gather_cols": "cols3",
+}
 
 
 def _tracer():
@@ -133,31 +139,15 @@ def validate_batch_member(
         )
 
 
-class BatchedTransposePlan:
+class BatchedTransposePlan(MapsPlan):
     """Shape-specialized in-place transpose applied across a batch axis.
 
     Parameters mirror :class:`~repro.core.plan.TransposePlan`; ``execute``
     takes either a flat buffer of ``k * m * n`` elements or a ``(k, m*n)`` /
-    ``(k, m, n)`` array, and transposes every matrix in place.
+    ``(k, m, n)`` array, and transposes every matrix in place.  As there,
+    the gather maps are built on the first numpy execute, not at
+    construction.
     """
-
-    def __init__(self, m: int, n: int, order: str = "C", algorithm: str = "auto"):
-        if order not in ("C", "F"):
-            raise ValueError(f"unknown order {order!r}")
-        if algorithm == "auto":
-            algorithm = choose_algorithm(m, n)
-        if algorithm not in ("c2r", "r2c"):
-            raise ValueError(f"unknown algorithm {algorithm!r}")
-        self.m, self.n, self.order, self.algorithm = m, n, order, algorithm
-
-        vm, vn = (m, n) if order == "C" else (n, m)
-        if algorithm == "c2r":
-            dec = Decomposition.of(vm, vn)
-            self._steps = self._build_c2r(dec)
-        else:
-            dec = Decomposition.of(vn, vm)
-            self._steps = self._build_r2c(dec)
-        self.dec = dec
 
     def _build_c2r(self, dec: Decomposition):
         plan = []
@@ -175,17 +165,6 @@ class BatchedTransposePlan:
         if dec.c > 1:
             plan.append(("rows3", eq.rotate_r_inverse_matrix(dec)[None, :, :]))
         return plan
-
-    @property
-    def scratch_bytes(self) -> int:
-        """Bytes held by the precomputed gather maps."""
-        return sum(idx.nbytes for _, idx in self._steps)
-
-    def __reduce__(self):
-        # Ship the identity, not the O(mn) gather maps: a plan crossing a
-        # process boundary rebuilds from its plan-cache key on the other
-        # side (each worker process owns its own cache).
-        return (self.__class__, (self.m, self.n, self.order, self.algorithm))
 
     @staticmethod
     def _apply_np(V: np.ndarray, kind: str, idx: np.ndarray) -> None:
@@ -251,11 +230,12 @@ class BatchedTransposePlan:
         reg = rt.registry
         addr = buf.ctypes.data
         k = V.shape[0]
-        steps = self._steps
+        passes = kernel.passes
         dec = self.dec
         if tr.enabled or reg.enabled:
             pass_bytes = 2 * buf.nbytes
-            for i, (kind, idx) in enumerate(steps):
+            for i, p in enumerate(passes):
+                kind = _BATCHED_KIND[p.kind]
                 try:
                     if tr.enabled:
                         with tr.span(
@@ -277,14 +257,15 @@ class BatchedTransposePlan:
                     _native().record_fallback(
                         f"scratch allocation failed at batched pass {i}"
                     )
-                    self._apply_np(V[tile:], kind, idx)
+                    steps = self._steps
+                    self._apply_np(V[tile:], *steps[i])
                     for rest_kind, rest_idx in steps[i + 1:]:
                         self._apply_np(V, rest_kind, rest_idx)
                     break
             if reg.enabled:
                 reg.inc("native.calls")
-                reg.inc("bytes_moved", len(steps) * 2 * buf.nbytes)
-                reg.inc("elements_touched", len(steps) * buf.size)
+                reg.inc("bytes_moved", len(passes) * 2 * buf.nbytes)
+                reg.inc("elements_touched", len(passes) * buf.size)
         else:
             try:
                 kernel.run_batch(addr, k)
@@ -294,6 +275,7 @@ class BatchedTransposePlan:
                 _native().record_fallback(
                     f"scratch allocation failed at tile {tile}, pass {pi}"
                 )
+                steps = self._steps
                 sub = V[tile:tile + 1]
                 for kind, idx in steps[pi:]:
                     self._apply_np(sub, kind, idx)
@@ -301,10 +283,6 @@ class BatchedTransposePlan:
                     rest = V[tile + 1:]
                     for kind, idx in steps:
                         self._apply_np(rest, kind, idx)
-
-    def on_cache_evict(self) -> None:
-        """Plan-cache eviction hook: unlink any compiled kernel artifacts."""
-        _native().release_plan_kernels(self)
 
     def execute(self, buf: np.ndarray, *, backend: str | None = None) -> np.ndarray:
         """Transpose every matrix of the batch in place; returns ``buf``.
@@ -356,37 +334,33 @@ class BatchedTransposePlan:
             return buf
         rt = _runtime_metrics()
         tr = _tracer()
+        steps = self._steps
         if tr.enabled:
             # One span per batched pass; the batch dimension rides along, so
             # the byte volume scales with the whole batch buffer.
             pass_bytes = 2 * buf.nbytes
             reg = rt.registry
-            for kind, idx in self._steps:
-                axis = 1 if kind == "rows3" else 2
+            for kind, idx in steps:
                 with tr.span(
                     f"pass.{kind}", m=dec.m, n=dec.n, batch=V.shape[0],
                     algorithm=self.algorithm, bytes=pass_bytes,
                 ) as sp:
-                    V[:] = np.take_along_axis(
-                        V, np.broadcast_to(idx, V.shape), axis=axis
-                    )
+                    self._apply_np(V, kind, idx)
                 if reg.enabled:
                     reg.observe(f"batched.pass.{kind}", sp.duration_s)
             if reg.enabled:
-                reg.inc("bytes_moved", len(self._steps) * pass_bytes)
-                reg.inc("elements_touched", len(self._steps) * buf.size)
+                reg.inc("bytes_moved", len(steps) * pass_bytes)
+                reg.inc("elements_touched", len(steps) * buf.size)
         elif rt.registry.enabled:
-            for kind, idx in self._steps:
-                axis = 1 if kind == "rows3" else 2
+            for kind, idx in steps:
                 t0 = perf_counter()
-                V[:] = np.take_along_axis(V, np.broadcast_to(idx, V.shape), axis=axis)
+                self._apply_np(V, kind, idx)
                 rt.registry.observe(f"batched.pass.{kind}", perf_counter() - t0)
-            rt.registry.inc("bytes_moved", 2 * len(self._steps) * buf.nbytes)
-            rt.registry.inc("elements_touched", len(self._steps) * buf.size)
+            rt.registry.inc("bytes_moved", 2 * len(steps) * buf.nbytes)
+            rt.registry.inc("elements_touched", len(steps) * buf.size)
         else:
-            for kind, idx in self._steps:
-                axis = 1 if kind == "rows3" else 2
-                V[:] = np.take_along_axis(V, np.broadcast_to(idx, V.shape), axis=axis)
+            for kind, idx in steps:
+                self._apply_np(V, kind, idx)
         return buf
 
     def __repr__(self) -> str:

@@ -1,18 +1,22 @@
 """Precomputed transpose plans.
 
-Index-matrix construction (the ``d'^{-1}``/``s'`` gather maps) costs as much
-as a pass over the data; applications that repeatedly transpose same-shaped
-buffers (e.g. the AoS/SoA conversions of Section 6.1, or batched FFT-style
-pipelines) amortize it by building a :class:`TransposePlan` once and calling
-:meth:`TransposePlan.execute` per buffer.
+Applications that repeatedly transpose same-shaped buffers (e.g. the
+AoS/SoA conversions of Section 6.1, or batched FFT-style pipelines) build a
+:class:`TransposePlan` once and call :meth:`TransposePlan.execute` per
+buffer.
 
 The plan captures the direction decision (C2R vs R2C, honoring the paper's
-``m > n`` heuristic), the dimension/order folding of Theorems 1-2-7, and the
-fully materialized gather maps of the blocked fast path.
+``m > n`` heuristic) and the dimension/order folding of Theorems 1-2-7.  The
+numpy fast path also needs ``O(mn)`` int32 gather maps (``d'^{-1}``/``s'``),
+whose construction costs as much as a pass over the data; a plan builds them
+once, on first use, under its own lock.  The compiled native kernel computes
+every index in closed form (Eq. 26/31) with ``O(max(m, n))`` scratch, so a
+plan that only ever runs natively never holds maps at all.
 """
 
 from __future__ import annotations
 
+import threading
 from time import perf_counter
 
 import numpy as np
@@ -72,7 +76,79 @@ def _native():
 _BACKENDS = (None, "auto", "native", "numpy")
 
 
-class TransposePlan:
+class MapsPlan:
+    """Shape identity plus lazily built gather maps.
+
+    The common base of :class:`TransposePlan` and
+    :class:`~repro.core.batched.BatchedTransposePlan`.  Construction resolves
+    the algorithm and the folded :class:`Decomposition` only; subclasses
+    supply ``_build_c2r``/``_build_r2c``, which :attr:`_steps` runs once, on
+    first use, under the plan's lock.  Callers that read :attr:`_steps` are
+    the numpy execute, the sanitizer, the native scratch-failure resume and
+    the analysis tools; the native kernel never does.
+    """
+
+    def __init__(self, m: int, n: int, order: str = "C", algorithm: str = "auto"):
+        if order not in ("C", "F"):
+            raise ValueError(f"unknown order {order!r}")
+        if algorithm == "auto":
+            algorithm = choose_algorithm(m, n)
+        if algorithm not in ("c2r", "r2c"):
+            raise ValueError(f"unknown algorithm {algorithm!r}")
+        self.m, self.n, self.order, self.algorithm = m, n, order, algorithm
+        vm, vn = (m, n) if order == "C" else (n, m)
+        self.dec = (
+            Decomposition.of(vm, vn) if algorithm == "c2r"
+            else Decomposition.of(vn, vm)
+        )
+        self._maps = None
+        self._maps_lock = threading.Lock()
+
+    @property
+    def _steps(self) -> list:
+        """The ``(kind, payload)`` passes, building the maps on first use."""
+        steps = self._maps
+        if steps is None:
+            steps = self._materialize()
+        return steps
+
+    def _materialize(self) -> list:
+        with self._maps_lock:
+            if self._maps is not None:
+                return self._maps  # another thread built them meanwhile
+            t0 = perf_counter()
+            build = self._build_c2r if self.algorithm == "c2r" else self._build_r2c
+            steps = build(self.dec)
+            self._maps = steps
+        reg = _runtime_metrics().registry
+        if reg.enabled:
+            reg.observe("plan.build_maps", perf_counter() - t0)
+        # Charged outside the lock: the byte adjustment can evict plans
+        # (this one included), and eviction hooks re-enter the plan.
+        from ..runtime import plan_cache
+
+        plan_cache.charge(self, self.scratch_bytes)
+        return steps
+
+    @property
+    def scratch_bytes(self) -> int:
+        """Bytes of gather maps resident now (0 until a numpy pass runs)."""
+        steps = self._maps
+        if steps is None:
+            return 0
+        return sum(p.nbytes for _, p in steps if isinstance(p, np.ndarray))
+
+    def __reduce__(self):
+        # Ship the identity, never the maps: a plan crossing a process
+        # boundary rebuilds them on first use in the receiving process.
+        return (self.__class__, (self.m, self.n, self.order, self.algorithm))
+
+    def on_cache_evict(self) -> None:
+        """Plan-cache eviction hook: unlink any compiled kernel artifacts."""
+        _native().release_plan_kernels(self)
+
+
+class TransposePlan(MapsPlan):
     """A reusable, shape-specialized in-place transpose.
 
     Parameters
@@ -86,28 +162,11 @@ class TransposePlan:
 
     Notes
     -----
-    The plan stores ``O(mn)`` int32 gather maps — a deliberate space/time
-    trade (the strict kernels exist for the ``O(max(m, n))`` regime).
-    ``plan.scratch_bytes`` reports the footprint.
+    The numpy passes gather through ``O(mn)`` int32 maps — a deliberate
+    space/time trade (the strict kernels exist for the ``O(max(m, n))``
+    regime).  The maps are built on the first numpy execute, not at
+    construction; ``plan.scratch_bytes`` reports what is resident.
     """
-
-    def __init__(self, m: int, n: int, order: str = "C", algorithm: str = "auto"):
-        if order not in ("C", "F"):
-            raise ValueError(f"unknown order {order!r}")
-        if algorithm == "auto":
-            algorithm = choose_algorithm(m, n)
-        if algorithm not in ("c2r", "r2c"):
-            raise ValueError(f"unknown algorithm {algorithm!r}")
-        self.m, self.n, self.order, self.algorithm = m, n, order, algorithm
-
-        vm, vn = (m, n) if order == "C" else (n, m)
-        if algorithm == "c2r":
-            dec = Decomposition.of(vm, vn)
-            self._steps = self._build_c2r(dec)
-        else:
-            dec = Decomposition.of(vn, vm)
-            self._steps = self._build_r2c(dec)
-        self.dec = dec
 
     # -- plan construction ---------------------------------------------------
 
@@ -147,22 +206,6 @@ class TransposePlan:
         return out
 
     # -- execution -------------------------------------------------------------
-
-    @property
-    def scratch_bytes(self) -> int:
-        """Bytes held by the precomputed gather maps."""
-        total = 0
-        for kind, payload in self._steps:
-            if kind == "rotate_groups":
-                continue
-            total += payload.nbytes
-        return total
-
-    def __reduce__(self):
-        # Ship the identity, not the O(mn) gather maps: a plan crossing a
-        # process boundary rebuilds from its plan-cache key on the other
-        # side (each worker process owns its own cache).
-        return (self.__class__, (self.m, self.n, self.order, self.algorithm))
 
     @staticmethod
     def _apply_step(V: np.ndarray, kind: str, payload) -> None:
@@ -280,12 +323,8 @@ class TransposePlan:
             for kind, payload in self._steps[pass_index:]:
                 self._apply_step(V, kind, payload)
 
-    def on_cache_evict(self) -> None:
-        """Plan-cache eviction hook: unlink any compiled kernel artifacts."""
-        _native().release_plan_kernels(self)
-
     def execute(self, buf: np.ndarray, *, backend: str | None = None) -> np.ndarray:
-        """Transpose ``buf`` in place using the precomputed maps.
+        """Transpose ``buf`` in place.
 
         ``buf`` must be flat and contiguous with ``m * n`` elements; after the
         call it holds the ``n x m`` transpose in the plan's storage order.
@@ -323,12 +362,13 @@ class TransposePlan:
         if kernel is not None:
             self._execute_native(buf, V, kernel)
             return buf
+        steps = self._steps
         if tr.enabled:
             # One span per decomposition pass, carrying the 2x read+write
             # byte volume so the profiler can join duration with traffic.
             pass_bytes = 2 * buf.nbytes
             reg = rt.registry
-            for kind, payload in self._steps:
+            for kind, payload in steps:
                 with tr.span(
                     f"pass.{kind}", m=dec.m, n=dec.n,
                     algorithm=self.algorithm, bytes=pass_bytes,
@@ -337,17 +377,17 @@ class TransposePlan:
                 if reg.enabled:
                     reg.observe(f"plan.pass.{kind}", sp.duration_s)
             if reg.enabled:
-                reg.inc("bytes_moved", len(self._steps) * pass_bytes)
-                reg.inc("elements_touched", len(self._steps) * buf.shape[0])
+                reg.inc("bytes_moved", len(steps) * pass_bytes)
+                reg.inc("elements_touched", len(steps) * buf.shape[0])
         elif rt.registry.enabled:
-            for kind, payload in self._steps:
+            for kind, payload in steps:
                 t0 = perf_counter()
                 self._apply_step(V, kind, payload)
                 rt.registry.observe(f"plan.pass.{kind}", perf_counter() - t0)
-            rt.registry.inc("bytes_moved", 2 * len(self._steps) * buf.nbytes)
-            rt.registry.inc("elements_touched", len(self._steps) * buf.shape[0])
+            rt.registry.inc("bytes_moved", 2 * len(steps) * buf.nbytes)
+            rt.registry.inc("elements_touched", len(steps) * buf.shape[0])
         else:
-            for kind, payload in self._steps:
+            for kind, payload in steps:
                 self._apply_step(V, kind, payload)
         return buf
 

@@ -158,6 +158,9 @@ def record_fallback(reason: str) -> None:
 def kernel_for_plan(plan, itemsize: int) -> NativeKernel | None:
     """The compiled kernel for ``plan`` at ``itemsize``, or ``None``.
 
+    ``plan`` is any object with ``dec`` and ``algorithm``; only those are
+    read, never a plan's gather maps (the kernel computes its own indices).
+
     Memoized on the plan object (one slot per itemsize), so repeated
     executes of a cached plan pay a dict lookup.  ``None`` is memoized too:
     an ineligible shape or a failed compile is not retried, though the
@@ -182,7 +185,12 @@ def kernel_for_plan(plan, itemsize: int) -> NativeKernel | None:
         if kernel is None:
             cache[("why", itemsize)] = why
     if kernel is not None:
-        _charge_artifact(plan, kernel)
+        # Charged outside the native lock: the byte adjustment can evict
+        # plans — possibly this one — and eviction hooks re-enter the
+        # native layer to release kernels.
+        from ..runtime import plan_cache
+
+        plan_cache.charge(plan, kernel.artifact_bytes)
     return kernel
 
 
@@ -197,10 +205,10 @@ def kernel_for_shape(dec, algorithm: str, itemsize: int) -> NativeKernel | None:
     """The compiled kernel for a decomposition, without a TransposePlan.
 
     The streaming executor must not build a full plan just to reach the
-    compiler: a plan materialises ``O(m * n)`` index-map bytes, which for
-    an out-of-core matrix is exactly the unbounded allocation the resident
-    window exists to prevent.  Codegen needs only the decomposition
-    constants, so this memoises directly on
+    compiler: a plan that falls back to numpy materialises ``O(m * n)``
+    index-map bytes, which for an out-of-core matrix is exactly the
+    unbounded allocation the resident window exists to prevent.  Codegen
+    needs only the decomposition constants, so this memoises directly on
     ``(m, n, algorithm, itemsize)``.  Failed/ineligible compiles memoise
     as ``None``; artifacts are process-lifetime (no plan-cache slot to
     charge or evict — file-shape cardinality is low).
@@ -234,21 +242,6 @@ def _build_kernel(plan, itemsize: int):
         return None, "fallback"
     reg.inc("native.compile")
     return kernel, None
-
-
-def _charge_artifact(plan, kernel: NativeKernel) -> None:
-    """Charge the ``.so`` size to the plan's slot in the plan cache.
-
-    A plan not held by a cache (direct construction, oversize reject) has
-    no binding and nothing to charge.  Called outside the plan's native
-    lock: the byte adjustment can evict plans — possibly this one — and
-    eviction hooks re-enter the native layer to release kernels.
-    """
-    binding = plan.__dict__.get("_plan_cache_binding")
-    if binding is None:
-        return
-    cache, key = binding
-    cache.adjust_bytes(key, kernel.artifact_bytes)
 
 
 def release_plan_kernels(plan) -> None:

@@ -220,7 +220,10 @@ class ParallelTranspose:
         ``c2r(buf, m, n)`` matches plan ``(m, n, "C", "c2r")``;
         ``r2c(buf, m, n)`` matches plan ``(n, m, "C", "r2c")``), so the
         artifact and its byte accounting are shared with the serial path.
-        Returns ``{parallel_pass_name: callable(lo, hi)}`` covering the same
+        The plan holds no gather maps (the kernel computes its own indices
+        and only a numpy execute builds them), so a warm lookup is a dict
+        hit and both directions of a round trip stay cached.  Returns
+        ``{parallel_pass_name: callable(lo, hi)}`` covering the same
         chunk axes the numpy bodies use.
         """
         if self.native == "off" or self._mp is not None:

@@ -10,7 +10,8 @@ rather than a collection of kernels:
     A thread-safe LRU cache of :class:`~repro.core.plan.TransposePlan` /
     :class:`~repro.core.batched.BatchedTransposePlan` objects keyed by
     ``(kind, m, n, k, order, algorithm, variant, dtype)``, with a byte
-    budget (plans hold ``O(mn)`` int32 maps) and hit/miss/eviction stats.
+    budget over what plans hold (``O(mn)`` int32 maps once a numpy pass has
+    run, compiled ``.so`` files) and hit/miss/eviction stats.
 
 ``repro.runtime.metrics``
     Per-pass timers, bytes-moved and elements-touched counters, and a JSON

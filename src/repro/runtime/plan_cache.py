@@ -9,24 +9,27 @@ a process-wide LRU keyed by
 
     ``(kind, m, n, k, order, algorithm, variant, dtype)``
 
-mapping to fully built :class:`~repro.core.plan.TransposePlan` /
-:class:`~repro.core.batched.BatchedTransposePlan` objects.  Plans are
-immutable after construction (see ``tests/test_concurrency.py``), so one
-instance may be executed from any number of threads concurrently.
+mapping to :class:`~repro.core.plan.TransposePlan` /
+:class:`~repro.core.batched.BatchedTransposePlan` objects.  A plan's
+identity never changes after construction, and its one piece of mutable
+state — the gather maps, built once on the first numpy execute under the
+plan's own lock — is safe to race on (see ``tests/test_concurrency.py``), so
+one instance may be executed from any number of threads concurrently.
 
-Because each plan stores ``O(mn)`` int32 gather maps, the cache enforces a
-configurable **byte budget** (default 256 MiB, env
-``REPRO_PLAN_CACHE_BYTES``): least-recently-used plans are evicted once the
-budget is exceeded, and a single plan larger than the whole budget is
-returned to the caller but never retained.  The cache can be disabled
-entirely with :func:`configure` or ``REPRO_PLAN_CACHE=0``.
+The cache enforces a configurable **byte budget** (default 256 MiB, env
+``REPRO_PLAN_CACHE_BYTES``) over the bytes each plan actually holds: a plan
+enters at its resident footprint (0 until its maps exist), least-recently
+used plans are evicted once the budget is exceeded, and a plan larger than
+the whole budget — at insertion or after it grows — is never retained.  The
+cache can be disabled entirely with :func:`configure` or
+``REPRO_PLAN_CACHE=0``.
 
 Retained plans are stamped with a ``_plan_cache_binding`` back-reference so
-side artifacts acquired after insertion — the native backend's compiled
-``.so`` files — can be charged to the entry via :meth:`PlanCache.adjust_bytes`
-and count against the same budget.  Eviction (LRU, budget shrink, or
-:meth:`PlanCache.clear`) invokes the plan's ``on_cache_evict`` hook outside
-the lock, which releases those artifacts.
+what they acquire after insertion — their ``O(mn)`` int32 gather maps, and
+the native backend's compiled ``.so`` files — is charged to the entry via
+:func:`charge` and counts against the same budget.  Eviction (LRU, budget
+shrink, or :meth:`PlanCache.clear`) invokes the plan's ``on_cache_evict``
+hook outside the lock, which releases those artifacts.
 
 Hit/miss/eviction counts are part of :func:`repro.runtime.metrics.snapshot`.
 """
@@ -49,6 +52,7 @@ __all__ = [
     "stats",
     "get_single_plan",
     "get_batched_plan",
+    "charge",
 ]
 
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
@@ -117,10 +121,10 @@ class PlanCache:
     """LRU plan cache with a byte budget and hit/miss/eviction statistics.
 
     A single reentrant lock guards the map and the counters.  Plan
-    *construction* happens outside the lock — building a plan is a full pass
-    over ``O(mn)`` index data and must not serialize unrelated shapes; the
-    cost is that two threads racing on the same cold key may both build, with
-    one build discarded (counted under ``races``).
+    *construction* happens outside the lock, as does the later build of a
+    plan's gather maps (a full pass over ``O(mn)`` index data that must not
+    serialize unrelated shapes); two threads racing on the same cold key may
+    both construct, with one plan discarded (counted under ``races``).
     """
 
     def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES, enabled: bool = True):
@@ -180,8 +184,8 @@ class PlanCache:
             if nbytes > self.max_bytes:
                 self.oversize_rejects += 1
                 return plan
-            # The binding lets post-insertion artifacts (native kernel .so
-            # files) charge their size to this entry via adjust_bytes.
+            # The binding lets what the plan acquires after insertion (its
+            # gather maps, native kernel .so files) be charged to this entry.
             plan.__dict__["_plan_cache_binding"] = (self, key)
             self._plans[key] = (plan, nbytes)
             self.current_bytes += nbytes
@@ -217,30 +221,45 @@ class PlanCache:
             if hook is not None:
                 hook()
 
-    def adjust_bytes(self, key: PlanKey, delta: int) -> None:
+    def adjust_bytes(self, key: PlanKey, delta: int, plan=None) -> None:
         """Re-account ``key``'s entry by ``delta`` bytes.
 
         Used when a retained plan's resident footprint changes after
-        insertion — the native backend charges each compiled ``.so`` here so
-        artifacts live under the same budget as the gather maps.  Unknown
-        keys are ignored (the plan was evicted meanwhile, never retained,
-        or the cache is disabled).  Growth runs the normal LRU eviction
-        loop and may, at the margin, evict the adjusted entry itself.
+        insertion — its gather maps are built on first numpy use, and the
+        native backend charges each compiled ``.so`` — so everything a plan
+        holds lives under one budget.  Unknown keys are ignored (the plan
+        was evicted meanwhile, never retained, or the cache is disabled), as
+        are charges from a ``plan`` that is no longer the one retained under
+        ``key``.  Growth runs the normal LRU eviction loop and may, at the
+        margin, evict the adjusted entry itself; an entry grown past the
+        whole budget is dropped and counted under ``oversize_rejects``, as
+        it would have been at insertion.
         """
         evicted: list[tuple[PlanKey, object, int]] = []
+        dropped = None
         with self._lock:
             entry = self._plans.get(key)
-            if entry is None:
+            if entry is None or (plan is not None and entry[0] is not plan):
                 return
-            plan, nbytes = entry
+            held, nbytes = entry
             new_bytes = max(0, nbytes + int(delta))
-            self._plans[key] = (plan, new_bytes)
-            self.current_bytes += new_bytes - nbytes
-            while self.current_bytes > self.max_bytes and len(self._plans) > 1:
-                ekey, (eplan, evicted_bytes) = self._plans.popitem(last=False)
-                self.current_bytes -= evicted_bytes
-                self.evictions += 1
-                evicted.append((ekey, eplan, evicted_bytes))
+            if new_bytes > self.max_bytes:
+                del self._plans[key]
+                self.current_bytes -= nbytes
+                self.oversize_rejects += 1
+                dropped = held
+            else:
+                self._plans[key] = (held, new_bytes)
+                self.current_bytes += new_bytes - nbytes
+                while self.current_bytes > self.max_bytes and len(self._plans) > 1:
+                    ekey, (eplan, evicted_bytes) = self._plans.popitem(last=False)
+                    self.current_bytes -= evicted_bytes
+                    self.evictions += 1
+                    evicted.append((ekey, eplan, evicted_bytes))
+        if dropped is not None:
+            hook = getattr(dropped, "on_cache_evict", None)
+            if hook is not None:
+                hook()
         self._fire_evictions(evicted)
 
     # -- management ------------------------------------------------------------
@@ -337,6 +356,21 @@ def clear() -> None:
 
 def stats() -> dict:
     return _GLOBAL.stats()
+
+
+def charge(plan, delta: int) -> None:
+    """Charge ``delta`` bytes the plan acquired to its cache entry, if any.
+
+    A plan no cache retains (direct construction, oversize reject, disabled
+    cache) has no binding and nothing to charge.  Call it outside any lock
+    of the plan: the adjustment can evict plans — possibly this one — and
+    eviction hooks re-enter the plan.
+    """
+    binding = plan.__dict__.get("_plan_cache_binding")
+    if binding is None or not delta:
+        return
+    cache, key = binding
+    cache.adjust_bytes(key, delta, plan)
 
 
 # -- entry-point helpers --------------------------------------------------------

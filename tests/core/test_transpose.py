@@ -241,6 +241,9 @@ class TestPlan:
     def test_plan_repr_and_footprint(self):
         plan = TransposePlan(8, 6, "C", "c2r")
         assert "c2r" in repr(plan)
+        # The gather maps are built by the first numpy execute, not before.
+        assert plan.scratch_bytes == 0
+        plan.execute(np.arange(48, dtype=np.float64), backend="numpy")
         assert plan.scratch_bytes > 0
 
     def test_plan_rejects_bad_args(self):

@@ -20,6 +20,7 @@ import pytest
 
 from repro import native
 from repro.core.batched import batched_transpose_inplace
+from repro.core.plan import TransposePlan
 from repro.core.transpose import transpose_inplace
 from repro.native.kernel import NativeScratchError
 from repro.parallel import ParallelTranspose
@@ -268,6 +269,73 @@ class TestArtifactAccounting:
         assert kernel.released
         kernel.release()  # second call is a no-op
         assert not list(tmp_path.glob("*.so"))
+
+
+# ---------------------------------------------------------------------------
+# plans without maps: the native path never builds the O(mn) gather maps
+# ---------------------------------------------------------------------------
+
+
+class TestPlanFootprint:
+    # Above REPRO_NATIVE_MIN_ELEMS; m < n, so a round trip runs r2c one way
+    # and c2r back, through two distinct cached single plans.
+    m, n = 256, 384
+
+    def _map_bytes(self) -> int:
+        """Gather-map bytes of one direction of the round trip."""
+        plan = TransposePlan(self.m, self.n, "C", "r2c")
+        plan.execute(np.zeros(self.m * self.n, np.float32), backend="numpy")
+        return plan.scratch_bytes
+
+    @requires_toolchain
+    def test_parallel_round_trips_stay_cached_under_tight_budget(
+        self, tmp_path, monkeypatch
+    ):
+        """A budget below one direction's map bytes still holds both
+        directions: with no maps, each plan costs only its ``.so``."""
+        monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path))
+        m, n = self.m, self.n
+        cache = plan_cache.get_plan_cache()
+        cache.configure(max_bytes=self._map_bytes() - 1)
+        proto = np.arange(m * n, dtype=np.float32)
+        expected = _expected(proto, m, n, "C")
+        with ParallelTranspose(2) as pt:
+            buf = proto.copy()
+            pt.transpose_inplace(buf, m, n)  # warm-up: build and compile both
+            pt.transpose_inplace(buf, n, m)
+            before, compiles = cache.stats(), _counters().get("native.compile", 0)
+            for _ in range(3):
+                pt.transpose_inplace(buf, m, n)
+                np.testing.assert_array_equal(buf, expected)
+                pt.transpose_inplace(buf, n, m)
+                np.testing.assert_array_equal(buf, proto)
+        after = cache.stats()
+        assert after["misses"] == before["misses"]
+        assert after["evictions"] == before["evictions"] == 0
+        assert after["hits"] - before["hits"] == 6
+        assert _counters().get("native.compile", 0) == compiles == 2
+        plans = [plan for plan, _ in cache._plans.values()]
+        assert len(plans) == 2
+        assert all(plan.scratch_bytes == 0 for plan in plans)
+
+    def test_numpy_execute_builds_and_charges_maps(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        m, n = self.m, self.n
+        cache = plan_cache.get_plan_cache()
+        plan = plan_cache.get_single_plan(m, n, "C", "auto", np.dtype(np.float32))
+        assert plan.scratch_bytes == 0
+        assert cache.current_bytes == 0
+        proto = np.arange(m * n, dtype=np.float32)
+        buf = proto.copy()
+        transpose_inplace(buf, m, n)
+        np.testing.assert_array_equal(buf, _expected(proto, m, n, "C"))
+        assert plan.scratch_bytes == self._map_bytes() > 0
+        assert cache.current_bytes == plan.scratch_bytes
+        transpose_inplace(buf, n, m)  # the other direction: its own maps
+        assert len(cache) == 2
+        assert cache.current_bytes == sum(
+            p.scratch_bytes for p, _ in cache._plans.values()
+        ) > plan.scratch_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""Concurrency robustness: plans are immutable after construction and safe
-to share across threads; executors are reusable."""
+"""Concurrency robustness: plans are safe to share across threads (their
+identity is fixed at construction and their gather maps are built once,
+under the plan's lock, by whichever thread first needs them); executors are
+reusable."""
 
 from __future__ import annotations
 
