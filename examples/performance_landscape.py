@@ -4,7 +4,8 @@
 Evaluates the K20c cost model over a small grid to show:
 * the C2R fast band at small n and the R2C fast band at small m;
 * how the paper's heuristic (m > n -> C2R, else R2C) always lands on the
-  fast side;
+  fast side of the modeled GPU (the CPU executors run C2R for every shape;
+  see ``repro.core.transpose.choose_algorithm``);
 * a per-pass cost breakdown for one shape.
 
 Run:  python examples/performance_landscape.py
@@ -12,8 +13,7 @@ Run:  python examples/performance_landscape.py
 
 from __future__ import annotations
 
-from repro import choose_algorithm
-from repro.gpusim.cost import c2r_cost, r2c_cost
+from repro.gpusim.cost import c2r_cost, paper_heuristic, r2c_cost
 
 GRID = [1000, 4000, 8000, 14000, 20000]
 
@@ -30,9 +30,9 @@ def main() -> None:
     landscape(c2r_cost, "C2R")
     landscape(r2c_cost, "R2C")
 
-    print("\nthe heuristic picks the fast side:")
+    print("\nthe paper's heuristic picks the fast side of the K20c model:")
     for m, n in [(20001, 1501), (1501, 20001), (9001, 9002)]:
-        algo = choose_algorithm(m, n)
+        algo = paper_heuristic(m, n)
         both = {
             "c2r": c2r_cost(m, n, 8).throughput_gbps,
             "r2c": r2c_cost(m, n, 8).throughput_gbps,

@@ -51,8 +51,8 @@ def _racecheck_sweep(
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
             for threads in thread_counts:
-                # Both pass structures run for every shape regardless of the
-                # dispatch heuristic, so both must be race-free everywhere.
+                # "auto" runs C2R, but an explicit r2c request runs the other
+                # pass structure on any shape, so both must be race-free.
                 for algorithm in ("c2r", "r2c"):
                     _tally(racecheck.check_schedule(m, n, threads, algorithm))
                     _tally(racecheck.check_mp_schedule(m, n, threads, algorithm))

@@ -67,14 +67,16 @@ def _cmd_info(args: argparse.Namespace) -> int:
     )
     from .core.indexing import Decomposition
     from .core.transpose import choose_algorithm
-    from .gpusim.cost import auto_cost
+    from .gpusim.cost import auto_cost, paper_heuristic
 
     m, n = args.m, args.n
     dec = Decomposition.of(m, n)
     print(f"shape: {m} x {n}  ({m * n} elements)")
     print(f"decomposition: c = gcd = {dec.c}, a = m/c = {dec.a}, b = n/c = {dec.b}")
     print(f"pre-rotation pass needed: {not dec.coprime}")
-    print(f"heuristic algorithm: {choose_algorithm(m, n).upper()}")
+    print(f"CPU algorithm (auto): {choose_algorithm(m, n).upper()}")
+    print(f"paper heuristic algorithm (K20c model): "
+          f"{paper_heuristic(m, n).upper()}")
     passes = 2 if dec.coprime else 3
     print(f"work bound: {2 * passes} accesses/element "
           f"({passes} passes); aux space: {max(m, n)} elements")

@@ -46,7 +46,8 @@ def transpose_file_inplace(
         storage.  Rewritten in place; afterwards it holds the ``n x m``
         transpose in the same order.
     algorithm:
-        ``"auto"`` (paper heuristic), ``"c2r"`` or ``"r2c"``.
+        ``"auto"`` (C2R, see :func:`~repro.core.transpose.choose_algorithm`),
+        ``"c2r"`` or ``"r2c"``.
     window_bytes:
         Resident byte budget per band (default ``REPRO_STREAM_WINDOW`` or
         256 MiB); files smaller than the window run as a single band.

@@ -5,13 +5,14 @@ AoS/SoA conversions of Section 6.1, or batched FFT-style pipelines) build a
 :class:`TransposePlan` once and call :meth:`TransposePlan.execute` per
 buffer.
 
-The plan captures the direction decision (C2R vs R2C, honoring the paper's
-``m > n`` heuristic) and the dimension/order folding of Theorems 1-2-7.  The
-numpy fast path also needs ``O(mn)`` int32 gather maps (``d'^{-1}``/``s'``),
-whose construction costs as much as a pass over the data; a plan builds them
-once, on first use, under its own lock.  The compiled native kernel computes
-every index in closed form (Eq. 26/31) with ``O(max(m, n))`` scratch, so a
-plan that only ever runs natively never holds maps at all.
+The plan captures the direction decision (C2R vs R2C, ``"auto"`` resolved by
+:func:`~repro.core.transpose.choose_algorithm`) and the dimension/order
+folding of Theorems 1-2-7.  The numpy fast path also needs ``O(mn)`` int32
+gather maps (``d'^{-1}``/``s'``), whose construction costs as much as a pass
+over the data; a plan builds them once, on first use, under its own lock.
+The compiled native kernel computes every index in closed form (Eq. 26/31)
+with ``O(max(m, n))`` scratch, so a plan that only ever runs natively never
+holds maps at all.
 """
 
 from __future__ import annotations

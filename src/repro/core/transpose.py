@@ -3,9 +3,9 @@
 This module stitches the C2R and R2C kernels into the user-facing API:
 
 * :func:`transpose_inplace` — transpose a linear buffer holding an ``m x n``
-  matrix in row- or column-major order, selecting C2R versus R2C with the
-  paper's heuristic (Section 5.2: *"if m > n, use the C2R algorithm,
-  otherwise use the R2C algorithm"*) or by explicit request.
+  matrix in row- or column-major order, with C2R unless R2C is requested
+  explicitly (see :func:`choose_algorithm` for why the CPU does not use the
+  paper's Section 5.2 GPU heuristic).
 * :func:`transpose` — convenience wrapper for 2-D numpy arrays: transposes
   the underlying buffer in place and returns a reshaped view of the same
   memory with transposed dimensions.
@@ -64,13 +64,17 @@ def _tracer():
 
 
 def choose_algorithm(m: int, n: int) -> str:
-    """The paper's Section 5.2 heuristic: C2R when ``m > n``, else R2C.
+    """The CPU resolver of ``algorithm="auto"``: C2R for every shape.
 
-    C2R's row shuffle operates on rows of length ``n``; when ``n`` is the
-    smaller dimension a whole row fits in on-chip memory (the fast band of
-    Fig. 4).  R2C's analogous band appears when ``m`` is small (Fig. 5).
+    The paper's Section 5.2 rule (C2R when ``m > n``, else R2C) is a K20c
+    finding about fitting a row in on-chip memory; it lives on in the GPU
+    model as :func:`repro.gpusim.cost.paper_heuristic`.  On the CPU kernels
+    C2R's diagonal column gather is cheaper than R2C's fused ``q^-1 p^-1``
+    one, so C2R is the faster side for most ``m < n`` shapes too
+    (``benchmarks/results/orientation.txt``).  Both algorithms induce the
+    same buffer permutation (Theorem 2), so the choice never changes bytes.
     """
-    return "c2r" if m > n else "r2c"
+    return "c2r"
 
 
 def transpose_inplace(
@@ -99,7 +103,7 @@ def transpose_inplace(
         in ``buf``.  After the call ``buf`` holds the ``n x m`` transpose in
         the same storage order.
     algorithm:
-        ``"auto"`` (paper heuristic), ``"c2r"`` or ``"r2c"``.
+        ``"auto"`` (:func:`choose_algorithm`: C2R), ``"c2r"`` or ``"r2c"``.
     variant, aux, counter:
         Forwarded to the kernels; see :mod:`repro.core.c2r`.
     use_plan_cache:

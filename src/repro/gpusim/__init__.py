@@ -17,7 +17,15 @@ Table 2) are reproduced through a memory-system model with three layers:
 """
 
 from .aos_model import aos_access_throughput
-from .cost import TransposeCost, auto_cost, c2r_cost, r2c_cost, skinny_cost, sung_cost
+from .cost import (
+    TransposeCost,
+    auto_cost,
+    c2r_cost,
+    paper_heuristic,
+    r2c_cost,
+    skinny_cost,
+    sung_cost,
+)
 from .device import A100_SXM4, CORE_I7_950, TESLA_K20C, Device
 from .kernel import execute_c2r_kernel, execute_r2c_kernel, execute_skinny_kernel
 from .memory import TrafficSummary, TransactionAnalyzer
@@ -36,6 +44,7 @@ __all__ = [
     "TransposeCost",
     "auto_cost",
     "c2r_cost",
+    "paper_heuristic",
     "r2c_cost",
     "skinny_cost",
     "sung_cost",

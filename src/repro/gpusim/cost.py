@@ -52,6 +52,7 @@ __all__ = [
     "TransposeCost",
     "c2r_cost",
     "r2c_cost",
+    "paper_heuristic",
     "auto_cost",
     "skinny_cost",
     "sung_cost",
@@ -170,6 +171,18 @@ def r2c_cost(
     return cost
 
 
+def paper_heuristic(m: int, n: int) -> str:
+    """The paper's Section 5.2 rule: C2R when ``m > n``, else R2C.
+
+    C2R's row shuffle operates on rows of length ``n``; when ``n`` is the
+    smaller dimension a whole row fits in on-chip memory (the fast band of
+    Fig. 4).  R2C's analogous band appears when ``m`` is small (Fig. 5).
+    This is a GPU-model rule; the CPU executors resolve ``"auto"`` with
+    :func:`repro.core.transpose.choose_algorithm` instead.
+    """
+    return "c2r" if m > n else "r2c"
+
+
 def auto_cost(
     m: int,
     n: int,
@@ -177,10 +190,9 @@ def auto_cost(
     device: Device = TESLA_K20C,
     rng: np.random.Generator | None = None,
 ) -> TransposeCost:
-    """The paper's combined heuristic: C2R when ``m > n``, else R2C."""
-    if m > n:
-        return c2r_cost(m, n, itemsize, device, rng)
-    return r2c_cost(m, n, itemsize, device, rng)
+    """Cost of the side :func:`paper_heuristic` picks."""
+    cost_fn = c2r_cost if paper_heuristic(m, n) == "c2r" else r2c_cost
+    return cost_fn(m, n, itemsize, device, rng)
 
 
 def skinny_cost(

@@ -570,7 +570,8 @@ class ParallelTranspose:
     def transpose_inplace(
         self, buf: np.ndarray, m: int, n: int, order: str = "C"
     ) -> np.ndarray:
-        """Order-aware entry point with the paper's C2R/R2C heuristic."""
+        """Order-aware entry point; the direction is
+        :func:`~repro.core.transpose.choose_algorithm`'s (C2R)."""
         if order not in ("C", "F"):
             raise ValueError(f"unknown order {order!r}")
         vm, vn = (m, n) if order == "C" else (n, m)

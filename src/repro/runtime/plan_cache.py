@@ -103,8 +103,8 @@ class PlanKey:
     count (``None`` for single plans).  ``dtype`` is part of the key even
     though the int32 gather maps are dtype-independent — it keeps hit/miss
     accounting meaningful per workload and costs nothing for the one or two
-    dtypes a real pipeline uses.  ``algorithm`` is stored post-heuristic
-    (never ``"auto"``) so explicit and heuristic requests share entries.
+    dtypes a real pipeline uses.  ``algorithm`` is stored resolved
+    (never ``"auto"``) so explicit and ``"auto"`` requests share entries.
     """
 
     kind: str
@@ -383,8 +383,8 @@ def get_single_plan(
 ):
     """A (possibly cached) :class:`TransposePlan` for one matrix shape.
 
-    ``algorithm`` may be ``"auto"``; it is resolved through the paper's
-    Section 5.2 heuristic before keying.
+    ``algorithm`` may be ``"auto"``; it is resolved through
+    :func:`~repro.core.transpose.choose_algorithm` before keying.
     """
     from repro.core.plan import TransposePlan
     from repro.core.transpose import choose_algorithm

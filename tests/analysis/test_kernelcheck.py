@@ -19,6 +19,9 @@ from repro.native.codegen import generate_source
 
 ODD_SHAPES = [(7, 13), (13, 7), (1, 17), (17, 1)]
 
+#: "auto" resolves to C2R, so tests that must see both kernels ask for each
+ALGORITHMS = ("c2r", "r2c")
+
 
 def source_for(m, n, *, order="C", algorithm="auto", itemsize=8):
     plan = TransposePlan(m, n, order=order, algorithm=algorithm)
@@ -34,13 +37,20 @@ class TestCleanKernels:
         assert rep.algorithm == algorithm
 
     def test_f_order_and_narrow_itemsize_certify(self):
-        rep = verify_kernel(12, 18, order="F", itemsize=2, thread_counts=(2,))
-        assert rep.ok, [c.as_dict() for c in rep.failures]
-        rep = verify_kernel(6, 4, itemsize=4, thread_counts=(2,))
-        assert rep.ok, [c.as_dict() for c in rep.failures]
+        for algorithm in ALGORITHMS:
+            rep = verify_kernel(12, 18, order="F", algorithm=algorithm,
+                                itemsize=2, thread_counts=(2,))
+            assert rep.ok, [c.as_dict() for c in rep.failures]
+            rep = verify_kernel(6, 4, algorithm=algorithm, itemsize=4,
+                                thread_counts=(2,))
+            assert rep.ok, [c.as_dict() for c in rep.failures]
 
     def test_all_advertised_checks_present(self):
-        rep = verify_kernel(12, 18, thread_counts=(2, 4))
+        for algorithm in ALGORITHMS:
+            self._assert_advertised_checks(algorithm)
+
+    def _assert_advertised_checks(self, algorithm):
+        rep = verify_kernel(12, 18, algorithm=algorithm, thread_counts=(2, 4))
         names = [c.name for c in rep.checks]
         for expected in (
             "parse",
@@ -86,42 +96,52 @@ class TestCorruptedKernels:
         assert rep.checks[-1].name == "parse"
 
     def test_missing_symbol_fails(self):
-        src = source_for(7, 13)
-        broken = src.replace("repro_run_batch", "repro_run_hatch")
-        rep = verify_kernel(7, 13, source=broken, thread_counts=(2,))
-        assert not rep.ok
-        fail = next(c for c in rep.checks if not c.ok)
-        assert fail.name == "symbols"
-        assert "repro_run_batch" in fail.detail
+        for alg in ALGORITHMS:
+            src = source_for(7, 13, algorithm=alg)
+            broken = src.replace("repro_run_batch", "repro_run_hatch")
+            rep = verify_kernel(7, 13, algorithm=alg, source=broken,
+                                thread_counts=(2,))
+            assert not rep.ok
+            fail = next(c for c in rep.checks if not c.ok)
+            assert fail.name == "symbols"
+            assert "repro_run_batch" in fail.detail
 
     def test_wrong_plan_constant_fails(self):
-        src = source_for(7, 13)
-        broken = re.sub(
-            r"#define M INT64_C\((\d+)\)",
-            lambda mo: f"#define M INT64_C({int(mo.group(1)) + 1})",
-            src,
-            count=1,
-        )
-        assert broken != src
-        rep = verify_kernel(7, 13, source=broken, thread_counts=(2,))
-        assert not rep.ok
-        assert any(
-            not c.ok and c.name == "plan-constants" for c in rep.checks
-        )
+        for alg in ALGORITHMS:
+            src = source_for(7, 13, algorithm=alg)
+            broken = re.sub(
+                r"#define M INT64_C\((\d+)\)",
+                lambda mo: f"#define M INT64_C({int(mo.group(1)) + 1})",
+                src,
+                count=1,
+            )
+            assert broken != src
+            rep = verify_kernel(7, 13, algorithm=alg, source=broken,
+                                thread_counts=(2,))
+            assert not rep.ok
+            assert any(
+                not c.ok and c.name == "plan-constants" for c in rep.checks
+            ), alg
 
     def test_corrupted_fastdiv_multiplier_fails(self):
-        src = source_for(12, 18)
-        mo = re.search(
-            r"#define DIV_M\(x\) \(\(int64_t\)\(\(\(uint64_t\)\(x\) \* "
-            r"UINT64_C\((\d+)\)",
-            src,
-        )
-        assert mo is not None
-        lit = mo.group(1)
-        broken = src.replace(f"UINT64_C({lit})", f"UINT64_C({int(lit) * 3})", 1)
-        rep = verify_kernel(12, 18, source=broken, thread_counts=(2,))
-        assert not rep.ok
-        assert any(not c.ok and c.name == "fastdiv-M" for c in rep.checks)
+        for alg in ALGORITHMS:
+            src = source_for(12, 18, algorithm=alg)
+            mo = re.search(
+                r"#define DIV_M\(x\) \(\(int64_t\)\(\(\(uint64_t\)\(x\) \* "
+                r"UINT64_C\((\d+)\)",
+                src,
+            )
+            assert mo is not None
+            lit = mo.group(1)
+            broken = src.replace(
+                f"UINT64_C({lit})", f"UINT64_C({int(lit) * 3})", 1
+            )
+            rep = verify_kernel(12, 18, algorithm=alg, source=broken,
+                                thread_counts=(2,))
+            assert not rep.ok
+            assert any(
+                not c.ok and c.name == "fastdiv-M" for c in rep.checks
+            ), alg
 
     def test_corrupted_gather_is_caught_by_pass_semantics(self):
         # swap the c2r algorithm's source for the r2c kernel of the same

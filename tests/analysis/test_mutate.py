@@ -29,6 +29,8 @@ class TestFullHarness:
         assert full_report.survivors == []
         assert full_report.killed == full_report.applied
         assert len(full_report.classes_applied) >= MIN_CLASSES
+        # "auto" runs only C2R, so the gate names both kernels explicitly
+        assert {r.algorithm for r in full_report.mutants} == {"c2r", "r2c"}
 
     def test_every_fault_class_applies_somewhere(self, full_report):
         # the taxonomy carries no dead weight: each class anchors in at

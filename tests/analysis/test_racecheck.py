@@ -278,6 +278,10 @@ class TestExecutionHooks:
                 expected = buf.reshape(m, n).T.ravel().copy()
                 pt.transpose_inplace(buf, m, n)
                 assert np.array_equal(buf, expected)
+                # "auto" is C2R; the R2C schedule runs on the swapped view
+                buf = np.arange(m * n, dtype=np.int64)
+                pt.r2c(buf, n, m)
+                assert np.array_equal(buf, expected)
 
     def test_corrupted_plan_payload_is_caught(self):
         # Gather bijectivity is proven statically by the verifier; what the

@@ -37,12 +37,15 @@ class TestBatched:
 
         m, n = mn
         base = np.arange(k * m * n, dtype=np.float64)
-        batched = base.copy()
-        batched_transpose_inplace(batched, m, n)
-        loop = base.copy()
-        for b in range(k):
-            transpose_inplace(loop[b * m * n : (b + 1) * m * n], m, n)
-        np.testing.assert_array_equal(batched, loop)
+        for algorithm in ("auto", "r2c"):
+            batched = base.copy()
+            batched_transpose_inplace(batched, m, n, algorithm=algorithm)
+            loop = base.copy()
+            for b in range(k):
+                transpose_inplace(
+                    loop[b * m * n : (b + 1) * m * n], m, n, algorithm=algorithm
+                )
+            np.testing.assert_array_equal(batched, loop)
 
     def test_accepts_2d_and_3d_views(self):
         m, n, k = 6, 4, 3

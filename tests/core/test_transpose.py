@@ -164,10 +164,13 @@ class TestPublicAPI:
         assert out is buf
         np.testing.assert_array_equal(buf, A.T.ravel(order=order))
 
-    @given(dim_pairs)
-    def test_heuristic(self, mn):
+    @given(dim_pairs, orders)
+    def test_cpu_resolver_is_c2r(self, mn, order):
+        """``auto`` is C2R on every shape (the paper's m > n rule is the
+        GPU model's, ``repro.gpusim.cost.paper_heuristic``)."""
         m, n = mn
-        assert choose_algorithm(m, n) == ("c2r" if m > n else "r2c")
+        assert choose_algorithm(m, n) == "c2r"
+        assert TransposePlan(m, n, order).algorithm == "c2r"
 
     def test_bad_algorithm_rejected(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 from repro.gpusim.cost import (
     auto_cost,
     c2r_cost,
+    paper_heuristic,
     r2c_cost,
     skinny_cost,
     sung_cost,
@@ -122,6 +123,18 @@ class TestTransposeCosts:
         assert auto_cost(n, m, 8).throughput_gbps == pytest.approx(
             r2c_cost(n, m, 8).throughput_gbps
         )
+
+    @pytest.mark.parametrize(
+        "m, n, expected",
+        [(20001, 1501, "c2r"), (1501, 20001, "r2c"), (9001, 9001, "r2c"),
+         (2, 1, "c2r"), (1, 2, "r2c"), (1, 1, "r2c")],
+    )
+    def test_paper_heuristic_is_section_5_2(self, m, n, expected):
+        """Section 5.2: "if m > n, use the C2R algorithm, otherwise use the
+        R2C algorithm"; ``auto_cost`` models exactly that side."""
+        assert paper_heuristic(m, n) == expected
+        side = c2r_cost if expected == "c2r" else r2c_cost
+        assert auto_cost(m, n, 8).seconds == side(m, n, 8).seconds
 
 
 class TestSkinnyCost:

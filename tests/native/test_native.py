@@ -50,6 +50,11 @@ def _counters() -> dict:
     return metrics.registry.snapshot()["counters"]
 
 
+#: "auto" runs C2R; R2C is reached only by asking for it, so every
+#: differential below runs both explicitly
+ALGORITHMS = ("c2r", "r2c")
+
+
 def _expected(buf: np.ndarray, m: int, n: int, order: str) -> np.ndarray:
     """Ground truth via out-of-place numpy reshape."""
     if order == "C":
@@ -70,10 +75,15 @@ class TestDifferential:
     )
     def test_native_matches_numpy_across_shapes(self, m, n, order):
         proto = np.arange(m * n, dtype=np.float64)
-        nat = transpose_inplace(proto.copy(), m, n, order, backend="native")
-        ref = transpose_inplace(proto.copy(), m, n, order, backend="numpy")
-        np.testing.assert_array_equal(nat, ref)
-        np.testing.assert_array_equal(nat, _expected(proto, m, n, order))
+        for alg in ALGORITHMS:
+            nat = transpose_inplace(
+                proto.copy(), m, n, order, algorithm=alg, backend="native"
+            )
+            ref = transpose_inplace(
+                proto.copy(), m, n, order, algorithm=alg, backend="numpy"
+            )
+            np.testing.assert_array_equal(nat, ref)
+            np.testing.assert_array_equal(nat, _expected(proto, m, n, order))
 
     @pytest.mark.parametrize(
         "dtype", [np.uint8, np.float32, np.float64, np.complex128]
@@ -81,9 +91,14 @@ class TestDifferential:
     @pytest.mark.parametrize("order,m,n", [("C", 256, 384), ("F", 48, 36)])
     def test_native_matches_numpy_across_dtypes(self, dtype, order, m, n):
         proto = np.arange(m * n).astype(dtype)
-        nat = transpose_inplace(proto.copy(), m, n, order, backend="native")
-        ref = transpose_inplace(proto.copy(), m, n, order, backend="numpy")
-        np.testing.assert_array_equal(nat, ref)
+        for alg in ALGORITHMS:
+            nat = transpose_inplace(
+                proto.copy(), m, n, order, algorithm=alg, backend="native"
+            )
+            ref = transpose_inplace(
+                proto.copy(), m, n, order, algorithm=alg, backend="numpy"
+            )
+            np.testing.assert_array_equal(nat, ref)
 
     @pytest.mark.parametrize("algorithm", ["c2r", "r2c"])
     def test_both_decompositions(self, algorithm):
@@ -104,24 +119,33 @@ class TestDifferential:
     def test_batched_native_matches_numpy(self):
         k, m, n = 3, 64, 48
         proto = np.arange(k * m * n, dtype=np.float64)
-        nat = batched_transpose_inplace(proto.copy(), m, n, backend="native")
-        ref = batched_transpose_inplace(proto.copy(), m, n, backend="numpy")
-        np.testing.assert_array_equal(nat, ref)
         tiles = proto.copy().reshape(k, m, n)
         expected = np.ascontiguousarray(tiles.transpose(0, 2, 1)).ravel()
-        np.testing.assert_array_equal(nat, expected)
+        for alg in ALGORITHMS:
+            nat = batched_transpose_inplace(
+                proto.copy(), m, n, algorithm=alg, backend="native"
+            )
+            ref = batched_transpose_inplace(
+                proto.copy(), m, n, algorithm=alg, backend="numpy"
+            )
+            np.testing.assert_array_equal(nat, ref)
+            np.testing.assert_array_equal(nat, expected)
+        assert _counters().get("native.compile", 0) == 2
 
     def test_parallel_native_matches_interpreter(self):
         m, n = 256, 384
         proto = np.arange(m * n, dtype=np.float64)
-        with ParallelTranspose(2, native="auto") as pt:
-            nat = pt.transpose_inplace(proto.copy(), m, n)
-        with ParallelTranspose(2, native="off") as pt:
-            ref = pt.transpose_inplace(proto.copy(), m, n)
-        np.testing.assert_array_equal(nat, ref)
-        np.testing.assert_array_equal(nat, _expected(proto, m, n, "C"))
-        # the native chunks actually engaged (a kernel was compiled)
-        assert _counters().get("native.compile", 0) >= 1
+        expected = _expected(proto, m, n, "C")
+        # C order: c2r runs on the (m, n) view, r2c on the (n, m) view
+        for alg, (vm, vn) in (("c2r", (m, n)), ("r2c", (n, m))):
+            with ParallelTranspose(2, native="auto") as pt:
+                nat = getattr(pt, alg)(proto.copy(), vm, vn)
+            with ParallelTranspose(2, native="off") as pt:
+                ref = getattr(pt, alg)(proto.copy(), vm, vn)
+            np.testing.assert_array_equal(nat, ref)
+            np.testing.assert_array_equal(nat, expected)
+        # the native chunks actually engaged (one kernel per algorithm)
+        assert _counters().get("native.compile", 0) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +301,14 @@ class TestArtifactAccounting:
 
 
 class TestPlanFootprint:
-    # Above REPRO_NATIVE_MIN_ELEMS; m < n, so a round trip runs r2c one way
-    # and c2r back, through two distinct cached single plans.
+    # Above REPRO_NATIVE_MIN_ELEMS.  A round trip runs one algorithm both
+    # ways, through two distinct cached single plans (one per direction);
+    # each test covers both algorithms.
     m, n = 256, 384
 
-    def _map_bytes(self) -> int:
+    def _map_bytes(self, algorithm: str) -> int:
         """Gather-map bytes of one direction of the round trip."""
-        plan = TransposePlan(self.m, self.n, "C", "r2c")
+        plan = TransposePlan(self.m, self.n, "C", algorithm)
         plan.execute(np.zeros(self.m * self.n, np.float32), backend="numpy")
         return plan.scratch_bytes
 
@@ -296,46 +321,60 @@ class TestPlanFootprint:
         monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path))
         m, n = self.m, self.n
         cache = plan_cache.get_plan_cache()
-        cache.configure(max_bytes=self._map_bytes() - 1)
         proto = np.arange(m * n, dtype=np.float32)
         expected = _expected(proto, m, n, "C")
-        with ParallelTranspose(2) as pt:
-            buf = proto.copy()
-            pt.transpose_inplace(buf, m, n)  # warm-up: build and compile both
-            pt.transpose_inplace(buf, n, m)
-            before, compiles = cache.stats(), _counters().get("native.compile", 0)
-            for _ in range(3):
-                pt.transpose_inplace(buf, m, n)
-                np.testing.assert_array_equal(buf, expected)
-                pt.transpose_inplace(buf, n, m)
-                np.testing.assert_array_equal(buf, proto)
-        after = cache.stats()
-        assert after["misses"] == before["misses"]
-        assert after["evictions"] == before["evictions"] == 0
-        assert after["hits"] - before["hits"] == 6
-        assert _counters().get("native.compile", 0) == compiles == 2
-        plans = [plan for plan, _ in cache._plans.values()]
-        assert len(plans) == 2
-        assert all(plan.scratch_bytes == 0 for plan in plans)
+        for alg in ALGORITHMS:
+            plan_cache.clear()
+            cache.reset_stats()
+            metrics.reset()
+            cache.configure(max_bytes=self._map_bytes(alg) - 1)
+            with ParallelTranspose(2) as pt:
+                run = getattr(pt, alg)
+                # C order: c2r runs on the (rows, cols) view, r2c on the swap
+                there, back = ((m, n), (n, m)) if alg == "c2r" else ((n, m), (m, n))
+                buf = proto.copy()
+                run(buf, *there)  # warm-up: build and compile both
+                run(buf, *back)
+                before = cache.stats()
+                compiles = _counters().get("native.compile", 0)
+                for _ in range(3):
+                    run(buf, *there)
+                    np.testing.assert_array_equal(buf, expected)
+                    run(buf, *back)
+                    np.testing.assert_array_equal(buf, proto)
+            after = cache.stats()
+            assert after["misses"] == before["misses"], alg
+            assert after["evictions"] == before["evictions"] == 0, alg
+            assert after["hits"] - before["hits"] == 6, alg
+            assert _counters().get("native.compile", 0) == compiles == 2, alg
+            plans = [plan for plan, _ in cache._plans.values()]
+            assert len(plans) == 2, alg
+            assert {plan.algorithm for plan in plans} == {alg}
+            assert all(plan.scratch_bytes == 0 for plan in plans), alg
 
     def test_numpy_execute_builds_and_charges_maps(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
         m, n = self.m, self.n
         cache = plan_cache.get_plan_cache()
-        plan = plan_cache.get_single_plan(m, n, "C", "auto", np.dtype(np.float32))
-        assert plan.scratch_bytes == 0
-        assert cache.current_bytes == 0
         proto = np.arange(m * n, dtype=np.float32)
-        buf = proto.copy()
-        transpose_inplace(buf, m, n)
-        np.testing.assert_array_equal(buf, _expected(proto, m, n, "C"))
-        assert plan.scratch_bytes == self._map_bytes() > 0
-        assert cache.current_bytes == plan.scratch_bytes
-        transpose_inplace(buf, n, m)  # the other direction: its own maps
-        assert len(cache) == 2
-        assert cache.current_bytes == sum(
-            p.scratch_bytes for p, _ in cache._plans.values()
-        ) > plan.scratch_bytes
+        for alg in ALGORITHMS:
+            plan_cache.clear()
+            plan = plan_cache.get_single_plan(
+                m, n, "C", alg, np.dtype(np.float32)
+            )
+            assert plan.scratch_bytes == 0
+            assert cache.current_bytes == 0
+            buf = proto.copy()
+            transpose_inplace(buf, m, n, algorithm=alg)
+            np.testing.assert_array_equal(buf, _expected(proto, m, n, "C"))
+            assert plan.scratch_bytes == self._map_bytes(alg) > 0
+            assert cache.current_bytes == plan.scratch_bytes
+            # the other direction: its own maps
+            transpose_inplace(buf, n, m, algorithm=alg)
+            assert len(cache) == 2
+            assert cache.current_bytes == sum(
+                p.scratch_bytes for p, _ in cache._plans.values()
+            ) > plan.scratch_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -348,33 +387,36 @@ class TestScratchResume:
     def test_single_resumes_from_failing_pass(self, monkeypatch):
         m, n = 256, 384
         proto = np.arange(m * n, dtype=np.float64)
-        transpose_inplace(proto.copy(), m, n, backend="native")  # compile
-        plan = plan_cache.get_single_plan(
-            m, n, "C", "auto", np.dtype(np.float64)
-        )
-        kernel = native.kernel_for_plan(plan, 8)
-        assert kernel is not None and len(kernel.passes) >= 2
-        real_run_pass = kernel.run_pass
-
-        def failing_run_pass(idx, addr, lo, hi):
-            # pass 0 completes natively, pass 1 "fails" before moving data
-            if idx == 0:
-                return real_run_pass(idx, addr, lo, hi)
-            raise NativeScratchError(idx)
-
-        def failing_run(addr):
-            failing_run_pass(0, addr, 0, kernel.passes[0].extent)
-            failing_run_pass(1, addr, 0, kernel.passes[1].extent)
-
-        # cover both execution branches (metrics on -> per-pass entry points,
-        # metrics off -> the one-shot driver)
-        monkeypatch.setattr(kernel, "run_pass", failing_run_pass)
-        monkeypatch.setattr(kernel, "run", failing_run)
         monkeypatch.setattr(native, "_warned_once", True)  # silence
-        buf = proto.copy()
-        transpose_inplace(buf, m, n, backend="native")
-        np.testing.assert_array_equal(buf, _expected(proto, m, n, "C"))
-        assert _counters().get("native.fallback", 0) >= 1
+        for alg in ALGORITHMS:
+            # compile
+            transpose_inplace(proto.copy(), m, n, algorithm=alg, backend="native")
+            plan = plan_cache.get_single_plan(
+                m, n, "C", alg, np.dtype(np.float64)
+            )
+            kernel = native.kernel_for_plan(plan, 8)
+            assert kernel is not None and len(kernel.passes) >= 2
+            real_run_pass = kernel.run_pass
+
+            def failing_run_pass(idx, addr, lo, hi, real_run_pass=real_run_pass):
+                # pass 0 completes natively, pass 1 "fails" before moving data
+                if idx == 0:
+                    return real_run_pass(idx, addr, lo, hi)
+                raise NativeScratchError(idx)
+
+            def failing_run(addr, kernel=kernel, failing_run_pass=failing_run_pass):
+                failing_run_pass(0, addr, 0, kernel.passes[0].extent)
+                failing_run_pass(1, addr, 0, kernel.passes[1].extent)
+
+            # cover both execution branches (metrics on -> per-pass entry
+            # points, metrics off -> the one-shot driver)
+            monkeypatch.setattr(kernel, "run_pass", failing_run_pass)
+            monkeypatch.setattr(kernel, "run", failing_run)
+            metrics.reset()
+            buf = proto.copy()
+            transpose_inplace(buf, m, n, algorithm=alg, backend="native")
+            np.testing.assert_array_equal(buf, _expected(proto, m, n, "C"))
+            assert _counters().get("native.fallback", 0) >= 1, alg
 
     def test_batched_resumes_from_failing_tile(self, monkeypatch):
         k, m, n = 3, 64, 48

@@ -198,6 +198,12 @@ class TestParallelTranspose:
         buf = A.ravel(order=order).copy()
         parallel_transpose_inplace(buf, m, n, order, n_threads=threads)
         np.testing.assert_array_equal(buf, A.T.ravel(order=order))
+        # explicit R2C ("auto" is C2R) runs on the swapped view (Theorem 2)
+        vm, vn = (m, n) if order == "C" else (n, m)
+        buf = A.ravel(order=order).copy()
+        with ParallelTranspose(threads) as pt:
+            pt.r2c(buf, vn, vm)
+        np.testing.assert_array_equal(buf, A.T.ravel(order=order))
 
     @given(dim_pairs)
     @settings(max_examples=30, deadline=None)
@@ -227,4 +233,8 @@ class TestParallelTranspose:
         A = rng.standard_normal((m, n))
         buf = A.ravel().copy()
         parallel_transpose_inplace(buf, m, n, n_threads=8)
+        np.testing.assert_array_equal(buf, A.T.ravel())
+        buf = A.ravel().copy()
+        with ParallelTranspose(8) as pt:
+            pt.r2c(buf, n, m)
         np.testing.assert_array_equal(buf, A.T.ravel())

@@ -35,15 +35,18 @@ class TestBandedTranspose:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_shapes_and_orders(self, tmp_path, m, n, order):
         A = np.arange(m * n, dtype=np.int64).reshape(m, n)
-        path = _write(tmp_path, A, order)
-        stats = transpose_file_inplace(
-            path, m, n, np.int64, order, window_bytes=TINY_WINDOW
-        )
-        np.testing.assert_array_equal(
-            _read(path, n, m, np.int64, order), A.T
-        )
-        assert stats["m"] == m and stats["n"] == n
-        assert stats["bands"] >= 1 and stats["passes"] >= 2
+        for algorithm in ("c2r", "r2c"):
+            path = _write(tmp_path, A, order)
+            stats = transpose_file_inplace(
+                path, m, n, np.int64, order,
+                algorithm=algorithm, window_bytes=TINY_WINDOW,
+            )
+            np.testing.assert_array_equal(
+                _read(path, n, m, np.int64, order), A.T
+            )
+            assert stats["m"] == m and stats["n"] == n
+            assert stats["algorithm"] == algorithm
+            assert stats["bands"] >= 1 and stats["passes"] >= 2
 
     @pytest.mark.parametrize("algorithm", ["auto", "c2r", "r2c"])
     def test_algorithms(self, tmp_path, algorithm):
@@ -54,8 +57,7 @@ class TestBandedTranspose:
             algorithm=algorithm, window_bytes=TINY_WINDOW,
         )
         np.testing.assert_array_equal(_read(path, 36, 48, np.float64, "C"), A.T)
-        if algorithm != "auto":
-            assert stats["algorithm"] == algorithm
+        assert stats["algorithm"] == ("c2r" if algorithm == "auto" else algorithm)
 
     def test_many_bands_forced(self, tmp_path):
         # 4 KiB window over a 72 KiB file: every pass must band.
@@ -121,8 +123,17 @@ class TestBandedTranspose:
             2, backend="mp", window_bytes=TINY_WINDOW
         ) as ex:
             stats = ex.transpose_file(path, m, n, np.float64)
-        assert stats["backend"] == "mp"
-        np.testing.assert_array_equal(_read(path, n, m, np.float64, "C"), A.T)
+            assert stats["backend"] == "mp"
+            assert stats["algorithm"] == "c2r"
+            np.testing.assert_array_equal(
+                _read(path, n, m, np.float64, "C"), A.T
+            )
+            # and back through the other pass structure
+            stats = ex.transpose_file(
+                path, n, m, np.float64, algorithm="r2c"
+            )
+            assert stats["algorithm"] == "r2c"
+        np.testing.assert_array_equal(np.fromfile(path, np.float64), A.ravel())
 
 
 class TestValidationAndFailure:

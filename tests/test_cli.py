@@ -13,7 +13,8 @@ class TestInfo:
         assert main(["info", "12", "18"]) == 0
         out = capsys.readouterr().out
         assert "c = gcd = 6" in out
-        assert "heuristic algorithm" in out
+        assert "CPU algorithm (auto): C2R" in out
+        assert "paper heuristic algorithm (K20c model): R2C" in out  # 12 < 18
         assert "GB/s" in out
 
     def test_info_coprime(self, capsys):

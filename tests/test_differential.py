@@ -21,10 +21,18 @@ from repro.baselines import (
 )
 from repro.cache import c2r_cache_aware
 from repro.core import c2r_transpose, transpose_inplace
-from repro.parallel import parallel_transpose_inplace
+from repro.parallel import ParallelTranspose, parallel_transpose_inplace
+
+
+def _parallel_r2c(buf, m, n):
+    """Explicit R2C on the swapped view ("auto" resolves to C2R)."""
+    with ParallelTranspose(3) as pt:
+        pt.r2c(buf, n, m)
+
 
 TRANSPOSERS = {
     "auto": lambda b, m, n: transpose_inplace(b, m, n),
+    "r2c": lambda b, m, n: transpose_inplace(b, m, n, algorithm="r2c"),
     "c2r/gather/blocked": lambda b, m, n: c2r_transpose(b, m, n),
     "c2r/scatter/strict": lambda b, m, n: c2r_transpose(
         b, m, n, variant="scatter", aux="strict"
@@ -34,6 +42,7 @@ TRANSPOSERS = {
     ),
     "cache-aware": lambda b, m, n: c2r_cache_aware(b, m, n),
     "parallel-3t": lambda b, m, n: parallel_transpose_inplace(b, m, n, n_threads=3),
+    "parallel-3t-r2c": _parallel_r2c,
     "skinny": skinny_transpose,
     "cycle-following": lambda b, m, n: transpose_cycle_following(b, m, n),
     "gustavson": lambda b, m, n: gustavson_transpose(b, m, n),

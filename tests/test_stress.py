@@ -19,7 +19,7 @@ from repro.core import (
     transpose_inplace,
 )
 from repro.core.tensor import swap_first_axes_inplace
-from repro.parallel import parallel_transpose_inplace
+from repro.parallel import ParallelTranspose, parallel_transpose_inplace
 from repro.simd.cpu import deinterleave
 
 
@@ -51,6 +51,8 @@ class TestScale:
         for _ in range(200):
             i, j = int(rng.integers(m)), int(rng.integers(n))
             assert V[j, i] == i * n + j
+        transpose_inplace(A, n, m, algorithm="r2c")  # and back through R2C
+        np.testing.assert_array_equal(A, np.arange(m * n, dtype=np.float64))
 
     def test_shared_factor_large(self):
         m, n = 1800, 2400  # gcd 600 -> full 3-pass path
@@ -61,6 +63,8 @@ class TestScale:
         for _ in range(200):
             i, j = int(rng.integers(m)), int(rng.integers(n))
             assert V[j, i] == np.float32(i * n + j)
+        transpose_inplace(A, n, m, algorithm="r2c")  # and back through R2C
+        np.testing.assert_array_equal(A, np.arange(m * n, dtype=np.float32))
 
     def test_plan_reuse_many_buffers(self):
         m, n = 640, 512
@@ -78,6 +82,9 @@ class TestScale:
         parallel_transpose_inplace(A, m, n, n_threads=4)
         V = A.reshape(n, m)
         assert V[5, 7] == 7 * n + 5
+        with ParallelTranspose(4) as pt:
+            pt.r2c(A, m, n)  # inverts the C2R transpose above
+        np.testing.assert_array_equal(A, np.arange(m * n, dtype=np.float64))
 
     def test_aos_soa_million_structs(self):
         N, S = 1_000_000, 6
@@ -95,6 +102,10 @@ class TestScale:
         plan.execute(stack)
         first = stack[: m * n].reshape(n, m)
         assert first[3, 5] == np.float32(5 * n + 3)
+        BatchedTransposePlan(n, m, "C", "r2c").execute(stack)  # and back
+        np.testing.assert_array_equal(
+            stack, np.arange(k * m * n, dtype=np.float32)
+        )
 
     def test_tensor_axis_swap_large(self):
         t = np.arange(256 * 192 * 8, dtype=np.float32).reshape(256, 192, 8)
