@@ -41,11 +41,9 @@ DEFAULT_SHAPE = ShapeMix(256, 384, 1.0)
 
 def run_point(
     *, tiles: int, rate: float, duration: float, dtype: str, workers: int,
-    worker_mode: str = "thread",
 ) -> dict:
     server = TransposeServer(ServeConfig(
         port=0, workers=workers, queue_size=512, max_batch=32, max_wait_ms=0.5,
-        worker_mode=worker_mode,
     )).start()
     try:
         report = run_loadtest(
@@ -70,10 +68,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--duration", type=float, default=3.0)
     parser.add_argument("--dtype", default="uint8")
     parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--worker-mode", choices=["thread", "process"],
-                        default="thread",
-                        help="process = batch groups execute in worker "
-                        "processes over shared-memory staging")
     parser.add_argument("--tiles", default="1,2,4,8",
                         help="comma-separated tiles-per-request sweep")
     parser.add_argument("--json", help="write the sweep as JSON to a file")
@@ -86,7 +80,6 @@ def main(argv: list[str] | None = None) -> int:
         point = run_point(
             tiles=tiles, rate=args.rate, duration=args.duration,
             dtype=args.dtype, workers=args.workers,
-            worker_mode=args.worker_mode,
         )
         report = point["report"]
         # Reuse the tiles=1 reference measurements for the whole sweep so

@@ -114,8 +114,8 @@ ENTRY_POINT_GUARDS = [
     ("core/transpose.py", "transpose"),
     ("core/plan.py", "TransposePlan.execute"),
     ("core/batched.py", "BatchedTransposePlan.execute"),
-    ("parallel/cpu.py", "ParallelTranspose.c2r"),
-    ("parallel/cpu.py", "ParallelTranspose.r2c"),
+    # c2r and r2c both delegate to the one pass loop that holds the guard
+    ("parallel/cpu.py", "ParallelTranspose._transpose"),
 ]
 
 #: Directory prefix where lock discipline is enforced.

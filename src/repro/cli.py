@@ -110,9 +110,8 @@ def _cmd_transpose(args: argparse.Namespace) -> int:
             # Streamed path (default): band-by-band through the bounded
             # resident window, so peak RSS honors --window-bytes no matter
             # how large the file is.  --threads > 1 parallelizes chunks
-            # *within* a band (threads or the mp shared-memory backend)
-            # under the pre-proven banded schedule — the old whole-file
-            # memmap walk is gone.
+            # *within* a band under the pre-proven banded schedule — the
+            # old whole-file memmap walk is gone.
             from .stream import parse_bytes, transpose_file_inplace
 
             window = (
@@ -122,13 +121,12 @@ def _cmd_transpose(args: argparse.Namespace) -> int:
                 args.file, args.m, args.n, args.dtype, args.order,
                 algorithm=args.algorithm,
                 window_bytes=window,
-                backend=args.backend,
                 n_threads=args.threads,
             )
             detail = (
                 f", {stats['bands']} band(s) @ "
                 f"{stats['window_bytes'] / 1e6:.0f} MB window, "
-                f"{stats['threads']} {stats['backend']} worker(s)"
+                f"{stats['threads']} threads worker(s)"
             )
         else:
             # --no-stream: the strict in-RAM reference path.  Loads the
@@ -204,13 +202,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     m, n = args.m, args.n
     threads = args.threads or default_worker_count()
     best = float("inf")
-    with ParallelTranspose(threads, backend=args.backend) as pt:
+    with ParallelTranspose(threads) as pt:
         for _ in range(args.repeats):
             buf = np.arange(m * n, dtype=np.float64)
             t0 = time.perf_counter()
             pt.transpose_inplace(buf, m, n)
             best = min(best, time.perf_counter() - t0)
-    print(f"{m} x {n} float64, {threads} {args.backend} worker(s): best "
+    print(f"{m} x {n} float64, {threads} threads worker(s): best "
           f"{best * 1e3:.2f} ms = {2 * m * n * 8 / best / 1e9:.3f} GB/s (Eq. 37)")
     return 0
 
@@ -245,15 +243,13 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     from .validation import validate_transposer
 
     threads = args.threads or default_worker_count()
-    # One persistent transposer for the whole run: the mp backend's process
-    # pool costs real startup time, far too much to pay per validation call.
-    pt = ParallelTranspose(threads, backend=args.backend)
+    pt = ParallelTranspose(threads)
     candidates = {
         "transpose_inplace (auto)": lambda b, m, n: transpose_inplace(b, m, n),
         "c2r strict": lambda b, m, n: c2r_transpose(b, m, n, aux="strict"),
         "c2r restricted": lambda b, m, n: c2r_transpose(b, m, n, variant="restricted"),
         "cache-aware c2r": lambda b, m, n: c2r_cache_aware(b, m, n),
-        f"parallel ({threads} {args.backend})":
+        f"parallel ({threads} threads)":
             lambda b, m, n: pt.transpose_inplace(b, m, n),
         "skinny": skinny_transpose,
         "cycle following": lambda b, m, n: transpose_cycle_following(b, m, n),
@@ -454,7 +450,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.input:
         # Post-hoc inspection of an exported trace (e.g. the artifact a
         # loadtest --trace-out wrote): reconstruct the records and print
-        # either one request's cross-process tree or the whole thing.
+        # either one request's span tree or the whole thing.
         with open(args.input, encoding="utf-8") as fh:
             doc = json.load(fh)
         recs = from_chrome_trace(doc)
@@ -479,26 +475,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     # The cached single-matrix path emits one pass.* span per decomposition
     # pass plus cache.hit/miss events; the parallel path adds worker.chunk
-    # spans on distinct thread lanes (--backend mp makes those lanes whole
-    # worker *processes*, spliced back into this ring).  Run both so one
-    # trace shows the whole story.
+    # spans on distinct thread lanes.  Run both so one trace shows the
+    # whole story.
     for m, n in shapes:
         proto = np.arange(m * n, dtype=np.float64)
         for _ in range(args.repeats):
             transpose_inplace(proto.copy(), m, n, algorithm=args.algorithm)
         if args.threads > 1:
-            if args.backend == "mp":
-                from .parallel.mp import MpTranspose
+            from .parallel import ParallelTranspose
 
-                with MpTranspose(args.threads) as pt:
-                    for _ in range(args.repeats):
-                        pt.transpose_inplace(proto.copy(), m, n)
-            else:
-                from .parallel import ParallelTranspose
-
-                with ParallelTranspose(args.threads) as pt:
-                    for _ in range(args.repeats):
-                        pt.transpose_inplace(proto.copy(), m, n)
+            with ParallelTranspose(args.threads) as pt:
+                for _ in range(args.repeats):
+                    pt.transpose_inplace(proto.copy(), m, n)
 
     recs = spans.tracer.snapshot()
     if args.format == "chrome":
@@ -587,8 +575,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,
         request_timeout_s=args.request_timeout,
-        worker_mode=args.worker_mode,
-        mp_start_method=args.mp_start_method,
         slo_p99_ms=args.slo_p99_ms,
         slo_error_budget=args.slo_error_budget,
         shards=args.shards,
@@ -606,8 +592,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     quota = (f"{config.tenant_rate:.0f} matrices/s/tenant"
              if config.tenant_rate else "off")
     print(f"repro-serve listening on http://{host}:{port} "
-          f"({config.shards} shard(s) x {config.workers} "
-          f"{config.worker_mode} workers, "
+          f"({config.shards} shard(s) x {config.workers} workers, "
           f"queue {config.queue_size}, "
           f"max batch {config.max_batch}, max wait {config.max_wait_ms}ms, "
           f"quotas {quota})")
@@ -648,7 +633,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"accepted={summary['accepted']} responded={summary['responded']} "
         f"dropped={summary['dropped']} rejected_full={summary['rejected_full']} "
         f"retries={summary['retries']} drained={summary['drained']} "
-        f"worker_mode={summary['worker_mode']} "
         f"shards={summary['shards']} "
         f"shards_evicted={summary['shards_evicted']} "
         f"shm_leaked={summary['shm_leaked']}"
@@ -737,8 +721,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
                 queue_size=args.queue_size,
                 max_batch=args.max_batch,
                 max_wait_ms=args.max_wait_ms,
-                worker_mode=args.worker_mode,
-                mp_start_method=args.mp_start_method,
                 shards=n_shards,
             )).start()
 
@@ -841,7 +823,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         )
         if cores < args.shards:
             # A 4-shard scaling floor is unfalsifiable on fewer cores than
-            # shards; report, don't gate (same policy as the mp bench floor).
+            # shards; report, don't gate.
             print(
                 f"  scaling floor skipped: {cores} core(s) < "
                 f"{args.shards} shards"
@@ -912,8 +894,6 @@ def _add_file_transpose_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=1,
                    help=">1 runs the chunked passes in parallel within "
                    "each band")
-    p.add_argument("--backend", choices=["threads", "mp"], default="threads",
-                   help="parallel execution backend for --threads > 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -967,7 +947,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--threads", type=int, default=None,
                    help="worker count (default: os.cpu_count(), capped)")
-    p.add_argument("--backend", choices=["threads", "mp"], default="threads")
     p.add_argument("--repeats", type=int, default=3)
     p.set_defaults(fn=_cmd_bench)
 
@@ -987,8 +966,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=None,
                    help="parallel-candidate worker count "
                    "(default: os.cpu_count(), capped)")
-    p.add_argument("--backend", choices=["threads", "mp"], default="threads",
-                   help="backend for the parallel candidate")
     p.set_defaults(fn=_cmd_selftest)
 
     p = sub.add_parser(
@@ -1085,9 +1062,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--threads", type=int, default=1,
                    help="also run the parallel transposer (worker.chunk lanes)")
-    p.add_argument("--backend", choices=["threads", "mp"], default="threads",
-                   help="parallel backend for --threads > 1; mp splices "
-                   "worker-process spans into per-process trace lanes")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument(
         "--algorithm", choices=["auto", "c2r", "r2c"], default="auto"
@@ -1098,7 +1072,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="read an exported Chrome trace instead of running a "
                    "workload (for --request lookup or a tree dump)")
     p.add_argument("--request",
-                   help="print one request's cross-process span tree by "
+                   help="print one request's span tree by "
                    "trace_id (requires --input)")
     p.set_defaults(fn=_cmd_trace)
 
@@ -1135,13 +1109,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="0 picks an ephemeral port (printed at startup)")
     p.add_argument("--workers", type=int, default=None,
                    help="worker count (default: os.cpu_count(), capped)")
-    p.add_argument("--worker-mode", choices=["thread", "process"],
-                   default="thread",
-                   help="process = execute batches in worker processes over "
-                   "shared-memory staging")
-    p.add_argument("--mp-start-method", default=None,
-                   help="multiprocessing start method for --worker-mode "
-                   "process (default: forkserver)")
     p.add_argument("--shards", type=int, default=1,
                    help="independent serve shards behind the consistent-hash "
                    "router (workers are per shard; queue capacity is split)")
@@ -1170,8 +1137,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slo-error-budget", type=float, default=0.01,
                    help="error budget the SLO burn rate is measured against")
     p.add_argument("--trace-out", default="",
-                   help="enable tracing and write the Chrome trace (with "
-                   "worker-process lanes) to this file at shutdown")
+                   help="enable tracing and write the Chrome trace (one "
+                   "lane per worker thread) to this file at shutdown")
     p.add_argument("--verbose", action="store_true",
                    help="log every HTTP request to stderr")
     p.set_defaults(fn=_cmd_serve)
@@ -1200,10 +1167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="--inproc: worker count (default: os.cpu_count(), "
                    "capped)")
-    p.add_argument("--worker-mode", choices=["thread", "process"],
-                   default="thread", help="--inproc: worker execution mode")
-    p.add_argument("--mp-start-method", default=None,
-                   help="--inproc: start method for --worker-mode process")
     p.add_argument("--shards", type=int, default=1,
                    help="--inproc: serve shards behind the consistent-hash "
                    "router; the default workload is respread one shape "

@@ -34,7 +34,6 @@ def transpose_file_inplace(
     *,
     algorithm: str = "auto",
     window_bytes: int | None = None,
-    backend: str = "threads",
     n_threads: int = 1,
 ) -> None:
     """Transpose the ``m x n`` matrix stored in a raw binary file, in place.
@@ -51,8 +50,8 @@ def transpose_file_inplace(
     window_bytes:
         Resident byte budget per band (default ``REPRO_STREAM_WINDOW`` or
         256 MiB); files smaller than the window run as a single band.
-    backend / n_threads:
-        Chunk parallelism within a band (``"threads"`` or ``"mp"``).
+    n_threads:
+        Chunk parallelism within a band (worker threads).
 
     Raises :class:`ValueError` when the file size does not match the shape.
     """
@@ -64,6 +63,5 @@ def transpose_file_inplace(
         path, m, n, dtype, order,
         algorithm=algorithm,
         window_bytes=window_bytes,
-        backend=backend,
         n_threads=n_threads,
     )

@@ -30,6 +30,8 @@ __all__ = [
     "row_gather_chunk",
     "col_gather_chunk",
     "pass_index_map",
+    "chunk_kernel",
+    "record_chunk",
 ]
 
 #: reusable stateless no-op context manager for untraced paths
@@ -61,14 +63,19 @@ def _tracer():
     return _trace.tracer
 
 
-def _sanitizer():
-    """Lazily bind the shadow-memory sanitizer (repro.analysis.racecheck)."""
+def _racecheck_mod():
+    """Lazily bind repro.analysis.racecheck: the pass tables the race proof
+    is built from, and the shadow-memory sanitizer."""
     global _racecheck
     if _racecheck is None:
         from ..analysis import racecheck
 
         _racecheck = racecheck
-    return _racecheck.sanitizer
+    return _racecheck
+
+
+def _sanitizer():
+    return _racecheck_mod().sanitizer
 
 
 def _native():
@@ -83,14 +90,18 @@ def _native():
 
 # -- chunk kernels -------------------------------------------------------------
 #
-# Module-level so both backends share one implementation: the thread backend
-# calls them through closures over the live view, the process backend calls
-# them from worker processes against a shared-memory attachment (functions at
-# module scope are picklable by reference — descriptors, not closures, cross
-# the process boundary).
+# Shared with the banded out-of-core executor (repro.stream.executor): every
+# kernel addresses the pass in *global* matrix coordinates and writes into
+# ``V``, whose first row/column/group along the pass axis is global index
+# ``origin`` (0 for the in-RAM matrix, the band start for a band copy).
+
+#: rotation passes -> direction of the Lemma 1 rotation
+_ROTATE_SIGN = {"pre_rotate": -1, "post_rotate": 1}
 
 
-def rotate_chunk(V: np.ndarray, dec: Decomposition, sign: int, groups: slice) -> None:
+def rotate_chunk(
+    V: np.ndarray, dec: Decomposition, sign: int, groups: slice, origin: int = 0
+) -> None:
     """Rotate the column groups in ``groups`` by ``sign * (g mod m)``
     (Lemma 1: each group of b columns shares one rotation amount)."""
     m = dec.m
@@ -98,32 +109,36 @@ def rotate_chunk(V: np.ndarray, dec: Decomposition, sign: int, groups: slice) ->
         k = g % m  # repro-lint: allow(raw-divmod) O(c) per-group setup, not per-element
         if k == 0:
             continue
-        cols = slice(g * dec.b, (g + 1) * dec.b)
+        cols = slice((g - origin) * dec.b, (g - origin + 1) * dec.b)
         V[:, cols] = np.roll(V[:, cols], sign * k, axis=0)
 
 
-def row_gather_chunk(V: np.ndarray, dec: Decomposition, index_map, rows: slice) -> None:
-    """Gather the rows in ``rows`` along axis 1 with ``index_map(i, cols)``."""
+def row_gather_chunk(
+    V: np.ndarray, dec: Decomposition, index_map, rows: slice, origin: int = 0
+) -> None:
+    """Gather the rows in ``rows`` along axis 1 with ``index_map(i, cols)``
+    — a row reads only itself, so a band copy holds all the gather needs."""
     i = np.arange(rows.start, rows.stop, dtype=np.int64)[:, None]
     cols = np.arange(dec.n, dtype=np.int64)[None, :]
     idx = index_map(i, cols)
-    V[rows] = np.take_along_axis(V[rows], idx, axis=1)
+    local = slice(rows.start - origin, rows.stop - origin)
+    V[local] = np.take_along_axis(V[local], idx, axis=1)
 
 
-def col_gather_chunk(V: np.ndarray, dec: Decomposition, index_map, cols: slice) -> None:
-    """Gather the columns in ``cols`` along axis 0 with ``index_map(rows, j)``."""
+def col_gather_chunk(
+    V: np.ndarray, dec: Decomposition, index_map, cols: slice, origin: int = 0
+) -> None:
+    """Gather the columns in ``cols`` along axis 0 with ``index_map(rows, j)``
+    — a column reads only itself."""
     rows = np.arange(dec.m, dtype=np.int64)[:, None]
     j = np.arange(cols.start, cols.stop, dtype=np.int64)[None, :]
     idx = index_map(rows, j)
-    V[:, cols] = np.take_along_axis(V[:, cols], idx, axis=0)
+    local = slice(cols.start - origin, cols.stop - origin)
+    V[:, local] = np.take_along_axis(V[:, local], idx, axis=0)
 
 
 def pass_index_map(name: str, dec: Decomposition, red: ReducedEquations | None):
-    """Resolve the gather index map for a named pass (Eqs. 26/31).
-
-    Keyed by pass *name* so a worker process can rebuild the map from a
-    descriptor instead of unpickling a closure over live numpy state.
-    """
+    """Resolve the gather index map for a named pass (Eqs. 26/31)."""
     if name == "row_shuffle":
         if red is not None:
             return red.dprime_inverse
@@ -141,8 +156,58 @@ def pass_index_map(name: str, dec: Decomposition, red: ReducedEquations | None):
     raise ValueError(f"no index map for pass {name!r}")
 
 
+def chunk_kernel(name: str, dec: Decomposition, red: ReducedEquations | None):
+    """The numpy body of pass ``name``: ``kernel(V, chunk, origin=0)``."""
+    axis = _racecheck_mod().PASS_AXES[name][0]
+    if axis == "colgroups":
+        sign = _ROTATE_SIGN[name]
+        return lambda V, chunk, origin=0: rotate_chunk(V, dec, sign, chunk, origin)
+    index_map = pass_index_map(name, dec, red)
+    gather = row_gather_chunk if axis == "rows" else col_gather_chunk
+    return lambda V, chunk, origin=0: gather(V, dec, index_map, chunk, origin)
+
+
+def record_chunk(
+    san, name: str, dec: Decomposition, red: ReducedEquations | None,
+    chunk: slice,
+) -> None:
+    """Shadow-memory accounting for one global-coordinate chunk of pass
+    ``name``: the flat indices it reads and writes, reads first."""
+    axis = _racecheck_mod().PASS_AXES[name][0]
+    if axis == "colgroups":
+        for g in range(chunk.start, chunk.stop):
+            if g % dec.m == 0:  # repro-lint: allow(raw-divmod) O(c) per-group setup, not per-element
+                continue
+            flat = (
+                np.arange(dec.m, dtype=np.int64)[:, None] * dec.n
+                + np.arange(g * dec.b, (g + 1) * dec.b, dtype=np.int64)
+            ).ravel()  # repro-lint: allow(implicit-copy) flat index array, not a view
+            san.record(reads=flat, writes=flat, where=f"group[{g}]")
+        return
+    index_map = pass_index_map(name, dec, red)
+    if axis == "rows":
+        i = np.arange(chunk.start, chunk.stop, dtype=np.int64)[:, None]
+        cols = np.arange(dec.n, dtype=np.int64)[None, :]
+        san.record(
+            reads=i * dec.n + index_map(i, cols), writes=i * dec.n + cols,
+            where=f"rows[{chunk.start}:{chunk.stop}]",
+        )
+    else:
+        rows = np.arange(dec.m, dtype=np.int64)[:, None]
+        j = np.arange(chunk.start, chunk.stop, dtype=np.int64)[None, :]
+        san.record(
+            reads=index_map(rows, j) * dec.n + j, writes=rows * dec.n + j,
+            where=f"cols[{chunk.start}:{chunk.stop}]",
+        )
+
+
 class ParallelTranspose:
     """A reusable parallel transposer bound to a worker count.
+
+    Each pass of :func:`repro.analysis.racecheck.pass_order` is a chunked
+    parallel-for over the axis :data:`~repro.analysis.racecheck.PASS_AXES`
+    names — the schedule :func:`~repro.analysis.racecheck.check_schedule`
+    proves race-free.
 
     Parameters
     ----------
@@ -152,24 +217,13 @@ class ParallelTranspose:
         Use fixed-point-reciprocal index math (on by default, as in the
         paper's CPU implementation); falls back to plain ``//``/``%`` for
         shapes outside the reduced range.
-    backend:
-        ``"threads"`` (default) runs chunks on a thread pool — real overlap
-        only while numpy's gather kernels release the GIL.  ``"mp"`` runs
-        chunks in a persistent process pool against a shared-memory copy of
-        the buffer (see :mod:`repro.parallel.mp`): true parallel-for, at
-        the cost of one staging copy in and one out.
-    start_method:
-        mp backend only — multiprocessing start method override (defaults
-        to forkserver where available; see ``REPRO_MP_START``).
     native:
         ``"auto"`` (default) runs each chunk through the compiled per-plan
         kernel of :mod:`repro.native` when one is available — the ctypes
-        calls release the GIL for their whole duration, so the thread
-        backend gets true pass-level parallelism instead of relying on
-        numpy's partial GIL releases.  ``"off"`` keeps every chunk on the
-        numpy gathers.  The mp backend and the sanitizer always use numpy
-        (worker processes rebuild plans themselves; the sanitizer must see
-        every index).
+        calls release the GIL for their whole duration, so the workers get
+        true pass-level parallelism instead of relying on numpy's partial
+        GIL releases.  ``"off"`` keeps every chunk on the numpy gathers.
+        The sanitizer always uses numpy (it must see every index).
     """
 
     def __init__(
@@ -177,32 +231,14 @@ class ParallelTranspose:
         n_threads: int = 1,
         *,
         strength_reduced: bool = True,
-        backend: str = "threads",
-        start_method: str | None = None,
         native: str = "auto",
     ):
-        if backend not in ("threads", "mp"):
-            raise ValueError(f"unknown backend {backend!r}; use 'threads' or 'mp'")
         if native not in ("auto", "off"):
             raise ValueError(f"unknown native mode {native!r}; use 'auto' or 'off'")
         self.n_threads = int(n_threads)
-        self.backend = backend
         self.strength_reduced = strength_reduced
         self.native = native
-        if backend == "mp":
-            from .mp import MpTranspose
-
-            self._mp: "MpTranspose | None" = MpTranspose(
-                n_threads,
-                strength_reduced=strength_reduced,
-                start_method=start_method,
-            )
-            self.executor = None
-        else:
-            self._mp = None
-            self.executor = ParallelExecutor(n_threads)
-
-    # -- index-map helpers ---------------------------------------------------
+        self.executor = ParallelExecutor(n_threads)
 
     def _reduced(self, dec: Decomposition) -> ReducedEquations | None:
         if not self.strength_reduced:
@@ -226,7 +262,7 @@ class ParallelTranspose:
         ``{parallel_pass_name: callable(lo, hi)}`` covering the same
         chunk axes the numpy bodies use.
         """
-        if self.native == "off" or self._mp is not None:
+        if self.native == "off":
             return None
         if _sanitizer().enabled:
             return None
@@ -254,318 +290,132 @@ class ParallelTranspose:
     # -- passes ----------------------------------------------------------------
 
     def _run_pass(
-        self, name: str, dec: Decomposition, total: int, body, *,
-        full_coverage: bool = True,
+        self, name: str, V: np.ndarray, dec: Decomposition,
+        red: ReducedEquations | None, nk,
     ) -> None:
-        """Run one chunked pass, inside a shadow-memory scope when the
-        sanitizer is enabled (the disabled path costs one attribute read)."""
+        """One chunked pass over the axis the proof tables give it, inside a
+        shadow-memory scope when the sanitizer is enabled.
+
+        The numpy chunk body is also the per-chunk fallback of a native
+        runner: a native chunk that fails its scratch allocation moved
+        nothing, so numpy redoes exactly that range.
+        """
+        axis, extent = _racecheck_mod().PASS_AXES[name]
+        total = getattr(dec, extent)
+        kernel = chunk_kernel(name, dec, red)
         san = _sanitizer()
+        tr = _tracer()
+        itemsize = V.itemsize
+
+        def work(chunk: slice) -> None:
+            if san.enabled:
+                record_chunk(san, name, dec, red, chunk)
+            kernel(V, chunk)
+
+        if nk is None:
+            run = work
+        else:
+            def run(chunk: slice) -> None:
+                try:
+                    nk(chunk.start, chunk.stop)
+                except MemoryError:
+                    _native().record_fallback(
+                        f"scratch allocation failed in parallel pass {name}"
+                    )
+                    work(chunk)
+
+        def body(chunk: slice) -> None:
+            # One worker.chunk span per chunk, carrying the rectangle the
+            # chunk owns — the Chrome-trace lane layout shows these spans
+            # overlapping across worker threads.
+            if tr.enabled:
+                r = _racecheck_mod().axis_rect(
+                    axis, dec.m, dec.n, total, chunk.start, chunk.stop
+                )
+                with tr.span(
+                    "worker.chunk", stage=name,
+                    r0=r.r0, r1=r.r1, c0=r.c0, c1=r.c1,
+                    bytes=2 * r.area * itemsize,
+                ):
+                    run(chunk)
+            else:
+                run(chunk)
+
         if san.enabled:
+            # Zero-shift rotation groups are skipped, so rotation coverage
+            # is at-most-once.
             with san.pass_scope(
-                f"parallel.{name}", dec.m * dec.n, full_coverage=full_coverage
+                f"parallel.{name}", dec.m * dec.n,
+                full_coverage=axis != "colgroups",
             ):
                 self.executor.parallel_for(total, body, name=name)
         else:
             self.executor.parallel_for(total, body, name=name)
 
-    @staticmethod
-    def _chunk_runner(name: str, nk, work):
-        """Compose the chunk body: native runner when available, with the
-        numpy chunk as the per-chunk fallback (a failing native chunk moved
-        nothing, so numpy redoes exactly that range)."""
-        if nk is None:
-            return work
-
-        def run(sl: slice) -> None:
-            try:
-                nk(sl.start, sl.stop)
-            except MemoryError:
-                _native().record_fallback(
-                    f"scratch allocation failed in parallel pass {name}"
-                )
-                work(sl)
-
-        return run
-
-    def _rotate_pass(
-        self, name: str, V: np.ndarray, dec: Decomposition, sign: int, nk=None
-    ) -> None:
-        """Columns rotate by ``sign * (j // b)``; parallel over the c groups
-        of b columns (each group shares one rotation amount, Lemma 1)."""
-        m = dec.m
-        san = _sanitizer()
-        tr = _tracer()
-        itemsize = V.itemsize
-
-        def work(groups: slice) -> None:
-            if not san.enabled:
-                rotate_chunk(V, dec, sign, groups)
-                return
-            for g in range(groups.start, groups.stop):
-                k = g % m  # repro-lint: allow(raw-divmod) O(c) per-group setup, not per-element
-                if k == 0:
-                    continue
-                cols = slice(g * dec.b, (g + 1) * dec.b)
-                flat = (
-                    np.arange(m, dtype=np.int64)[:, None] * dec.n
-                    + np.arange(cols.start, cols.stop, dtype=np.int64)
-                ).ravel()  # repro-lint: allow(implicit-copy) flat index array, not a view
-                san.record(reads=flat, writes=flat, where=f"group[{g}]")
-                V[:, cols] = np.roll(V[:, cols], sign * k, axis=0)
-
-        run = self._chunk_runner(name, nk, work)
-
-        def body(groups: slice) -> None:
-            # One worker.chunk span per chunk, carrying the rectangle the
-            # chunk owns — the Chrome-trace lane layout shows these spans
-            # overlapping across worker threads.
-            if tr.enabled:
-                c0, c1 = groups.start * dec.b, groups.stop * dec.b
-                with tr.span(
-                    "worker.chunk", stage=name, r0=0, r1=m, c0=c0, c1=c1,
-                    bytes=2 * m * (c1 - c0) * itemsize,
-                ):
-                    run(groups)
-            else:
-                run(groups)
-
-        # Zero-shift groups are skipped, so coverage is at-most-once.
-        self._run_pass(name, dec, dec.c, body, full_coverage=False)
-
-    def _pre_rotate(self, V: np.ndarray, dec: Decomposition, nk=None) -> None:
-        self._rotate_pass("pre_rotate", V, dec, -1, nk)
-
-    def _gathered_row_pass(
-        self, name: str, V: np.ndarray, dec: Decomposition, index_map, nk=None
-    ) -> None:
-        """Rows gather along axis 1 with ``index_map(i, cols)``; parallel
-        over row chunks."""
-        cols = np.arange(dec.n, dtype=np.int64)[None, :]
-        san = _sanitizer()
-        tr = _tracer()
-        itemsize = V.itemsize
-
-        def work(rows: slice) -> None:
-            if not san.enabled:
-                row_gather_chunk(V, dec, index_map, rows)
-                return
-            i = np.arange(rows.start, rows.stop, dtype=np.int64)[:, None]
-            idx = index_map(i, cols)
-            san.record(
-                reads=i * dec.n + idx,
-                writes=i * dec.n + cols,
-                where=f"rows[{rows.start}:{rows.stop}]",
-            )
-            V[rows] = np.take_along_axis(V[rows], idx, axis=1)
-
-        run = self._chunk_runner(name, nk, work)
-
-        def body(rows: slice) -> None:
-            if tr.enabled:
-                with tr.span(
-                    "worker.chunk", stage=name,
-                    r0=rows.start, r1=rows.stop, c0=0, c1=dec.n,
-                    bytes=2 * (rows.stop - rows.start) * dec.n * itemsize,
-                ):
-                    run(rows)
-            else:
-                run(rows)
-
-        self._run_pass(name, dec, dec.m, body)
-
-    def _gathered_column_pass(
-        self, name: str, V: np.ndarray, dec: Decomposition, index_map, nk=None
-    ) -> None:
-        """Columns gather along axis 0 with ``index_map(rows, j)``; parallel
-        over column chunks."""
-        rows = np.arange(dec.m, dtype=np.int64)[:, None]
-        san = _sanitizer()
-        tr = _tracer()
-        itemsize = V.itemsize
-
-        def work(cols: slice) -> None:
-            if not san.enabled:
-                col_gather_chunk(V, dec, index_map, cols)
-                return
-            j = np.arange(cols.start, cols.stop, dtype=np.int64)[None, :]
-            idx = index_map(rows, j)
-            san.record(
-                reads=idx * dec.n + j,
-                writes=rows * dec.n + j,
-                where=f"cols[{cols.start}:{cols.stop}]",
-            )
-            V[:, cols] = np.take_along_axis(V[:, cols], idx, axis=0)
-
-        run = self._chunk_runner(name, nk, work)
-
-        def body(cols: slice) -> None:
-            if tr.enabled:
-                with tr.span(
-                    "worker.chunk", stage=name,
-                    r0=0, r1=dec.m, c0=cols.start, c1=cols.stop,
-                    bytes=2 * dec.m * (cols.stop - cols.start) * itemsize,
-                ):
-                    run(cols)
-            else:
-                run(cols)
-
-        self._run_pass(name, dec, dec.n, body)
-
-    def _row_shuffle(
-        self, V: np.ndarray, dec: Decomposition, red: ReducedEquations | None,
-        nk=None,
-    ) -> None:
-        """Rows gather with d'^{-1} (Eq. 31); parallel over row chunks."""
-        self._gathered_row_pass(
-            "row_shuffle", V, dec, pass_index_map("row_shuffle", dec, red), nk
-        )
-
-    def _column_shuffle(
-        self, V: np.ndarray, dec: Decomposition, red: ReducedEquations | None,
-        nk=None,
-    ) -> None:
-        """Columns gather with s' (Eq. 26); parallel over column chunks."""
-        self._gathered_column_pass(
-            "column_shuffle", V, dec,
-            pass_index_map("column_shuffle", dec, red), nk,
-        )
-
-    def _inverse_column_shuffle(
-        self, V: np.ndarray, dec: Decomposition, nk=None
-    ) -> None:
-        self._gathered_column_pass(
-            "inverse_column_shuffle", V, dec,
-            pass_index_map("inverse_column_shuffle", dec, None), nk,
-        )
-
-    def _row_shuffle_r2c(
-        self, V: np.ndarray, dec: Decomposition, red: ReducedEquations | None,
-        nk=None,
-    ) -> None:
-        self._gathered_row_pass(
-            "row_shuffle_r2c", V, dec,
-            pass_index_map("row_shuffle_r2c", dec, red), nk,
-        )
-
-    def _post_rotate(self, V: np.ndarray, dec: Decomposition, nk=None) -> None:
-        self._rotate_pass("post_rotate", V, dec, 1, nk)
-
-    # -- entry points ------------------------------------------------------------
-
-    @staticmethod
-    def _timed(name: str, fn, *args, backend: str | None = None) -> None:
+    def _timed(self, name: str, V: np.ndarray, dec, red, nk) -> None:
         """Run one pass, recording it as ``parallel.pass.<name>`` when the
         metrics registry is enabled and as a ``pass.<name>`` span when the
         tracer is enabled (a bool check each otherwise)."""
         rt = _runtime_metrics()
         tr = _tracer()
         if tr.enabled:
-            V, dec = args[0], args[1]
-            extra = {} if backend is None else {"backend": backend}
+            extra = {} if nk is None else {"backend": "native"}
             with tr.span(
                 f"pass.{name}", m=dec.m, n=dec.n, bytes=2 * V.nbytes, **extra
             ) as sp:
-                fn(*args)
+                self._run_pass(name, V, dec, red, nk)
             if rt.registry.enabled:
                 rt.registry.observe(f"parallel.pass.{name}", sp.duration_s)
         elif rt.registry.enabled:
             t0 = perf_counter()
-            fn(*args)
+            self._run_pass(name, V, dec, red, nk)
             rt.registry.observe(f"parallel.pass.{name}", perf_counter() - t0)
         else:
-            fn(*args)
+            self._run_pass(name, V, dec, red, nk)
+
+    # -- entry points ------------------------------------------------------------
+
+    def _transpose(
+        self, algorithm: str, buf: np.ndarray, m: int, n: int
+    ) -> np.ndarray:
+        """Run ``algorithm``'s passes over the row-major ``(m, n)`` view."""
+        if not buf.flags["C_CONTIGUOUS"]:
+            raise ValueError(
+                "in-place transposition requires a contiguous buffer "
+                "(a non-contiguous view would be silently copied, not permuted)"
+            )
+        if buf.ndim != 1 or buf.shape[0] != m * n:
+            raise ValueError(f"buffer must be flat with {m * n} elements")
+        dec = Decomposition.of(m, n)
+        red = self._reduced(dec)
+        V = buf.reshape(m, n)
+        nks = self._native_chunks(buf, m, n, algorithm) or {}
+        passes = _racecheck_mod().pass_order(algorithm, dec.c)
+        rt = _runtime_metrics()
+        tr = _tracer()
+        t0 = perf_counter() if rt.registry.enabled else 0.0
+        with tr.span(
+            f"op.parallel.{algorithm}", m=m, n=n,
+            threads=self.n_threads, dtype=str(buf.dtype),
+        ) if tr.enabled else _NULL_CM:
+            for name in passes:
+                self._timed(name, V, dec, red, nks.get(name))
+        if rt.registry.enabled:
+            rt.registry.record_call(
+                f"parallel.{algorithm}",
+                perf_counter() - t0,
+                nbytes=2 * len(passes) * buf.nbytes,
+                elements=len(passes) * buf.shape[0],
+            )
+        return buf
 
     def c2r(self, buf: np.ndarray, m: int, n: int) -> np.ndarray:
         """Parallel C2R transposition of a flat buffer."""
-        if self._mp is not None:
-            return self._mp.c2r(buf, m, n)
-        if not buf.flags["C_CONTIGUOUS"]:
-            raise ValueError(
-                "in-place transposition requires a contiguous buffer "
-                "(a non-contiguous view would be silently copied, not permuted)"
-            )
-        if buf.ndim != 1 or buf.shape[0] != m * n:
-            raise ValueError(f"buffer must be flat with {m * n} elements")
-        dec = Decomposition.of(m, n)
-        red = self._reduced(dec)
-        V = buf.reshape(m, n)
-        nks = self._native_chunks(buf, m, n, "c2r") or {}
-        rt = _runtime_metrics()
-        tr = _tracer()
-        t0 = perf_counter() if rt.registry.enabled else 0.0
-        passes = 3 if dec.c > 1 else 2
-        with tr.span(
-            "op.parallel.c2r", m=m, n=n,
-            threads=self.n_threads, dtype=str(buf.dtype),
-        ) if tr.enabled else _NULL_CM:
-            bk = "native" if nks else None
-            if dec.c > 1:
-                self._timed(
-                    "pre_rotate", self._pre_rotate, V, dec,
-                    nks.get("pre_rotate"), backend=bk,
-                )
-            self._timed(
-                "row_shuffle", self._row_shuffle, V, dec, red,
-                nks.get("row_shuffle"), backend=bk,
-            )
-            self._timed(
-                "column_shuffle", self._column_shuffle, V, dec, red,
-                nks.get("column_shuffle"), backend=bk,
-            )
-        if rt.registry.enabled:
-            rt.registry.record_call(
-                "parallel.c2r",
-                perf_counter() - t0,
-                nbytes=2 * passes * buf.nbytes,
-                elements=passes * buf.shape[0],
-            )
-        return buf
+        return self._transpose("c2r", buf, m, n)
 
     def r2c(self, buf: np.ndarray, m: int, n: int) -> np.ndarray:
         """Parallel R2C transposition of a flat buffer."""
-        if self._mp is not None:
-            return self._mp.r2c(buf, m, n)
-        if not buf.flags["C_CONTIGUOUS"]:
-            raise ValueError(
-                "in-place transposition requires a contiguous buffer "
-                "(a non-contiguous view would be silently copied, not permuted)"
-            )
-        if buf.ndim != 1 or buf.shape[0] != m * n:
-            raise ValueError(f"buffer must be flat with {m * n} elements")
-        dec = Decomposition.of(m, n)
-        red = self._reduced(dec)
-        V = buf.reshape(m, n)
-        nks = self._native_chunks(buf, m, n, "r2c") or {}
-        rt = _runtime_metrics()
-        tr = _tracer()
-        t0 = perf_counter() if rt.registry.enabled else 0.0
-        passes = 3 if dec.c > 1 else 2
-        with tr.span(
-            "op.parallel.r2c", m=m, n=n,
-            threads=self.n_threads, dtype=str(buf.dtype),
-        ) if tr.enabled else _NULL_CM:
-            bk = "native" if nks else None
-            self._timed(
-                "inverse_column_shuffle", self._inverse_column_shuffle, V, dec,
-                nks.get("inverse_column_shuffle"), backend=bk,
-            )
-            self._timed(
-                "row_shuffle_r2c", self._row_shuffle_r2c, V, dec, red,
-                nks.get("row_shuffle_r2c"), backend=bk,
-            )
-            if dec.c > 1:
-                self._timed(
-                    "post_rotate", self._post_rotate, V, dec,
-                    nks.get("post_rotate"), backend=bk,
-                )
-        if rt.registry.enabled:
-            rt.registry.record_call(
-                "parallel.r2c",
-                perf_counter() - t0,
-                nbytes=2 * passes * buf.nbytes,
-                elements=passes * buf.shape[0],
-            )
-        return buf
+        return self._transpose("r2c", buf, m, n)
 
     def transpose_inplace(
         self, buf: np.ndarray, m: int, n: int, order: str = "C"
@@ -580,10 +430,7 @@ class ParallelTranspose:
         return self.r2c(buf, vn, vm)
 
     def close(self) -> None:
-        if self._mp is not None:
-            self._mp.close()
-        if self.executor is not None:
-            self.executor.shutdown()
+        self.executor.shutdown()
 
     def __enter__(self) -> "ParallelTranspose":
         return self
@@ -599,11 +446,7 @@ def parallel_transpose_inplace(
     order: str = "C",
     *,
     n_threads: int = 1,
-    backend: str = "threads",
-    start_method: str | None = None,
 ) -> np.ndarray:
     """One-shot convenience wrapper around :class:`ParallelTranspose`."""
-    with ParallelTranspose(
-        n_threads, backend=backend, start_method=start_method
-    ) as pt:
+    with ParallelTranspose(n_threads) as pt:
         return pt.transpose_inplace(buf, m, n, order)

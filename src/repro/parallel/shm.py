@@ -1,24 +1,23 @@
-"""Shared-memory segments for the multiprocess execution backend.
+"""Shared-memory segments for the serving layer's zero-copy ingress.
 
-The mp backend ships only ``(name, shape, dtype, chunk)`` descriptors to
-worker processes; the matrix itself lives in a named
-:class:`multiprocessing.shared_memory.SharedMemory` segment that every
-process maps.  This module owns the two lifecycle problems that come with
-that:
+A client places its matrix in a named
+:class:`multiprocessing.shared_memory.SharedMemory` segment and posts only
+a ``(name, shape, dtype)`` descriptor; the server maps the segment by name
+and transposes it in place.  This module owns the two lifecycle problems
+that come with that:
 
-* **Parent-side ownership.**  :class:`SharedArray` creates a segment,
-  registers it in a process-local table, and ``destroy()`` (close + unlink)
-  is idempotent.  ``owned_segments()`` lists what is still live — the
-  serving layer reports it as ``shm_leaked`` in the shutdown summary and CI
-  asserts it is zero after a SIGTERM drain.  An ``atexit`` hook unlinks
-  anything left behind by an abnormal exit so ``/dev/shm`` never
-  accumulates ``repro_*`` segments.
-* **Child-side attachment.**  :func:`attach_array` maps a segment by name
-  with a small LRU of open handles (worker processes see the same few
-  staging segments repeatedly) and detaches the attachment from the
-  child's ``resource_tracker`` — without that, every child that merely
-  *attached* a segment would try to unlink it at exit and spam
-  "leaked shared_memory" warnings (bpo-38119).
+* **Ownership.**  :class:`SharedArray` creates a segment, registers it in
+  a process-local table, and ``destroy()`` (close + unlink) is idempotent.
+  ``owned_segments()`` lists what is still live — the serving layer
+  reports it as ``shm_leaked`` in the shutdown summary and CI asserts it
+  is zero after a SIGTERM drain.  An ``atexit`` hook unlinks anything left
+  behind by an abnormal exit so ``/dev/shm`` never accumulates
+  ``repro_*`` segments.
+* **Attachment.**  :func:`attach_array` maps a segment by name with a
+  small LRU of open handles (a client reposts the same few segments) and
+  keeps the attachment out of the ``resource_tracker`` — without that, a
+  process that merely *attached* a segment would try to unlink it at exit
+  and spam "leaked shared_memory" warnings (bpo-38119).
 """
 
 from __future__ import annotations
@@ -144,9 +143,8 @@ def _open_untracked(name: str) -> shared_memory.SharedMemory:
 
     Before 3.13 (``track=False``) the only seam is the module-level
     ``register`` hook; suppressing it during the attach is safe here
-    because callers hold :data:`_lock` (and pool workers are
-    single-threaded anyway).  Without this, every attaching process would
-    believe it owns the segment and try to unlink it at exit.
+    because callers hold :data:`_lock`.  Without this, every attaching
+    process would believe it owns the segment and try to unlink it at exit.
     """
     try:
         return shared_memory.SharedMemory(name=name, track=False)
@@ -163,11 +161,11 @@ def _open_untracked(name: str) -> shared_memory.SharedMemory:
 
 
 def attach_array(name: str, shape, dtype) -> np.ndarray:
-    """Map an existing segment as an ndarray (child-side descriptor resolve).
+    """Map an existing segment as an ndarray (descriptor resolve).
 
-    Handles are cached (LRU of :data:`_ATTACH_CACHE_MAX`) because a worker
-    process sees the same staging segment once per pass; evicted handles
-    close lazily.
+    Handles are cached (LRU of :data:`_ATTACH_CACHE_MAX`) because a client
+    reposts the same segment request after request; evicted handles close
+    lazily.
     """
     with _lock:
         shm = _attached.get(name)
@@ -181,13 +179,13 @@ def attach_array(name: str, shape, dtype) -> np.ndarray:
                 try:
                     old.close()
                 except BufferError:
-                    pass  # a task-local view is still alive; freed with it
+                    pass  # a request-local view is still alive; freed with it
     return np.ndarray(tuple(int(s) for s in shape),
                       dtype=np.dtype(dtype), buffer=shm.buf)
 
 
 def detach_all() -> None:
-    """Close every cached attachment (worker shutdown hygiene)."""
+    """Close every cached attachment (server shutdown hygiene)."""
     with _lock:
         handles = list(_attached.values())
         _attached.clear()

@@ -120,12 +120,6 @@ class ServeConfig:
     max_batch: int = 32
     max_wait_ms: float = 2.0
     request_timeout_s: float = 30.0
-    #: "thread" executes groups on the worker threads; "process" stages
-    #: them through shared memory into worker processes (docs/PARALLEL.md)
-    worker_mode: str = "thread"
-    #: multiprocessing start method for worker_mode="process"
-    #: (None = forkserver where available; REPRO_MP_START overrides)
-    mp_start_method: str | None = None
     #: SLO objectives judged by the live tracker (serve/slo.py): windowed
     #: p99 latency target and the error budget the burn rate is measured
     #: against
@@ -414,8 +408,8 @@ class _Handler(BaseHTTPRequestHandler):
             buf, m, n, order, tiles=tiles, deadline=deadline, trace_id=trace_id
         )
         # The serve.request span is the trace root: the queue/batcher/worker
-        # spans (this process or a worker process) all parent under it via
-        # the TraceContext the request carries.
+        # spans all parent under it via the TraceContext the request
+        # carries.
         tr = spans.tracer
         if tr.enabled:
             ctx_cm = tr.activate(TraceContext(trace_id))
@@ -585,9 +579,10 @@ class _Handler(BaseHTTPRequestHandler):
         if algorithm not in ("auto", "c2r", "r2c"):
             self._reply_error(400, "algorithm must be auto, c2r or r2c")
             return
-        backend = doc.get("backend", "threads")
-        if backend not in ("threads", "mp"):
-            self._reply_error(400, "backend must be threads or mp")
+        # Only the thread backend exists: a client asking for another one
+        # is told, not silently served by threads.
+        if doc.get("backend", "threads") != "threads":
+            self._reply_error(400, "backend must be threads")
             return
         from ..stream import parse_bytes, transpose_file_inplace
 
@@ -631,7 +626,7 @@ class _Handler(BaseHTTPRequestHandler):
                 stats = transpose_file_inplace(
                     path, rows, cols, dtype, order,
                     algorithm=algorithm, window_bytes=window,
-                    backend=backend, n_threads=threads,
+                    n_threads=threads,
                 )
         except Exception as exc:  # noqa: BLE001 — report execution errors
             if event_log.enabled:
@@ -686,8 +681,6 @@ class TransposeServer:
             max_batch=self.config.max_batch,
             max_wait_s=self.config.max_wait_ms / 1e3,
             workers=self.config.workers,
-            worker_mode=self.config.worker_mode,
-            mp_start_method=self.config.mp_start_method,
             tenant_rate=self.config.tenant_rate,
             tenant_burst_s=self.config.tenant_burst_s,
             tenant_weights=self.config.tenant_weights or None,
@@ -783,9 +776,8 @@ class TransposeServer:
             "dropped": accepted - responded,
             "rejected_full": self.router.rejected_full,
             "rejected_closed": self.router.rejected_closed,
-            "worker_mode": self.config.worker_mode,
             # Live shared-memory segments after a full drain mean a leak;
-            # the CI mp job asserts this is zero after SIGTERM.
+            # CI asserts this is zero after SIGTERM.
             "shm_leaked": len(shm.owned_segments()),
             **pool_summary,
         }
@@ -832,7 +824,6 @@ class TransposeServer:
             "responded": responded,
             "workers": {
                 "alive": self.router.workers_alive,
-                "mode": self.config.worker_mode,
                 "completed": counters.get("serve.completed", 0),
                 "retries": counters.get("serve.retries", 0),
                 "group_failures": counters.get("serve.group_failures", 0),

@@ -46,27 +46,13 @@ class WorkerPool:
         *,
         poll_s: float = 0.05,
         name_prefix: str = "repro-serve-worker",
-        mode: str = "thread",
-        host=None,
-        start_method: str | None = None,
     ):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if mode not in ("thread", "process"):
-            raise ValueError(f"unknown worker mode {mode!r}")
         self.batcher = batcher
         self.n_workers = int(n_workers)
         self.poll_s = float(poll_s)
         self.name_prefix = name_prefix
-        #: "process" executes groups in worker processes over shared-memory
-        #: staging (repro.parallel.mp); the threads below still drive the
-        #: batcher loop either way.
-        self.mode = mode
-        self._host = host
-        #: only a host the pool itself created is shut down with the pool;
-        #: an injected one belongs to the caller
-        self._owns_host = False
-        self._start_method = start_method
         self._threads: list[threading.Thread] = []
         self._started = False
         self._lock = threading.Lock()
@@ -83,13 +69,6 @@ class WorkerPool:
             if self._started:
                 raise RuntimeError("worker pool already started")
             self._started = True
-            if self.mode == "process" and self._host is None:
-                from ..parallel.mp import ProcessWorkerHost
-
-                self._host = ProcessWorkerHost(
-                    self.n_workers, start_method=self._start_method
-                )
-                self._owns_host = True
             for i in range(self.n_workers):
                 t = threading.Thread(
                     target=self._run, name=f"{self.name_prefix}-{i}", daemon=True
@@ -112,8 +91,6 @@ class WorkerPool:
         for t in self._threads:
             t.join(timeout)
             drained &= not t.is_alive()
-        if self._host is not None and self._owns_host:
-            self._host.shutdown()
         return {
             "requests_served": self.requests_served,
             "groups_executed": self.groups_executed,
@@ -164,12 +141,7 @@ class WorkerPool:
         ) if tr.enabled else _NULL_CM:
             for attempt in (1, 2):
                 try:
-                    # Keep the thread-mode call positional-free so tests
-                    # stubbing execute_group(group) keep working unchanged.
-                    if self._host is not None:
-                        served = self.batcher.execute_group(group, host=self._host)
-                    else:
-                        served = self.batcher.execute_group(group)
+                    served = self.batcher.execute_group(group)
                 except Exception as exc:  # noqa: BLE001 — isolation boundary
                     if attempt == 1:
                         # execute_group raises only with every live request

@@ -10,8 +10,8 @@ for file-backed matrices:
 * :class:`~repro.stream.executor.BandedExecutor` — runs each
   decomposition pass band-by-band through schedules pre-proven by
   :func:`repro.analysis.racecheck.check_banded_schedule`, with
-  thread/process chunk parallelism inside a band and compiled native
-  row-pass kernels when available;
+  thread chunk parallelism inside a band and compiled native kernels
+  when available;
 * :func:`~repro.stream.api.transpose_file_inplace` — the end-to-end
   entry point (the CLI's ``repro transpose-file --stream`` and the
   serving layer's ``POST /transpose-file`` both route here);

@@ -38,11 +38,9 @@ def transpose_file_inplace(
     algorithm: str = "auto",
     window_bytes: int | None = None,
     io_block_bytes: int | None = None,
-    backend: str = "threads",
     n_threads: int = 1,
     native: str = "auto",
     strength_reduced: bool = True,
-    start_method: str | None = None,
 ) -> dict:
     """Transpose the ``m x n`` matrix stored in a raw binary file, in place,
     through the banded windowed executor.
@@ -59,8 +57,8 @@ def transpose_file_inplace(
     window_bytes:
         Resident byte budget per band (default ``REPRO_STREAM_WINDOW`` or
         256 MiB).
-    backend / n_threads:
-        Chunk parallelism *within* a band: ``"threads"`` or ``"mp"``.
+    n_threads:
+        Chunk parallelism *within* a band (worker threads).
 
     Returns the executor's stats dict (passes, bands, bytes moved,
     seconds).  Raises :class:`ValueError` when the file size does not
@@ -78,12 +76,10 @@ def transpose_file_inplace(
         )
     with BandedExecutor(
         n_threads,
-        backend=backend,
         window_bytes=window_bytes,
         io_block_bytes=io_block_bytes,
         strength_reduced=strength_reduced,
         native=native,
-        start_method=start_method,
     ) as ex:
         return ex.transpose_file(
             path, m, n, dtype, order, algorithm=algorithm

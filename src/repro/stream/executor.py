@@ -4,9 +4,9 @@ Runs the decomposition's pass schedule against a :class:`ResidentWindow`
 instead of an in-RAM buffer.  Each pass's iteration range (rows, columns,
 or rotation column-groups) is split into sequential *bands* sized to the
 window byte budget; inside a band the usual ``n_threads`` chunk schedule
-runs — threads (:class:`~repro.parallel.executor.ParallelExecutor`) or
-processes (:class:`~repro.parallel.mp.MpExecutor` against a per-band
-shared-memory segment) — and the band is flushed before the next one
+runs on a :class:`~repro.parallel.executor.ParallelExecutor`, with the
+in-RAM transposer's chunk kernels (:func:`repro.parallel.cpu.chunk_kernel`)
+anchored at the band origin, and the band is flushed before the next one
 loads.
 
 Safety is not asserted, it is *proven*: before anything executes, every
@@ -42,18 +42,13 @@ import numpy as np
 
 from ..core.indexing import Decomposition
 from ..core.transpose import choose_algorithm
+from ..parallel import cpu
 from ..parallel.executor import ParallelExecutor
 from ..parallel.partition import balanced_chunks
 from ..strength.reduced import ReducedEquations
 from .window import ResidentWindow, default_window_bytes, parse_bytes
 
-__all__ = [
-    "BandedExecutor",
-    "BandedScheduleError",
-    "band_rotate_chunk",
-    "band_row_gather_chunk",
-    "band_col_gather_chunk",
-]
+__all__ = ["BandedExecutor", "BandedScheduleError"]
 
 #: reusable stateless no-op context manager for untraced paths
 _NULL_CM = nullcontext()
@@ -125,107 +120,7 @@ class BandedScheduleError(RuntimeError):
 _PROVEN: set[tuple] = set()
 
 
-# -- band-aware chunk kernels --------------------------------------------------
-#
-# Same gather/rotate bodies as repro.parallel.cpu, addressed in *global*
-# matrix coordinates but storing into a band-local buffer.  Module-level so
-# the thread backend calls them through closures and the mp backend ships
-# them by descriptor (repro.stream.executor is importable from a worker).
-
-
-def band_rotate_chunk(
-    B: np.ndarray, dec: Decomposition, sign: int, g0: int, groups: slice
-) -> None:
-    """Rotate column groups ``groups`` (global ids) of a band that starts
-    at group ``g0`` by ``sign * (g mod m)`` (Lemma 1)."""
-    m = dec.m
-    for g in range(groups.start, groups.stop):
-        k = g % m  # repro-lint: allow(raw-divmod) O(c) per-group setup, not per-element
-        if k == 0:
-            continue
-        cols = slice((g - g0) * dec.b, (g - g0 + 1) * dec.b)
-        B[:, cols] = np.roll(B[:, cols], sign * k, axis=0)
-
-
-def band_row_gather_chunk(
-    B: np.ndarray, dec: Decomposition, index_map, r0: int, rows: slice
-) -> None:
-    """Gather global rows ``rows`` of a band starting at row ``r0`` along
-    axis 1 with ``index_map(i, cols)`` — a row reads only itself, so the
-    band copy sees exactly the data the gather needs."""
-    i = np.arange(rows.start, rows.stop, dtype=np.int64)[:, None]
-    cols = np.arange(dec.n, dtype=np.int64)[None, :]
-    idx = index_map(i, cols)
-    local = slice(rows.start - r0, rows.stop - r0)
-    B[local] = np.take_along_axis(B[local], idx, axis=1)
-
-
-def band_col_gather_chunk(
-    B: np.ndarray, dec: Decomposition, index_map, c0: int, cols: slice
-) -> None:
-    """Gather global columns ``cols`` of a band starting at column ``c0``
-    along axis 0 with ``index_map(rows, j)`` — a column reads only itself."""
-    rows = np.arange(dec.m, dtype=np.int64)[:, None]
-    j = np.arange(cols.start, cols.stop, dtype=np.int64)[None, :]
-    idx = index_map(rows, j)
-    local = slice(cols.start - c0, cols.stop - c0)
-    B[:, local] = np.take_along_axis(B[:, local], idx, axis=0)
-
-
-def _run_band_chunk(
-    B: np.ndarray,
-    dec: Decomposition,
-    red,
-    pass_name: str,
-    band_start: int,
-    chunk: slice,
-) -> None:
-    """Dispatch one global-coordinate chunk of a band to its kernel."""
-    from ..parallel import cpu
-
-    if pass_name in ("pre_rotate", "post_rotate"):
-        sign = -1 if pass_name == "pre_rotate" else 1
-        band_rotate_chunk(B, dec, sign, band_start, chunk)
-    elif pass_name in ("row_shuffle", "row_shuffle_r2c"):
-        band_row_gather_chunk(
-            B, dec, cpu.pass_index_map(pass_name, dec, red), band_start, chunk
-        )
-    elif pass_name in ("column_shuffle", "inverse_column_shuffle"):
-        band_col_gather_chunk(
-            B, dec, cpu.pass_index_map(pass_name, dec, red), band_start, chunk
-        )
-    else:
-        raise ValueError(f"unknown pass {pass_name!r}")
-
-
-def _band_chunk_task(
-    shm_name: str,
-    band_shape: tuple,
-    vm: int,
-    vn: int,
-    dtype_str: str,
-    pass_name: str,
-    band_start: int,
-    start: int,
-    stop: int,
-    strength_reduced: bool,
-) -> None:
-    """Child-side mp task: run one chunk of one band against the band's
-    shared segment.  Mirrors ``repro.parallel.mp._pass_chunk_task`` but the
-    segment holds only the band; ``band_start`` anchors the global
-    coordinates the index maps need."""
-    from ..parallel import mp as mp_mod
-    from ..parallel import shm as shm_mod
-
-    B = shm_mod.attach_array(shm_name, tuple(band_shape), dtype_str)
-    dec, red = mp_mod._shape_setup(vm, vn, strength_reduced)
-    _run_band_chunk(B, dec, red, pass_name, band_start, slice(int(start), int(stop)))
-
-
-#: pass name -> band geometry on the (M, N) view:
-#: (window axis, per-iteration unit rows/cols, whether units are colgroups)
 _ROW_PASSES = ("row_shuffle", "row_shuffle_r2c")
-_ROTATE_PASSES = ("pre_rotate", "post_rotate")
 
 
 class BandedExecutor:
@@ -236,9 +131,6 @@ class BandedExecutor:
     n_threads:
         Chunk parallelism *within* a band (bands themselves are strictly
         sequential — that is what bounds the resident set).
-    backend:
-        ``"threads"`` (default) or ``"mp"`` (per-band shared-memory
-        segment + persistent process pool).
     window_bytes:
         Resident byte budget per band (default ``REPRO_STREAM_WINDOW`` or
         256 MiB).
@@ -253,21 +145,16 @@ class BandedExecutor:
         self,
         n_threads: int = 1,
         *,
-        backend: str = "threads",
         window_bytes: int | None = None,
         io_block_bytes: int | None = None,
         strength_reduced: bool = True,
         native: str = "auto",
-        start_method: str | None = None,
     ):
-        if backend not in ("threads", "mp"):
-            raise ValueError(f"unknown backend {backend!r}; use 'threads' or 'mp'")
         if native not in ("auto", "off"):
             raise ValueError(f"unknown native mode {native!r}; use 'auto' or 'off'")
         if n_threads < 1:
             raise ValueError("n_threads must be >= 1")
         self.n_threads = int(n_threads)
-        self.backend = backend
         self.window_bytes = (
             default_window_bytes() if window_bytes is None
             else parse_bytes(window_bytes)
@@ -275,14 +162,7 @@ class BandedExecutor:
         self.io_block_bytes = io_block_bytes
         self.strength_reduced = strength_reduced
         self.native = native
-        if backend == "mp":
-            from ..parallel.mp import MpExecutor
-
-            self._mp = MpExecutor(self.n_threads, start_method)
-            self.executor = None
-        else:
-            self._mp = None
-            self.executor = ParallelExecutor(self.n_threads)
+        self.executor = ParallelExecutor(self.n_threads)
 
     # -- band planning -------------------------------------------------------
 
@@ -324,7 +204,7 @@ class BandedExecutor:
         """``{pass_name: (kernel, pass_idx)}`` for every pass the compiled
         kernel can run on a band buffer (row passes via the shifted base,
         column/rotation passes via the banded entry points), or empty."""
-        if self.native == "off" or self._mp is not None:
+        if self.native == "off":
             return {}
         if _racecheck_mod().sanitizer.enabled:
             return {}
@@ -348,11 +228,11 @@ class BandedExecutor:
 
     # -- band execution ------------------------------------------------------
 
-    def _run_band_threads(
-        self, name: str, B: np.ndarray, dec: Decomposition, red,
+    def _run_band(
+        self, name: str, B: np.ndarray, dec: Decomposition, red, kernel,
         band: slice, nk, san,
     ) -> None:
-        """Chunk-parallel execution of one band on the thread executor."""
+        """Chunk-parallel execution of one band copy ``B``."""
         tr = _tracer()
         itemsize = B.itemsize
         r0 = band.start
@@ -360,15 +240,15 @@ class BandedExecutor:
         def work(local: slice) -> None:
             chunk = slice(band.start + local.start, band.start + local.stop)
             if san is not None:
-                _record_sanitizer_chunk(san, name, dec, chunk)
-            _run_band_chunk(B, dec, red, name, band.start, chunk)
+                cpu.record_chunk(san, name, dec, red, chunk)
+            kernel(B, chunk, band.start)
 
         if nk is not None:
-            kernel, pass_idx = nk
+            native_kernel, pass_idx = nk
             if name in _ROW_PASSES:
                 # row band: full row stride, shifted base, plain entry point
                 base = B.ctypes.data - r0 * dec.n * itemsize
-                native_call = lambda lo, hi: kernel.run_pass(
+                native_call = lambda lo, hi: native_kernel.run_pass(
                     pass_idx, base, lo, hi
                 )
             else:
@@ -376,7 +256,7 @@ class BandedExecutor:
                 # band copy's own stride, anchored at the band origin
                 addr = B.ctypes.data
                 stride = B.shape[1]
-                native_call = lambda lo, hi: kernel.run_pass_banded(
+                native_call = lambda lo, hi: native_kernel.run_pass_banded(
                     pass_idx, addr, lo, hi, stride, r0
                 )
 
@@ -405,39 +285,6 @@ class BandedExecutor:
 
         self.executor.parallel_for(band.stop - band.start, body, name=name)
 
-    def _run_band_mp(
-        self, name: str, window: ResidentWindow, dec: Decomposition,
-        band: slice, load, store,
-    ) -> None:
-        """Run one band on the process pool via a per-band shared segment.
-
-        The band stages straight into the segment (``load(out=...)``), the
-        chunk tasks permute it in place, and the segment stores straight
-        back — the same two staging traversals as the in-RAM mp backend,
-        but sized to the band, not the matrix.
-        """
-        from ..parallel.shm import SharedArray
-
-        shape = _band_shape(name, dec, band)
-        seg = SharedArray(shape, window.dtype)
-        try:
-            load(out=seg.array)
-            tasks = [
-                (
-                    slice(band.start + ch.start, band.start + ch.stop),
-                    (
-                        seg.name, shape, dec.m, dec.n, window.dtype.str, name,
-                        band.start, band.start + ch.start, band.start + ch.stop,
-                        self.strength_reduced,
-                    ),
-                )
-                for ch in balanced_chunks(band.stop - band.start, self.n_threads)
-            ]
-            self._mp.run_chunks(name, _band_chunk_task, tasks)
-            store(seg.array)
-        finally:
-            seg.destroy()
-
     def _run_pass(
         self, name: str, axis: str, window: ResidentWindow,
         dec: Decomposition, red, n_bands: int, nk,
@@ -454,33 +301,35 @@ class BandedExecutor:
         scope = (
             san.pass_scope(
                 f"stream.{name}", dec.m * dec.n,
-                full_coverage=name not in _ROTATE_PASSES,
+                full_coverage=axis != "colgroups",
             )
-            if san is not None and self._mp is None else _NULL_CM
+            if san is not None else _NULL_CM
         )
+        kernel = cpu.chunk_kernel(name, dec, red)
         with scope:
             for bi, band in enumerate(bands):
                 self._run_one_band(
-                    name, axis, window, dec, red, band, bi, len(bands),
-                    nk, tr, ev, san,
+                    name, axis, window, dec, red, kernel, band, bi,
+                    len(bands), nk, tr, ev, san,
                 )
         return len(bands)
 
     def _run_one_band(
-        self, name, axis, window, dec, red, band, bi, nb, nk, tr, ev, san,
+        self, name, axis, window, dec, red, kernel, band, bi, nb, nk, tr, ev,
+        san,
     ) -> None:
         """Load, permute and flush a single band (spans + progress event)."""
         if axis == "rows":
-            load = lambda out=None: window.load_rows(band.start, band.stop, out)
+            load = lambda: window.load_rows(band.start, band.stop)
             store = lambda B: window.store_rows(band.start, band.stop, B)
             nbytes = (band.stop - band.start) * dec.n * window.dtype.itemsize
         elif axis == "cols":
-            load = lambda out=None: window.load_cols(band.start, band.stop, out)
+            load = lambda: window.load_cols(band.start, band.stop)
             store = lambda B: window.store_cols(band.start, band.stop, B)
             nbytes = dec.m * (band.stop - band.start) * window.dtype.itemsize
         else:  # colgroups
             c0, c1 = band.start * dec.b, band.stop * dec.b
-            load = lambda out=None: window.load_cols(c0, c1, out)
+            load = lambda: window.load_cols(c0, c1)
             store = lambda B: window.store_cols(c0, c1, B)
             nbytes = dec.m * (c1 - c0) * window.dtype.itemsize
         if ev.enabled:
@@ -494,12 +343,9 @@ class BandedExecutor:
             "stream.band", stage=name, band=bi, bands=nb,
             lo=band.start, hi=band.stop, bytes=2 * nbytes,
         ) if tr.enabled else _NULL_CM:
-            if self._mp is not None:
-                self._run_band_mp(name, window, dec, band, load, store)
-            else:
-                B = load()
-                self._run_band_threads(name, B, dec, red, band, nk, san)
-                store(B)
+            B = load()
+            self._run_band(name, B, dec, red, kernel, band, nk, san)
+            store(B)
         reg = _runtime_metrics().registry
         if reg.enabled:
             reg.inc("stream.bands")
@@ -569,7 +415,7 @@ class BandedExecutor:
         ) as window:
             with tr.span(
                 f"op.stream.{algorithm}", m=m, n=n, order=order,
-                threads=self.n_threads, backend=self.backend,
+                threads=self.n_threads,
                 window=self.window_bytes, dtype=str(np.dtype(dtype)),
             ) if tr.enabled else _NULL_CM:
                 try:
@@ -591,7 +437,7 @@ class BandedExecutor:
                 "m": m, "n": n, "order": order, "algorithm": algorithm,
                 "passes": len(plan), "bands": bands_run,
                 "window_bytes": self.window_bytes,
-                "backend": self.backend, "threads": self.n_threads,
+                "threads": self.n_threads,
                 "bytes_read": window.bytes_read,
                 "bytes_written": window.bytes_written,
             }
@@ -612,11 +458,11 @@ class BandedExecutor:
         ``pass.<name>`` span exactly like the in-RAM backends."""
         rt = _runtime_metrics()
         tr = _tracer()
-        bk = "native" if nk is not None else self.backend
         if tr.enabled:
+            extra = {} if nk is None else {"backend": "native"}
             with tr.span(
-                f"pass.{name}", m=dec.m, n=dec.n, bands=n_bands, backend=bk,
-                bytes=2 * dec.m * dec.n * window.dtype.itemsize,
+                f"pass.{name}", m=dec.m, n=dec.n, bands=n_bands,
+                bytes=2 * dec.m * dec.n * window.dtype.itemsize, **extra,
             ) as sp:
                 out = self._run_pass(name, axis, window, dec, red, n_bands, nk)
             if rt.registry.enabled:
@@ -630,59 +476,10 @@ class BandedExecutor:
         return self._run_pass(name, axis, window, dec, red, n_bands, nk)
 
     def close(self) -> None:
-        if self._mp is not None:
-            self._mp.shutdown()
-        if self.executor is not None:
-            self.executor.shutdown()
+        self.executor.shutdown()
 
     def __enter__(self) -> "BandedExecutor":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _band_shape(name: str, dec: Decomposition, band: slice) -> tuple[int, int]:
-    """RAM/segment shape of one band of pass ``name``."""
-    extent = band.stop - band.start
-    if name in _ROW_PASSES:
-        return (extent, dec.n)
-    if name in _ROTATE_PASSES:
-        return (dec.m, extent * dec.b)
-    return (dec.m, extent)
-
-
-def _record_sanitizer_chunk(san, name: str, dec: Decomposition, chunk: slice) -> None:
-    """Shadow-memory accounting for one global-coordinate chunk (the same
-    index algebra the in-RAM sanitized path records)."""
-    if name in _ROTATE_PASSES:
-        for g in range(chunk.start, chunk.stop):
-            if g % dec.m == 0:  # repro-lint: allow(raw-divmod) O(c) per-group setup, not per-element
-                continue
-            flat = (
-                np.arange(dec.m, dtype=np.int64)[:, None] * dec.n
-                + np.arange(g * dec.b, (g + 1) * dec.b, dtype=np.int64)
-            ).ravel()  # repro-lint: allow(implicit-copy) flat index array, not a view
-            san.record(reads=flat, writes=flat, where=f"group[{g}]")
-        return
-    from ..parallel import cpu
-
-    # Rebuild the raw (non-reduced) index map: the sanitizer wants plain
-    # integer algebra, and this path is opt-in debugging, not hot.
-    index_map = cpu.pass_index_map(name, dec, None)
-    if name in _ROW_PASSES:
-        i = np.arange(chunk.start, chunk.stop, dtype=np.int64)[:, None]
-        cols = np.arange(dec.n, dtype=np.int64)[None, :]
-        idx = index_map(i, cols)
-        san.record(
-            reads=i * dec.n + idx, writes=i * dec.n + cols,
-            where=f"rows[{chunk.start}:{chunk.stop}]",
-        )
-    else:
-        rows = np.arange(dec.m, dtype=np.int64)[:, None]
-        j = np.arange(chunk.start, chunk.stop, dtype=np.int64)[None, :]
-        idx = index_map(rows, j)
-        san.record(
-            reads=idx * dec.n + j, writes=rows * dec.n + j,
-            where=f"cols[{chunk.start}:{chunk.stop}]",
-        )

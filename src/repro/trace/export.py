@@ -58,9 +58,8 @@ def to_chrome_trace(spans: Iterable[SpanRecord], *, pid: int | None = None) -> d
 
     Timestamps are microseconds relative to the earliest record, one lane
     per (process, thread): each record carries the ``pid`` it was captured
-    in (spans spliced from worker processes keep theirs), so a distributed
-    trace shows one process group per worker with ``process_name`` /
-    ``thread_name`` metadata events labelling the lanes.  Span identity
+    in, and ``process_name`` / ``thread_name`` metadata events label the
+    lanes.  Span identity
     (``span_id``/``parent_id``) and the owning ``trace_id`` travel in
     ``args`` so the document round-trips through
     :func:`from_chrome_trace`.  Zero-width records export as instant
@@ -490,13 +489,13 @@ def filter_trace(spans: Iterable[SpanRecord], trace_id: str) -> list[SpanRecord]
 
 
 def to_request_tree(spans: Iterable[SpanRecord], trace_id: str) -> str:
-    """Render one request's span tree across process boundaries.
+    """Render one request's span tree across thread boundaries.
 
-    Unlike :func:`to_tree` (which groups by thread within one process),
-    this follows ``parent_id`` links across pid/tid lanes — a spliced
-    distributed trace reads as one tree from the HTTP ``serve.request``
-    root down into worker-process chunk spans, each line labelled with
-    the process and thread that produced it.
+    Unlike :func:`to_tree` (which groups by thread), this follows
+    ``parent_id`` links across pid/tid lanes — a request reads as one tree
+    from the HTTP ``serve.request`` root down into the worker threads'
+    execute and pass spans, each line labelled with the process and thread
+    that produced it.
     """
     matched = filter_trace(spans, trace_id)
     if not matched:

@@ -15,14 +15,14 @@ from repro.analysis.racecheck import (
     SanitizerError,
     banded_footprints,
     check_banded_schedule,
-    check_mp_schedule,
     check_partition,
     check_schedule,
-    mp_schedule_footprints,
+    pass_order,
     schedule_footprints,
 )
 from repro.core.plan import TransposePlan
 from repro.parallel.cpu import ParallelTranspose
+from repro.stream import transpose_file_inplace
 
 
 class TestRect:
@@ -73,59 +73,6 @@ class TestStaticProof:
     def test_partition_proof_accepts_balanced_chunks(self, total, parts):
         ok, detail = check_partition(total, parts)
         assert ok, detail
-
-
-class TestMpScheduleProof:
-    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-    @pytest.mark.parametrize(
-        "m,n", [(1, 1), (4, 6), (12, 18), (13, 17), (64, 48)]
-    )
-    @pytest.mark.parametrize("algorithm", ["c2r", "r2c"])
-    def test_mp_schedules_are_race_free(self, m, n, workers, algorithm):
-        report = check_mp_schedule(m, n, workers, algorithm)
-        assert report.ok, report.failures
-
-    def test_mp_footprints_match_thread_geometry(self):
-        # Same balanced_chunks over the same pass structure: the mp backend
-        # inherits the thread proof element-for-element.
-        th = schedule_footprints(12, 18, 4, "c2r")
-        mp = mp_schedule_footprints(12, 18, 4, "c2r")
-        assert [p.name for p in th] == [p.name for p, _ in mp]
-        for a, (b, _) in zip(th, mp):
-            assert a.chunks == b.chunks
-
-    def test_mp_descriptors_mirror_run_pass(self):
-        for p, descriptors in mp_schedule_footprints(12, 18, 3, "c2r"):
-            assert len({d.segment for d in descriptors}) == 1
-            assert all((d.vm, d.vn) == (12, 18) for d in descriptors)
-            assert all(d.pass_name == p.name for d in descriptors)
-            assert descriptors[0].lo == 0
-            assert descriptors[-1].hi == p.total
-
-    def test_mp_proof_rejects_inconsistent_views(self):
-        # A descriptor carrying a stale (vm, vn) would reinterpret the
-        # shared segment with the wrong stride; the checker must notice.
-        import repro.analysis.racecheck as rc
-
-        orig = rc.mp_schedule_footprints
-
-        def corrupted(m, n, workers, algorithm="auto", *, segment="shm"):
-            out = orig(m, n, workers, algorithm, segment=segment)
-            p, descs = out[0]
-            bad = rc.MpTaskDescriptor(
-                descs[0].segment, n, m, descs[0].pass_name,
-                descs[0].lo, descs[0].hi,
-            )
-            out[0] = (p, (bad,) + descs[1:])
-            return out
-
-        rc.mp_schedule_footprints = corrupted
-        try:
-            report = check_mp_schedule(12, 18, 3, "c2r")
-        finally:
-            rc.mp_schedule_footprints = orig
-        assert not report.ok
-        assert any("views" in f for f in report.failures)
 
 
 class TestBandedScheduleProof:
@@ -282,6 +229,40 @@ class TestExecutionHooks:
                 buf = np.arange(m * n, dtype=np.int64)
                 pt.r2c(buf, n, m)
                 assert np.array_equal(buf, expected)
+
+    @pytest.mark.parametrize("algorithm", ["c2r", "r2c"])
+    def test_parallel_and_stream_scope_every_pass(self, tmp_path, algorithm):
+        """Both executors of the proved pass tables run every pass inside a
+        sanitizer scope — in RAM and band by band over a file."""
+        from repro.analysis.racecheck import sanitizer
+
+        m, n = 48, 36  # gcd 12: the rotation pass runs too
+        A = np.arange(m * n, dtype=np.int64).reshape(m, n)
+        passes = len(pass_order(algorithm, 12))
+        assert passes == 3
+
+        before = sanitizer.stats()["passes_checked"]
+        buf = A.ravel().copy()
+        with ParallelTranspose(2) as pt:
+            if algorithm == "c2r":
+                pt.c2r(buf, m, n)
+            else:
+                pt.r2c(buf, n, m)
+        np.testing.assert_array_equal(buf.reshape(n, m), A.T)
+        assert sanitizer.stats()["passes_checked"] - before == passes
+
+        path = tmp_path / "m.bin"
+        A.tofile(path)
+        before = sanitizer.stats()["passes_checked"]
+        stats = transpose_file_inplace(
+            path, m, n, np.int64, algorithm=algorithm,
+            window_bytes=2048, n_threads=2,
+        )
+        assert stats["bands"] > stats["passes"]
+        np.testing.assert_array_equal(
+            np.fromfile(path, np.int64).reshape(n, m), A.T
+        )
+        assert sanitizer.stats()["passes_checked"] - before == passes
 
     def test_corrupted_plan_payload_is_caught(self):
         # Gather bijectivity is proven statically by the verifier; what the

@@ -22,9 +22,10 @@ from repro import native
 from repro.core.batched import batched_transpose_inplace
 from repro.core.plan import TransposePlan
 from repro.core.transpose import transpose_inplace
-from repro.native.kernel import NativeScratchError
+from repro.native.kernel import NativeKernel, NativeScratchError
 from repro.parallel import ParallelTranspose
 from repro.runtime import metrics, plan_cache
+from repro.stream import transpose_file_inplace
 
 requires_toolchain = pytest.mark.skipif(
     not native.available(), reason="no C toolchain on this machine"
@@ -449,6 +450,65 @@ class TestScratchResume:
         expected = np.ascontiguousarray(tiles.transpose(0, 2, 1)).ravel()
         np.testing.assert_array_equal(buf, expected)
         assert _counters().get("native.fallback", 0) >= 1
+
+
+    @staticmethod
+    def _fail_one_chunk(monkeypatch, entry: str) -> list:
+        """Make the first ``NativeKernel.<entry>`` call fail its scratch
+        allocation (before moving data); returns the log of every call."""
+        real = getattr(NativeKernel, entry)
+        lock = threading.Lock()
+        calls: list = []
+
+        def failing(self, *args):
+            with lock:
+                calls.append(args)
+                first = len(calls) == 1
+            if first:
+                raise MemoryError("injected scratch failure")
+            return real(self, *args)
+
+        monkeypatch.setattr(NativeKernel, entry, failing)
+        monkeypatch.setattr(native, "_warned_once", True)  # silence
+        return calls
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_parallel_chunk_falls_back_to_numpy(self, monkeypatch, alg):
+        m, n = 256, 384  # gcd 128: all three passes run natively
+        proto = np.arange(m * n, dtype=np.float64)
+        calls = self._fail_one_chunk(monkeypatch, "run_pass")
+        buf = proto.copy()
+        with ParallelTranspose(2) as pt:
+            if alg == "c2r":
+                pt.c2r(buf, m, n)
+            else:
+                pt.r2c(buf, n, m)
+        np.testing.assert_array_equal(buf, _expected(proto, m, n, "C"))
+        assert len(calls) > 1, "the other chunks must still run natively"
+        assert _counters().get("native.fallback", 0) == 1
+
+    @pytest.mark.parametrize("entry", ["run_pass", "run_pass_banded"])
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_stream_chunk_falls_back_to_numpy(
+        self, tmp_path, monkeypatch, alg, entry
+    ):
+        # 150k elements (native-sized, gcd 100) through a 64 KiB window:
+        # row passes call run_pass, column/rotation passes run_pass_banded
+        m, n = 300, 500
+        A = np.arange(m * n, dtype=np.float32).reshape(m, n)
+        path = tmp_path / "m.bin"
+        A.tofile(path)
+        calls = self._fail_one_chunk(monkeypatch, entry)
+        stats = transpose_file_inplace(
+            path, m, n, np.float32, algorithm=alg,
+            window_bytes=64 * 1024, n_threads=2,
+        )
+        assert stats["bands"] > stats["passes"]
+        np.testing.assert_array_equal(
+            np.fromfile(path, np.float32).reshape(n, m), A.T
+        )
+        assert len(calls) > 1, "the other chunks must still run natively"
+        assert _counters().get("native.fallback", 0) == 1
 
 
 # ---------------------------------------------------------------------------

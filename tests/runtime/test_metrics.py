@@ -375,88 +375,3 @@ class TestStatsCommand:
     def test_stats_rejects_bad_shapes(self, capsys):
         assert main(["stats", "--shapes", "banana"]) == 1
         assert "error" in capsys.readouterr().out
-
-
-class TestMergeSnapshot:
-    """merge_snapshot folds a worker-process registry into the parent."""
-
-    def _child(self) -> MetricsRegistry:
-        reg = MetricsRegistry()
-        reg.inc("serve.batches", 3)
-        reg.record_call("batched_transpose_inplace", 0.002, nbytes=160)
-        reg.observe_value("serve.batch_size", 4, (1.0, 2.0, 4.0, 8.0))
-        reg.set_gauge("serve.queue_depth", 7)
-        return reg
-
-    def test_counters_add(self):
-        parent = MetricsRegistry()
-        parent.inc("serve.batches", 2)
-        parent.merge_snapshot(self._child().snapshot())
-        assert parent.snapshot()["counters"]["serve.batches"] == 5
-
-    def test_timers_fold_count_total_min_max(self):
-        parent = MetricsRegistry()
-        parent.observe("op", 0.010)
-        child = MetricsRegistry()
-        child.observe("op", 0.001)
-        child.observe("op", 0.100)
-        parent.merge_snapshot(child.snapshot())
-        t = parent.snapshot()["timers"]["op"]
-        assert t["count"] == 3
-        assert t["total_s"] == pytest.approx(0.111)
-        assert t["min_s"] == pytest.approx(0.001)
-        assert t["max_s"] == pytest.approx(0.100)
-
-    def test_matching_bounds_merge_bucket_exact(self):
-        parent = MetricsRegistry()
-        parent.observe("op", 0.01)
-        child = MetricsRegistry()
-        child.observe("op", 0.01)
-        child.observe("op", 1.0)
-        parent.merge_snapshot(child.snapshot())
-        h = parent.snapshot()["histograms"]["op"]
-        assert h["count"] == 3
-        assert sum(h["counts"]) == 3
-        # exact buckets: both 0.01 samples share one bucket
-        assert max(h["counts"]) == 2
-
-    def test_mismatched_bounds_preserve_count(self):
-        parent = MetricsRegistry()
-        parent.observe_value("v", 3, (1.0, 2.0, 4.0))
-        child_snap = {
-            "value_histograms": {
-                "v": {"bounds": [10.0, 20.0], "counts": [2, 1, 0],
-                      "count": 3, "sum_s": 45.0}
-            }
-        }
-        parent.merge_snapshot(child_snap)
-        h = parent.snapshot()["value_histograms"]["v"]
-        assert h["count"] == 4
-        assert sum(h["counts"]) == 4
-
-    def test_new_names_created(self):
-        parent = MetricsRegistry()
-        parent.merge_snapshot(self._child().snapshot())
-        snap = parent.snapshot()
-        assert snap["counters"]["serve.batches"] == 3
-        assert snap["timers"]["batched_transpose_inplace"]["count"] == 1
-        assert snap["value_histograms"]["serve.batch_size"]["count"] == 1
-        assert snap["gauges"]["serve.queue_depth"] == 7.0
-
-    def test_gauges_last_write_wins(self):
-        parent = MetricsRegistry()
-        parent.set_gauge("serve.queue_depth", 1)
-        parent.merge_snapshot(self._child().snapshot())
-        assert parent.snapshot()["gauges"]["serve.queue_depth"] == 7.0
-
-    def test_disabled_parent_ignores_merge(self):
-        parent = MetricsRegistry(enabled=False)
-        parent.merge_snapshot(self._child().snapshot())
-        assert parent.snapshot()["counters"] == {}
-
-    def test_empty_snapshot_is_a_noop(self):
-        parent = MetricsRegistry()
-        parent.inc("x")
-        parent.merge_snapshot({})
-        parent.merge_snapshot(None)
-        assert parent.snapshot()["counters"] == {"x": 1}

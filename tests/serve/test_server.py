@@ -21,11 +21,11 @@ def server():
     srv.shutdown(timeout=10)
 
 
-def _post(srv, body, headers):
+def _post(srv, body, headers, path="/transpose"):
     host, port = srv.address
     conn = http.client.HTTPConnection(host, port, timeout=10)
     try:
-        conn.request("POST", "/transpose", body=body, headers=headers)
+        conn.request("POST", path, body=body, headers=headers)
         resp = conn.getresponse()
         return resp.status, resp.read(), dict(resp.getheaders())
     finally:
@@ -305,6 +305,39 @@ class TestIntrospection:
         assert 'op="serve.e2e"' in text
         assert 'op="serve.queue_wait"' in text
         assert 'op="serve.execute"' in text
+
+
+class TestTransposeFileBackend:
+    def _post_file(self, srv, payload):
+        return _post(
+            srv, json.dumps(payload).encode(),
+            {"Content-Type": "application/json"}, path="/transpose-file",
+        )
+
+    def test_threads_backend_accepted(self, server, tmp_path):
+        A = np.arange(12 * 8, dtype=np.float64).reshape(12, 8)
+        path = tmp_path / "t.bin"
+        A.tofile(path)
+        status, _, _ = self._post_file(server, {
+            "path": str(path), "rows": 12, "cols": 8, "backend": "threads",
+        })
+        assert status == 200
+        np.testing.assert_array_equal(
+            np.fromfile(path, np.float64).reshape(8, 12), A.T
+        )
+
+    def test_mp_backend_rejected_file_untouched(self, server, tmp_path):
+        # The process-pool backend is gone: a client still asking for it
+        # gets a 400 naming the one backend, not a silent thread run.
+        A = np.arange(12 * 8, dtype=np.float64)
+        path = tmp_path / "mp.bin"
+        A.tofile(path)
+        status, body, _ = self._post_file(server, {
+            "path": str(path), "rows": 12, "cols": 8, "backend": "mp",
+        })
+        assert status == 400
+        assert b"threads" in body
+        np.testing.assert_array_equal(np.fromfile(path, np.float64), A)
 
 
 class TestShutdown:

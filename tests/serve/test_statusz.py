@@ -66,7 +66,6 @@ class TestStatusz:
         assert doc["inflight"] == 0
         assert doc["accepted"] >= 1
         assert doc["workers"]["alive"] == 1
-        assert doc["workers"]["mode"] == "thread"
         slo = doc["slo"]
         assert slo["p99_objective_ms"] == 50.0
         assert slo["total_observed"] >= 1
@@ -163,6 +162,11 @@ class TestThreadModePropagation:
         assert route.parent_id == req.span_id
         assert grp.parent_id == route.span_id
         assert grp.tid != req.tid  # crossed a thread boundary
+        # the execute and pass spans run on the worker thread, same trace
+        execute = [r for r in recs if r.name.startswith("serve.execute.")]
+        passes = [r for r in recs if r.name.startswith("pass.")]
+        assert execute and passes
+        assert {r.tid for r in execute + passes} == {grp.tid}
 
 
 class TestEventLogIntegration:

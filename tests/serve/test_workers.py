@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.serve import batcher as batcher_mod
 from repro.serve.batcher import ShapeBatcher
 from repro.serve.queue import Request, RequestQueue
 from repro.serve.workers import WorkerPool
@@ -138,3 +139,28 @@ class TestServing:
         summary = pool.shutdown(timeout=10)
         assert summary["group_failures"] == 1
         assert summary["retries"] == 1  # first failure consumed the retry
+
+    def test_kernel_failure_leaves_inputs_for_the_retry(self, monkeypatch):
+        # A kernel that scribbles over its staging buffer and then raises
+        # fulfills nothing and leaves every request buffer intact, so the
+        # pool's one retry recomputes from the original inputs.
+        q, _, pool = _stack(workers=1, max_wait_s=60.0)
+        real = batcher_mod.batched_transpose_inplace
+        calls = {"n": 0}
+
+        def failing_once(staging, *args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                staging[...] = -1
+                raise MemoryError("transient scratch failure")
+            return real(staging, *args, **kwargs)
+
+        monkeypatch.setattr(batcher_mod, "batched_transpose_inplace", failing_once)
+        reqs = [q.submit(_req(seed=i, tiles=2)) for i in range(3)]
+        originals = [r.buf.copy() for r in reqs]
+        pool.start()
+        summary = pool.shutdown(timeout=30)
+        assert summary["retries"] == 1 and summary["group_failures"] == 0
+        for r, original in zip(reqs, originals):
+            np.testing.assert_array_equal(r.buf, original)
+            np.testing.assert_array_equal(r.wait(timeout=0), _expected(r))

@@ -1,5 +1,5 @@
-"""BandedExecutor: byte-exact banded transposes across shapes, orders,
-algorithms and backends, schedule-proof gating, and failure semantics."""
+"""BandedExecutor: byte-exact banded transposes across shapes, orders
+and algorithms, schedule-proof gating, and failure semantics."""
 
 from __future__ import annotations
 
@@ -115,26 +115,6 @@ class TestBandedTranspose:
             _read(path, n, m, np.float32, "C"), A.T
         )
 
-    def test_mp_backend(self, tmp_path):
-        m, n = 48, 60
-        A = np.arange(m * n, dtype=np.float64).reshape(m, n)
-        path = _write(tmp_path, A)
-        with BandedExecutor(
-            2, backend="mp", window_bytes=TINY_WINDOW
-        ) as ex:
-            stats = ex.transpose_file(path, m, n, np.float64)
-            assert stats["backend"] == "mp"
-            assert stats["algorithm"] == "c2r"
-            np.testing.assert_array_equal(
-                _read(path, n, m, np.float64, "C"), A.T
-            )
-            # and back through the other pass structure
-            stats = ex.transpose_file(
-                path, n, m, np.float64, algorithm="r2c"
-            )
-            assert stats["algorithm"] == "r2c"
-        np.testing.assert_array_equal(np.fromfile(path, np.float64), A.ravel())
-
 
 class TestValidationAndFailure:
     def test_bad_order_rejected(self, tmp_path):
@@ -209,7 +189,7 @@ class TestStats:
             path, 20, 30, np.float32, window_bytes=TINY_WINDOW
         )
         for key in ("m", "n", "order", "algorithm", "passes", "bands",
-                    "window_bytes", "backend", "threads", "bytes_read",
+                    "window_bytes", "threads", "bytes_read",
                     "bytes_written", "seconds"):
             assert key in stats, key
         assert stats["bytes_read"] >= A.nbytes * stats["passes"]

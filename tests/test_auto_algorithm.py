@@ -35,12 +35,6 @@ def _clean_state():
     metrics.reset()
 
 
-@pytest.fixture(scope="module")
-def mp_pt():
-    with ParallelTranspose(2, backend="mp") as pt:
-        yield pt
-
-
 def _proto(m: int, n: int, k: int = 1) -> np.ndarray:
     return np.arange(k * m * n).astype(DTYPE)
 
@@ -118,15 +112,6 @@ class TestAutoIsC2R:
             )
             assert key in plan_cache.get_plan_cache()
         assert _cached_algorithms("single") <= {"c2r"}
-
-    def test_mp(self, mp_pt, m, n, order):
-        proto = _proto(m, n)
-        vm, vn = _view(m, n, order)
-        auto = mp_pt.transpose_inplace(proto.copy(), m, n, order)
-        explicit = mp_pt.c2r(proto.copy(), vm, vn)
-        assert auto.tobytes() == explicit.tobytes()
-        np.testing.assert_array_equal(auto, _expected(proto, m, n, order))
-        assert _parallel_calls() == {"c2r": 2, "r2c": 0}
 
     def test_streamed(self, tmp_path, m, n, order):
         proto = _proto(m, n)

@@ -21,6 +21,7 @@ from repro.core import (
 from repro.core.tensor import swap_first_axes_inplace
 from repro.parallel import ParallelTranspose, parallel_transpose_inplace
 from repro.simd.cpu import deinterleave
+from repro.stream import transpose_file_inplace
 
 
 @pytest.fixture(autouse=True)
@@ -85,6 +86,23 @@ class TestScale:
         with ParallelTranspose(4) as pt:
             pt.r2c(A, m, n)  # inverts the C2R transpose above
         np.testing.assert_array_equal(A, np.arange(m * n, dtype=np.float64))
+
+    def test_streamed_file_large(self, tmp_path):
+        m, n = 600, 800  # gcd 200, 3.8 MB through a 256 KiB window
+        A = np.arange(m * n, dtype=np.float64)
+        path = tmp_path / "m.bin"
+        A.tofile(path)
+        stats = transpose_file_inplace(
+            path, m, n, np.float64, window_bytes=256 * 1024, n_threads=2
+        )
+        assert stats["bands"] > stats["passes"]
+        V = np.fromfile(path, np.float64).reshape(n, m)
+        assert V[5, 7] == 7 * n + 5
+        transpose_file_inplace(  # and back through R2C
+            path, n, m, np.float64, algorithm="r2c",
+            window_bytes=256 * 1024, n_threads=2,
+        )
+        np.testing.assert_array_equal(np.fromfile(path, np.float64), A)
 
     def test_aos_soa_million_structs(self):
         N, S = 1_000_000, 6

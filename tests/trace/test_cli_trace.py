@@ -93,21 +93,6 @@ class TestProfileCommand:
 
 
 class TestTraceInspection:
-    def test_mp_backend_export_grows_process_lanes(self, tmp_path):
-        out = tmp_path / "trace-mp.json"
-        assert main([
-            "trace", "--shape", "24x18", "--threads", "2",
-            "--backend", "mp", "--out", str(out),
-        ]) == 0
-        doc = json.loads(out.read_text())
-        counts = validate_chrome_trace(doc)
-        assert counts["pids"] >= 2
-        chunk_pids = {
-            e["pid"] for e in doc["traceEvents"]
-            if e["name"] == "worker.chunk"
-        }
-        assert chunk_pids, "mp run produced no worker.chunk spans"
-
     def test_request_tree_from_exported_file(self, tmp_path, capsys):
         # build a tiny exported trace with a known trace_id
         from repro.trace.export import to_chrome_trace

@@ -1,6 +1,5 @@
 """Distributed-tracing primitives: TraceContext activation, trace_id
-stamping, cross-process splice, wire round-trips, and the disabled-path
-overhead contract."""
+stamping across threads, and the disabled-path overhead contract."""
 
 from __future__ import annotations
 
@@ -8,24 +7,11 @@ import os
 import threading
 from time import perf_counter
 
-import pytest
 
-from repro.trace.spans import (
-    SpanRecord,
-    TraceContext,
-    Tracer,
-    new_trace_id,
-    spans_to_wire,
-)
+from repro.trace.spans import TraceContext, Tracer, new_trace_id
 
 
 class TestTraceContext:
-    def test_wire_round_trip(self):
-        ctx = TraceContext("abc123", parent_id=42)
-        again = TraceContext.from_wire(ctx.as_wire())
-        assert again.trace_id == "abc123"
-        assert again.parent_id == 42
-
     def test_new_trace_id_shape_and_uniqueness(self):
         ids = {new_trace_id() for _ in range(64)}
         assert len(ids) == 64
@@ -86,85 +72,12 @@ class TestActivation:
             assert tr.current_trace_id() == "req"
 
 
-class TestSplice:
-    def _foreign_ring(self, trace_id="req-9"):
-        """Spans recorded by a simulated worker-process tracer."""
-        child = Tracer(enabled=True)
-        with child.activate(TraceContext(trace_id, parent_id=12345)):
-            with child.span("worker.group", batch=3):
-                with child.span("pass.row_shuffle"):
-                    pass
-        wire = spans_to_wire(child.drain())
-        for w in wire:  # simulate a different OS process
-            w["pid"] = 99999
-        return wire
-
-    def test_ids_remapped_and_internal_links_preserved(self):
-        parent = Tracer(enabled=True)
-        with parent.span("serve.execute.process") as sp:
-            local_id = sp.span_id
-        n = parent.splice(self._foreign_ring(), parent_id=local_id,
-                          trace_id="req-9")
-        assert n == 2
-        recs = parent.snapshot()
-        group = next(r for r in recs if r.name == "worker.group")
-        inner = next(r for r in recs if r.name == "pass.row_shuffle")
-        # the worker root re-parents onto the local span; the internal
-        # child link follows the remapped id, not the foreign one
-        assert group.parent_id == local_id
-        assert inner.parent_id == group.span_id
-        assert group.pid == 99999 and inner.pid == 99999
-        ids = {r.span_id for r in recs}
-        assert len(ids) == len(recs)  # no collisions with local spans
-
-    def test_trace_id_inherited_when_missing(self):
-        parent = Tracer(enabled=True)
-        wire = self._foreign_ring()
-        for w in wire:
-            w["trace_id"] = ""
-        parent.splice(wire, parent_id=0, trace_id="adopted")
-        assert {r.trace_id for r in parent.snapshot()} == {"adopted"}
-
-    def test_malformed_wire_drops_batch_whole(self):
-        parent = Tracer(enabled=True)
-        assert parent.splice([{"no_span_id": 1}]) == 0
-        assert parent.splice(["not a dict"]) == 0
-        assert parent.splice([]) == 0
-        assert len(parent) == 0
-
-    def test_wire_survives_partial_records(self):
-        """A truncated ring (worker died mid-flight) still splices: every
-        present record lands, roots parent to the given local span."""
-        parent = Tracer(enabled=True)
-        wire = [w for w in self._foreign_ring()
-                if w["name"] != "worker.group"]  # root lost, child kept
-        with parent.span("serve.execute.process") as sp:
-            pass
-        assert parent.splice(wire, parent_id=sp.span_id) == len(wire)
-        orphan = next(
-            r for r in parent.snapshot() if r.name == "pass.row_shuffle"
-        )
-        assert orphan.parent_id == sp.span_id  # re-anchored, not dangling
-
-
 class TestRecordCarriesProcess:
     def test_records_stamp_current_pid(self):
         tr = Tracer(enabled=True)
         with tr.span("op.x"):
             pass
         assert tr.snapshot()[0].pid == os.getpid()
-
-    def test_as_dict_round_trips_through_splice(self):
-        rec = SpanRecord(7, 3, "worker.chunk", 1.0, 2.0, 11, "w0",
-                         {"stage": "row_shuffle"}, trace_id="t", pid=4242)
-        parent = Tracer(enabled=True)
-        parent.splice([rec.as_dict()], parent_id=0)
-        back = parent.snapshot()[0]
-        assert back.name == "worker.chunk"
-        assert back.attrs == {"stage": "row_shuffle"}
-        assert back.trace_id == "t"
-        assert back.pid == 4242
-        assert back.tid == 11
 
 
 class TestDisabledOverhead:
