@@ -36,6 +36,7 @@ import sys
 from pathlib import Path
 from statistics import median
 from time import perf_counter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -102,7 +103,9 @@ def measure(m: int, n: int, dtype: str, budget_s: float,
     addr, elems = buf.ctypes.data, buf.size
     runs = {}  # (side, role) -> zero-argument callable
     for side, dec in (("c2r", Decomposition.of(m, n)), ("r2c", Decomposition.of(n, m))):
-        kernel = native.kernel_for_shape(dec, side, dt.itemsize)
+        kernel = native.kernel_for_plan(
+            SimpleNamespace(dec=dec, algorithm=side), dt.itemsize
+        )
         if kernel is None:
             raise RuntimeError(f"no native kernel for {side} {dec.m}x{dec.n}")
         for idx, p in enumerate(kernel.passes):

@@ -5,8 +5,9 @@ Assembles the analysis layers into one machine-readable report:
 * :mod:`repro.analysis.algebra` over every shape in the lattice
   (bijectivity, inversion, composition, fastdiv agreement),
 * :mod:`repro.analysis.racecheck` static schedules for each shape at a
-  sweep of thread counts (partition tiling, write disjointness, coverage),
-  including the banded sub-range schedules,
+  sweep of thread and band counts (partition tiling, write disjointness,
+  coverage) — one banded proof, whose one-band case is the in-RAM
+  schedule,
 * :mod:`repro.analysis.lint` over the package source,
 * optionally :mod:`repro.analysis.kernelcheck` — abstract interpretation of
   the generated native kernels (``native=True``) — and the codegen
@@ -26,9 +27,9 @@ __all__ = ["DEFAULT_THREAD_COUNTS", "DEFAULT_BAND_COUNTS", "analyze"]
 
 DEFAULT_THREAD_COUNTS = (1, 2, 4, 8)
 
-#: band counts for the banded-schedule leg of the race sweep (the
-#: out-of-core resident-window shapes worth proving per shape)
-DEFAULT_BAND_COUNTS = (2, 3)
+#: band counts of the race sweep: 1 is the in-RAM schedule, 2 and 3 the
+#: out-of-core resident-window shapes worth proving per shape
+DEFAULT_BAND_COUNTS = (1, 2, 3)
 
 
 def _racecheck_sweep(
@@ -54,7 +55,6 @@ def _racecheck_sweep(
                 # "auto" runs C2R, but an explicit r2c request runs the other
                 # pass structure on any shape, so both must be race-free.
                 for algorithm in ("c2r", "r2c"):
-                    _tally(racecheck.check_schedule(m, n, threads, algorithm))
                     for bands in band_counts:
                         _tally(
                             racecheck.check_banded_schedule(

@@ -114,8 +114,9 @@ ENTRY_POINT_GUARDS = [
     ("core/transpose.py", "transpose"),
     ("core/plan.py", "TransposePlan.execute"),
     ("core/batched.py", "BatchedTransposePlan.execute"),
-    # c2r and r2c both delegate to the one pass loop that holds the guard
-    ("parallel/cpu.py", "ParallelTranspose._transpose"),
+    # ParallelTranspose.c2r/r2c and the plans' native path hand the buffer
+    # to the pass engine's in-RAM band source, which holds the guard
+    ("parallel/engine.py", "InRam.__init__"),
 ]
 
 #: Directory prefix where lock discipline is enforced.

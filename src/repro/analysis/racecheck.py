@@ -5,21 +5,23 @@ Two layers, both centred on the same invariant: every parallel pass writes a
 structure", Section 1), so write-set disjointness is decidable from
 ``(m, n, n_threads)`` alone.
 
-**Static layer** — :func:`check_schedule` reconstructs the exact chunk
-footprints that :class:`~repro.parallel.cpu.ParallelTranspose` hands its
-workers (the same :func:`~repro.parallel.partition.balanced_chunks` schedule
-over the same pass structure) and proves, per pass:
+**Static layer** — :func:`banded_schedule` builds the one schedule object
+every executor runs: per pass (:func:`pass_order`, :data:`PASS_AXES`), the
+sequential bands tiling its iteration range and the
+:func:`~repro.parallel.partition.balanced_chunks` thread chunks of each
+band.  In-RAM execution is the one-band case, out-of-core execution
+(:mod:`repro.stream`) the many-band case.  :func:`check_banded_schedule`
+proves that object, per pass:
 
-* the chunks tile the iteration range exactly (no gap, no overlap),
-* the per-chunk write rectangles are pairwise disjoint,
-* the rectangles cover the whole matrix, and
+* the bands tile the iteration range, and each band's chunks tile the band
+  (no gap, no overlap),
+* the band x chunk write rectangles are pairwise disjoint and cover the
+  whole matrix, so a band can be flushed before the next faults in, and
 * every chunk's reads stay inside its own rectangle, so no chunk can observe
   another chunk's in-flight writes.
 
-:func:`check_banded_schedule` proves banded (sub-range) schedules safe for
-out-of-core execution: bands tile each pass's iteration range, per-band
-chunks tile the band, and all band x chunk write rectangles are globally
-disjoint and covering, so a band can be flushed before the next faults in.
+:func:`check_schedule` is its one-band case.  :mod:`repro.parallel.engine`
+runs only schedules this proof has passed.
 
 **Runtime layer** — :class:`Sanitizer` is a shadow memory tracking one pass
 at a time: each recorded write increments a per-element counter, each
@@ -51,6 +53,8 @@ __all__ = [
     "PassFootprints",
     "RaceReport",
     "BandedRaceReport",
+    "Schedule",
+    "banded_schedule",
     "schedule_footprints",
     "banded_footprints",
     "pass_order",
@@ -116,12 +120,33 @@ class ChunkFootprint:
 
 @dataclass(frozen=True)
 class PassFootprints:
-    """The full static schedule of one parallel pass."""
+    """The static schedule of one pass: its bands and their chunks."""
 
     name: str
-    #: iteration-space extent handed to ``parallel_for``
+    #: iteration-space extent of the pass (rows, columns or column groups)
     total: int
     chunks: tuple[ChunkFootprint, ...]
+    #: iteration axis, as :data:`PASS_AXES` gives it
+    axis: str = "rows"
+    #: the sequential bands tiling ``range(total)``, in execution order
+    bands: tuple[slice, ...] = ()
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """The bands x chunks schedule of one transposition.
+
+    This is the object :func:`check_banded_schedule` proves and
+    :mod:`repro.parallel.engine` runs: per pass, its bands in order, each
+    split into ``balanced_chunks(band extent, n_threads)`` chunks, the
+    partition :meth:`~repro.parallel.executor.ParallelExecutor.parallel_for`
+    hands its workers.  In-RAM execution is the one-band case.
+    """
+
+    dec: Decomposition
+    algorithm: str
+    n_threads: int
+    passes: tuple[PassFootprints, ...]
 
 
 def axis_rect(axis: str, m: int, n: int, total: int, lo: int, hi: int) -> Rect:
@@ -137,25 +162,6 @@ def axis_rect(axis: str, m: int, n: int, total: int, lo: int, hi: int) -> Rect:
     raise ValueError(f"unknown axis {axis!r}")
 
 
-def _chunk_rects(
-    name: str, m: int, n: int, total: int, parts: int, axis: str
-) -> PassFootprints:
-    """Footprints for a pass chunked over ``axis`` (the other axis is full).
-
-    ``axis`` is ``"rows"`` (row shuffle), ``"cols"`` (column shuffles) or
-    ``"colgroups"`` (rotation passes: iteration g covers columns
-    ``[g*b, (g+1)*b)`` where ``b = n // total``).
-    """
-    chunks = []
-    for ch in balanced_chunks(total, parts):
-        rect = axis_rect(axis, m, n, total, ch.start, ch.stop)
-        # Every pass is a gather confined to its own rows/columns: reads and
-        # writes share the rectangle.  (The per-element gather indices stay
-        # in range by the bijectivity certificates of analysis.algebra.)
-        chunks.append(ChunkFootprint(f"{axis}[{ch.start}:{ch.stop}]", rect, rect))
-    return PassFootprints(name=name, total=total, chunks=tuple(chunks))
-
-
 #: pass name -> (iteration axis, extent attribute on the decomposition)
 _PASS_AXES: dict[str, tuple[str, str]] = {
     "pre_rotate": ("colgroups", "c"),
@@ -168,7 +174,7 @@ _PASS_AXES: dict[str, tuple[str, str]] = {
 
 
 def _pass_order(algorithm: str, c: int) -> list[str]:
-    """The barrier-ordered pass names the parallel and banded executors run."""
+    """The barrier-ordered pass names every executor runs."""
     if algorithm == "c2r":
         return (["pre_rotate"] if c > 1 else []) + [
             "row_shuffle",
@@ -181,36 +187,70 @@ def _pass_order(algorithm: str, c: int) -> list[str]:
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-#: public aliases — the in-RAM parallel transposer (`repro.parallel.cpu`) and
-#: the banded out-of-core executor (`repro.stream`) iterate the *same* tables
-#: the proofs above are built from, so schedule and proof cannot drift apart.
+#: public aliases — the schedule builder below, the pass engine
+#: (`repro.parallel.engine`) and the plans' numpy bodies name their passes
+#: from the *same* tables, so schedule and proof cannot drift apart.
 pass_order = _pass_order
 PASS_AXES = _PASS_AXES
+
+
+def banded_schedule(
+    m: int, n: int, n_bands, n_threads: int, algorithm: str = "auto"
+) -> Schedule:
+    """Build the schedule that runs the ``m x n`` row-major view's passes
+    in ``n_bands`` sequential bands (one count for every pass, or one count
+    per pass) of ``n_threads`` chunks each.  Chunk labels carry band
+    provenance so failures name the offending band."""
+    if algorithm == "auto":
+        algorithm = choose_algorithm(m, n)
+    dec = Decomposition.of(m, n)
+    names = _pass_order(algorithm, dec.c)
+    counts = (n_bands,) * len(names) if isinstance(n_bands, int) else tuple(n_bands)
+    if len(counts) != len(names):
+        raise ValueError(f"{len(counts)} band counts for {len(names)} passes")
+    passes = []
+    for name, k in zip(names, counts):
+        axis, extent_attr = _PASS_AXES[name]
+        total = getattr(dec, extent_attr)
+        bands = tuple(balanced_chunks(total, k))
+        chunks = []
+        for bi, band in enumerate(bands):
+            for ch in balanced_chunks(band.stop - band.start, n_threads):
+                lo, hi = band.start + ch.start, band.start + ch.stop
+                # Every pass is a gather confined to its own rows/columns:
+                # reads and writes share the rectangle.  (The per-element
+                # gather indices stay in range by the bijectivity
+                # certificates of analysis.algebra.)
+                rect = axis_rect(axis, m, n, total, lo, hi)
+                chunks.append(
+                    ChunkFootprint(f"band{bi}/{axis}[{lo}:{hi}]", rect, rect)
+                )
+        passes.append(PassFootprints(name, total, tuple(chunks), axis, bands))
+    return Schedule(dec, algorithm, n_threads, tuple(passes))
+
+
+def banded_footprints(
+    m: int, n: int, n_bands, n_threads: int, algorithm: str = "auto"
+) -> list[PassFootprints]:
+    """The per-pass footprints of :func:`banded_schedule`."""
+    return list(banded_schedule(m, n, n_bands, n_threads, algorithm).passes)
 
 
 def schedule_footprints(
     m: int, n: int, n_threads: int, algorithm: str = "auto"
 ) -> list[PassFootprints]:
-    """The static schedule :class:`ParallelTranspose` would execute.
+    """The in-RAM schedule: the one-band case of :func:`banded_footprints`.
 
     ``m``/``n`` are the row-major *view* dimensions the passes run on (the
     same view ``ParallelTranspose.c2r``/``r2c`` reshape to).
     """
-    if algorithm == "auto":
-        algorithm = choose_algorithm(m, n)
-    dec = Decomposition.of(m, n)
-    passes = []
-    for name in _pass_order(algorithm, dec.c):
-        axis, extent_attr = _PASS_AXES[name]
-        total = getattr(dec, extent_attr)
-        passes.append(_chunk_rects(name, m, n, total, n_threads, axis))
-    return passes
+    return banded_footprints(m, n, 1, n_threads, algorithm)
 
 
-def check_partition(total: int, parts: int) -> tuple[bool, str]:
-    """Prove ``balanced_chunks(total, parts)`` tiles ``range(total)`` exactly:
-    contiguous, gap-free, non-empty, sizes differing by at most one."""
-    chunks = balanced_chunks(total, parts)
+def _check_tiling(chunks, total: int, parts: int) -> tuple[bool, str]:
+    """Prove ``chunks`` tile ``range(total)`` exactly: contiguous,
+    gap-free, non-empty, at most ``parts`` of them, sizes differing by at
+    most one."""
     pos = 0
     sizes = []
     for ch in chunks:
@@ -227,6 +267,11 @@ def check_partition(total: int, parts: int) -> tuple[bool, str]:
     if sizes and max(sizes) - min(sizes) > 1:
         return False, f"imbalanced sizes {min(sizes)}..{max(sizes)}"
     return True, f"{len(chunks)} chunks tile range({total})"
+
+
+def check_partition(total: int, parts: int) -> tuple[bool, str]:
+    """Prove ``balanced_chunks(total, parts)`` tiles ``range(total)``."""
+    return _check_tiling(balanced_chunks(total, parts), total, parts)
 
 
 @dataclass
@@ -285,67 +330,13 @@ def _prove_rects(p: PassFootprints, m: int, n: int) -> list[str]:
     return failures
 
 
-def check_schedule(
-    m: int, n: int, n_threads: int, algorithm: str = "auto"
-) -> RaceReport:
-    """Prove the parallel schedule for ``(m, n, n_threads)`` is race-free.
-
-    Per pass: chunks tile the iteration range, write rectangles are pairwise
-    disjoint and cover the full matrix, and reads stay within the writing
-    chunk's own rectangle.
-    """
-    if algorithm == "auto":
-        algorithm = choose_algorithm(m, n)
-    report = RaceReport(m=m, n=n, n_threads=n_threads, algorithm=algorithm)
-    for p in schedule_footprints(m, n, n_threads, algorithm):
-        report.passes += 1
-        ok, detail = check_partition(p.total, n_threads)
-        if not ok:
-            report.failures.append(f"{p.name}: partition: {detail}")
-        report.failures.extend(_prove_rects(p, m, n))
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Banded (sub-range) schedules for out-of-core execution
-# ---------------------------------------------------------------------------
-
-def banded_footprints(
-    m: int, n: int, n_bands: int, n_threads: int, algorithm: str = "auto"
-) -> list[PassFootprints]:
-    """Footprints for band-by-band execution with a bounded resident window.
-
-    Out-of-core execution splits each pass's iteration range into
-    ``n_bands`` sequential bands (only one band's rows/columns need be
-    resident) and runs ``n_threads`` chunks inside each band.  The chunk
-    labels carry band provenance so failures name the offending band.
-    """
-    if algorithm == "auto":
-        algorithm = choose_algorithm(m, n)
-    dec = Decomposition.of(m, n)
-    passes = []
-    for name in _pass_order(algorithm, dec.c):
-        axis, extent_attr = _PASS_AXES[name]
-        total = getattr(dec, extent_attr)
-        chunks = []
-        for bi, band in enumerate(balanced_chunks(total, n_bands)):
-            extent = band.stop - band.start
-            for ch in balanced_chunks(extent, n_threads):
-                lo = band.start + ch.start
-                hi = band.start + ch.stop
-                rect = axis_rect(axis, m, n, total, lo, hi)
-                chunks.append(
-                    ChunkFootprint(f"band{bi}/{axis}[{lo}:{hi}]", rect, rect)
-                )
-        passes.append(PassFootprints(name=name, total=total, chunks=tuple(chunks)))
-    return passes
-
-
 @dataclass
 class BandedRaceReport(RaceReport):
-    """Race verdict for a banded schedule (adds the band count)."""
+    """Race verdict for a banded schedule (adds the band count and the
+    proven :class:`Schedule` itself)."""
 
-    n_bands: int = 1
+    n_bands: int | tuple = 1
+    schedule: Schedule | None = field(default=None, repr=False)
 
     def as_dict(self) -> dict:
         out = super().as_dict()
@@ -354,9 +345,9 @@ class BandedRaceReport(RaceReport):
 
 
 def check_banded_schedule(
-    m: int, n: int, n_bands: int, n_threads: int, algorithm: str = "auto"
+    m: int, n: int, n_bands, n_threads: int, algorithm: str = "auto"
 ) -> BandedRaceReport:
-    """Prove a banded (sub-range) schedule safe for out-of-core execution.
+    """Prove the :func:`banded_schedule` for these arguments race-free.
 
     Per pass: the bands tile the iteration range, each band's thread chunks
     tile the band, and — across *all* bands together — the write rectangles
@@ -364,18 +355,20 @@ def check_banded_schedule(
     stay inside its own rectangle.  Cross-band disjointness is what lets a
     band be flushed to backing store before the next band is faulted in:
     no later chunk can touch a flushed band's elements within the pass.
+    The report carries the proven schedule as ``report.schedule``.
     """
-    if algorithm == "auto":
-        algorithm = choose_algorithm(m, n)
+    schedule = banded_schedule(m, n, n_bands, n_threads, algorithm)
     report = BandedRaceReport(
-        m=m, n=n, n_threads=n_threads, algorithm=algorithm, n_bands=n_bands
+        m=m, n=n, n_threads=n_threads, algorithm=schedule.algorithm,
+        n_bands=n_bands, schedule=schedule,
     )
-    for p in banded_footprints(m, n, n_bands, n_threads, algorithm):
+    for i, p in enumerate(schedule.passes):
         report.passes += 1
-        ok, detail = check_partition(p.total, n_bands)
+        k = n_bands if isinstance(n_bands, int) else n_bands[i]
+        ok, detail = _check_tiling(p.bands, p.total, k)
         if not ok:
             report.failures.append(f"{p.name}: band partition: {detail}")
-        for band in balanced_chunks(p.total, n_bands):
+        for band in p.bands:
             ok, detail = check_partition(band.stop - band.start, n_threads)
             if not ok:
                 report.failures.append(
@@ -384,6 +377,14 @@ def check_banded_schedule(
                 )
         report.failures.extend(_prove_rects(p, m, n))
     return report
+
+
+def check_schedule(
+    m: int, n: int, n_threads: int, algorithm: str = "auto"
+) -> BandedRaceReport:
+    """Prove the in-RAM schedule for ``(m, n, n_threads)`` race-free: the
+    one-band case of :func:`check_banded_schedule`."""
+    return check_banded_schedule(m, n, 1, n_threads, algorithm)
 
 
 # ---------------------------------------------------------------------------

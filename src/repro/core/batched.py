@@ -21,7 +21,7 @@ import numpy as np
 
 from . import equations as eq
 from .indexing import Decomposition
-from .plan import MapsPlan
+from .plan import _BACKENDS, MapsPlan, _engine, _native, _runtime_metrics, _sanitizer
 
 __all__ = [
     "BatchedTransposePlan",
@@ -32,48 +32,7 @@ __all__ = [
 #: reusable stateless no-op context manager for untraced paths
 _NULL_CM = nullcontext()
 
-_metrics = None
 _trace = None
-_native_mod = None
-_racecheck = None
-
-
-def _runtime_metrics():
-    """Lazily bind repro.runtime.metrics (kept acyclic w.r.t. package init)."""
-    global _metrics
-    if _metrics is None:
-        from ..runtime import metrics
-
-        _metrics = metrics
-    return _metrics
-
-
-def _sanitizer():
-    """Lazily bind the shadow-memory sanitizer (repro.analysis.racecheck)."""
-    global _racecheck
-    if _racecheck is None:
-        from ..analysis import racecheck
-
-        _racecheck = racecheck
-    return _racecheck.sanitizer
-
-
-def _native():
-    """Lazily bind the compiled-kernel backend (repro.native)."""
-    global _native_mod
-    if _native_mod is None:
-        from .. import native
-
-        _native_mod = native
-    return _native_mod
-
-
-_BACKENDS = (None, "auto", "native", "numpy")
-
-#: batched step kind of each compiled pass (the rotation is a row gather)
-_BATCHED_KIND = {
-    "rotate_groups": "rows3", "gather_rows": "rows3", "gather_cols": "cols3",
-}
 
 
 def _tracer():
@@ -184,13 +143,13 @@ class BatchedTransposePlan(MapsPlan):
         rows = np.arange(m, dtype=np.int64)[:, None]
         cols = np.arange(n, dtype=np.int64)[None, :]
         tile_writes = (rows * n + cols).ravel()  # repro-lint: allow(implicit-copy) flat index array, not a matrix view
-        for kind, idx in self._steps:
+        for p, (kind, idx) in zip(self.schedule.passes, self._steps):
             if kind == "rows3":
                 tile_reads = idx[0].astype(np.int64) * n + cols
             else:  # cols3
                 tile_reads = rows * n + idx[0].astype(np.int64)
             tile_reads = tile_reads.ravel()  # repro-lint: allow(implicit-copy) flat index array, not a matrix view
-            with san.pass_scope(f"batched.{kind}", k * mn):
+            with san.pass_scope(f"batched.{p.name}", k * mn):
                 for t in range(k):
                     base = t * mn
                     san.record(
@@ -200,89 +159,33 @@ class BatchedTransposePlan(MapsPlan):
                     )
                 self._apply_np(V, kind, idx)
 
-    def _resolve_native(self, buf: np.ndarray, backend: str | None):
-        """The compiled kernel to batch over, or ``None`` for numpy.
-
-        Batched and single plans for one ``(algorithm, shape, itemsize)``
-        generate identical C source, so the on-disk artifact is shared; only
-        the per-plan memoization slot is separate.
-        """
-        if backend == "numpy":
-            return None
-        native = _native()
-        if not native.enabled():
-            if backend == "native":
-                native.record_fallback("disabled by REPRO_NATIVE=0")
-            return None
-        if backend != "native" and buf.size < native.min_elems():
-            return None
-        return native.kernel_for_plan(self, buf.dtype.itemsize)
-
-    def _execute_native(self, buf: np.ndarray, V: np.ndarray, kernel) -> None:
-        """Run the compiled kernel across the batch.
+    def _execute_native(
+        self, buf: np.ndarray, V: np.ndarray, kernel, attrs: dict
+    ) -> None:
+        """Run the compiled kernel across the batch, one tile-batched call
+        per pass through the engine's pass helper.
 
         Scratch failures are positional (see the kernel's return-code
-        contract): the numpy gathers finish exactly the tiles and passes the
-        kernel did not reach.
+        contract): pass ``i`` reached the tiles before ``exc.tile``, so the
+        numpy gathers finish it from there and run every later pass.
         """
-        rt = _runtime_metrics()
-        tr = _tracer()
-        reg = rt.registry
         addr = buf.ctypes.data
         k = V.shape[0]
-        passes = kernel.passes
-        dec = self.dec
-        if tr.enabled or reg.enabled:
-            pass_bytes = 2 * buf.nbytes
-            for i, p in enumerate(passes):
-                kind = _BATCHED_KIND[p.kind]
-                try:
-                    if tr.enabled:
-                        with tr.span(
-                            f"pass.{kind}", m=dec.m, n=dec.n, batch=k,
-                            algorithm=self.algorithm, bytes=pass_bytes,
-                            backend="native",
-                        ) as sp:
-                            kernel.run_pass_batch(i, addr, k)
-                        if reg.enabled:
-                            reg.observe(f"batched.pass.{kind}", sp.duration_s)
-                    else:
-                        t0 = perf_counter()
-                        kernel.run_pass_batch(i, addr, k)
-                        reg.observe(f"batched.pass.{kind}", perf_counter() - t0)
-                except MemoryError as exc:
-                    # Pass ``i`` reached tiles < tile; finish it, then run
-                    # the remaining passes entirely on numpy.
-                    tile = getattr(exc, "tile", 0)
-                    _native().record_fallback(
-                        f"scratch allocation failed at batched pass {i}"
-                    )
-                    steps = self._steps
-                    self._apply_np(V[tile:], *steps[i])
-                    for rest_kind, rest_idx in steps[i + 1:]:
-                        self._apply_np(V, rest_kind, rest_idx)
-                    break
-            if reg.enabled:
-                reg.inc("native.calls")
-                reg.inc("bytes_moved", len(passes) * 2 * buf.nbytes)
-                reg.inc("elements_touched", len(passes) * buf.size)
-        else:
+        engine = _engine()
+        for i, p in enumerate(self.schedule.passes):
             try:
-                kernel.run_batch(addr, k)
+                engine.timed_pass(
+                    "batched", p.name, attrs, kernel.run_pass_batch, i, addr, k
+                )
             except MemoryError as exc:
-                pi = getattr(exc, "pass_index", 0)
-                tile = getattr(exc, "tile", 0)
                 _native().record_fallback(
-                    f"scratch allocation failed at tile {tile}, pass {pi}"
+                    f"scratch allocation failed at batched pass {i}"
                 )
                 steps = self._steps
-                sub = V[tile:tile + 1]
-                for kind, idx in steps[pi:]:
-                    self._apply_np(sub, kind, idx)
-                if tile + 1 < k:
-                    rest = V[tile + 1:]
-                    for kind, idx in steps:
-                        self._apply_np(rest, kind, idx)
+                self._apply_np(V[getattr(exc, "tile", 0):], *steps[i])
+                for kind, idx in steps[i + 1:]:
+                    self._apply_np(V, kind, idx)
+                return
 
     def execute(self, buf: np.ndarray, *, backend: str | None = None) -> np.ndarray:
         """Transpose every matrix of the batch in place; returns ``buf``.
@@ -328,39 +231,26 @@ class BatchedTransposePlan(MapsPlan):
                 _native().record_fallback("sanitizer active")
             self._execute_sanitized(V, san)
             return buf
+        # One span per batched pass; the batch dimension rides along, so
+        # the byte volume scales with the whole batch buffer.
+        attrs = {
+            "m": dec.m, "n": dec.n, "batch": V.shape[0],
+            "algorithm": self.algorithm, "bytes": 2 * buf.nbytes,
+        }
         kernel = self._resolve_native(buf, backend)
         if kernel is not None:
-            self._execute_native(buf, V, kernel)
-            return buf
-        rt = _runtime_metrics()
-        tr = _tracer()
-        steps = self._steps
-        if tr.enabled:
-            # One span per batched pass; the batch dimension rides along, so
-            # the byte volume scales with the whole batch buffer.
-            pass_bytes = 2 * buf.nbytes
-            reg = rt.registry
-            for kind, idx in steps:
-                with tr.span(
-                    f"pass.{kind}", m=dec.m, n=dec.n, batch=V.shape[0],
-                    algorithm=self.algorithm, bytes=pass_bytes,
-                ) as sp:
-                    self._apply_np(V, kind, idx)
-                if reg.enabled:
-                    reg.observe(f"batched.pass.{kind}", sp.duration_s)
-            if reg.enabled:
-                reg.inc("bytes_moved", len(steps) * pass_bytes)
-                reg.inc("elements_touched", len(steps) * buf.size)
-        elif rt.registry.enabled:
-            for kind, idx in steps:
-                t0 = perf_counter()
-                self._apply_np(V, kind, idx)
-                rt.registry.observe(f"batched.pass.{kind}", perf_counter() - t0)
-            rt.registry.inc("bytes_moved", 2 * len(steps) * buf.nbytes)
-            rt.registry.inc("elements_touched", len(steps) * buf.size)
+            self._execute_native(buf, V, kernel, dict(attrs, backend="native"))
         else:
-            for kind, idx in steps:
-                self._apply_np(V, kind, idx)
+            engine = _engine()
+            for p, (kind, idx) in zip(self.schedule.passes, self._steps):
+                engine.timed_pass("batched", p.name, attrs, self._apply_np, V, kind, idx)
+        reg = _runtime_metrics().registry
+        if reg.enabled:
+            passes = len(self.schedule.passes)
+            if kernel is not None:
+                reg.inc("native.calls")
+            reg.inc("bytes_moved", 2 * passes * buf.nbytes)
+            reg.inc("elements_touched", passes * buf.size)
         return buf
 
     def __repr__(self) -> str:

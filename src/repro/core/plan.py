@@ -30,8 +30,8 @@ __all__ = ["TransposePlan"]
 
 _metrics = None
 _racecheck = None
-_trace = None
 _native_mod = None
+_engine_mod = None
 
 
 def _runtime_metrics():
@@ -42,16 +42,6 @@ def _runtime_metrics():
 
         _metrics = metrics
     return _metrics
-
-
-def _tracer():
-    """Lazily bind the process-wide structured tracer (repro.trace.spans)."""
-    global _trace
-    if _trace is None:
-        from ..trace import spans
-
-        _trace = spans
-    return _trace.tracer
 
 
 def _sanitizer():
@@ -74,6 +64,16 @@ def _native():
     return _native_mod
 
 
+def _engine():
+    """Lazily bind the pass engine (repro.parallel.engine)."""
+    global _engine_mod
+    if _engine_mod is None:
+        from ..parallel import engine
+
+        _engine_mod = engine
+    return _engine_mod
+
+
 _BACKENDS = (None, "auto", "native", "numpy")
 
 
@@ -85,8 +85,9 @@ class MapsPlan:
     the algorithm and the folded :class:`Decomposition` only; subclasses
     supply ``_build_c2r``/``_build_r2c``, which :attr:`_steps` runs once, on
     first use, under the plan's lock.  Callers that read :attr:`_steps` are
-    the numpy execute, the sanitizer, the native scratch-failure resume and
-    the analysis tools; the native kernel never does.
+    the numpy execute, the sanitizer, the batched native scratch-failure
+    resume and the analysis tools; the native kernel never does.  Step ``i``
+    is pass ``i`` of :attr:`schedule`, whose name the spans and timers use.
     """
 
     def __init__(self, m: int, n: int, order: str = "C", algorithm: str = "auto"):
@@ -104,6 +105,18 @@ class MapsPlan:
         )
         self._maps = None
         self._maps_lock = threading.Lock()
+        self._schedule = None
+
+    @property
+    def schedule(self):
+        """The plan's one-band, one-chunk engine schedule (proven and
+        memoised on first use)."""
+        schedule = self._schedule
+        if schedule is None:
+            schedule = self._schedule = _engine().proven_schedule(
+                self.dec.m, self.dec.n, 1, 1, self.algorithm
+            )
+        return schedule
 
     @property
     def _steps(self) -> list:
@@ -143,6 +156,35 @@ class MapsPlan:
         # Ship the identity, never the maps: a plan crossing a process
         # boundary rebuilds them on first use in the receiving process.
         return (self.__class__, (self.m, self.n, self.order, self.algorithm))
+
+    def _resolve_native(self, buf: np.ndarray, backend: str | None):
+        """The compiled kernel this execute should use, or ``None`` for numpy.
+
+        ``None``/``"auto"`` engage the native backend opportunistically
+        (toolchain present, buffer large enough, shape eligible);
+        ``"native"`` asks for it unconditionally and reports every reason it
+        could not be honored (fallback metric + one-time warning) — it still
+        returns ``None`` rather than raising, per the backend's
+        never-an-error contract.  Batched and single plans for one
+        ``(algorithm, shape, itemsize)`` generate identical C source, so the
+        on-disk artifact is shared; only the per-plan memo slot is separate.
+        """
+        if backend == "numpy":
+            return None
+        native = _native()
+        if not native.enabled():
+            if backend == "native":
+                native.record_fallback("disabled by REPRO_NATIVE=0")
+            return None
+        if not buf.flags.writeable:
+            # The numpy path surfaces its own clean error; never hand a
+            # read-only buffer to C code.
+            if backend == "native":
+                native.record_fallback("read-only buffer")
+            return None
+        if backend != "native" and buf.size < native.min_elems():
+            return None
+        return native.kernel_for_plan(self, buf.dtype.itemsize)
 
     def on_cache_evict(self) -> None:
         """Plan-cache eviction hook: unlink any compiled kernel artifacts."""
@@ -221,7 +263,7 @@ class TransposePlan(MapsPlan):
             V[:] = V[payload, :]
 
     @staticmethod
-    def _apply_step_sanitized(V: np.ndarray, kind: str, payload, san) -> None:
+    def _apply_step_sanitized(V: np.ndarray, name: str, kind: str, payload, san) -> None:
         """One step under the shadow-memory sanitizer: report the flat read
         and write footprints (reads logically precede writes in a gather)
         before mutating, so clobbers/double-writes carry pass provenance."""
@@ -231,7 +273,7 @@ class TransposePlan(MapsPlan):
         if kind == "rotate_groups":
             # Zero-shift groups are skipped by construction, so the pass
             # covers at most (not exactly) the whole matrix.
-            with san.pass_scope(f"plan.{kind}", m * n, full_coverage=False):
+            with san.pass_scope(f"plan.{name}", m * n, full_coverage=False):
                 for csl, shift in payload:
                     flat = (rows * n + np.arange(csl.start, csl.stop)).ravel()  # repro-lint: allow(implicit-copy) flat index array, not a matrix view
                     san.record(
@@ -246,83 +288,9 @@ class TransposePlan(MapsPlan):
             reads = payload.astype(np.int64) * n + cols
         else:  # permute_rows
             reads = payload.astype(np.int64)[:, None] * n + cols
-        with san.pass_scope(f"plan.{kind}", m * n):
+        with san.pass_scope(f"plan.{name}", m * n):
             san.record(reads=reads, writes=rows * n + cols, where="full matrix")
             TransposePlan._apply_step(V, kind, payload)
-
-    def _resolve_native(self, buf: np.ndarray, backend: str | None):
-        """The compiled kernel this execute should use, or ``None`` for numpy.
-
-        ``None``/``"auto"`` engage the native backend opportunistically
-        (toolchain present, buffer large enough, shape eligible);
-        ``"native"`` asks for it unconditionally and reports every reason it
-        could not be honored (fallback metric + one-time warning) — it still
-        returns ``None`` rather than raising, per the backend's
-        never-an-error contract.
-        """
-        if backend == "numpy":
-            return None
-        native = _native()
-        if not native.enabled():
-            if backend == "native":
-                native.record_fallback("disabled by REPRO_NATIVE=0")
-            return None
-        if not buf.flags.writeable:
-            # The numpy path surfaces its own clean error; never hand a
-            # read-only buffer to C code.
-            if backend == "native":
-                native.record_fallback("read-only buffer")
-            return None
-        if backend != "native" and buf.shape[0] < native.min_elems():
-            return None
-        return native.kernel_for_plan(self, buf.dtype.itemsize)
-
-    def _execute_native(self, buf: np.ndarray, V: np.ndarray, kernel) -> None:
-        """Run the compiled kernel with span/metric parity to the numpy path.
-
-        A scratch allocation failure inside a pass is positional (nothing at
-        or after the failing pass moved), so the numpy gathers finish the
-        plan from exactly that step.
-        """
-        rt = _runtime_metrics()
-        tr = _tracer()
-        reg = rt.registry
-        addr = buf.ctypes.data
-        passes = kernel.passes
-        dec = self.dec
-        try:
-            if tr.enabled:
-                pass_bytes = 2 * buf.nbytes
-                for idx, p in enumerate(passes):
-                    with tr.span(
-                        f"pass.{p.kind}", m=dec.m, n=dec.n,
-                        algorithm=self.algorithm, bytes=pass_bytes,
-                        backend="native",
-                    ) as sp:
-                        kernel.run_pass(idx, addr, 0, p.extent)
-                    if reg.enabled:
-                        reg.observe(f"plan.pass.{p.kind}", sp.duration_s)
-                if reg.enabled:
-                    reg.inc("native.calls")
-                    reg.inc("bytes_moved", len(passes) * pass_bytes)
-                    reg.inc("elements_touched", len(passes) * buf.shape[0])
-            elif reg.enabled:
-                for idx, p in enumerate(passes):
-                    t0 = perf_counter()
-                    kernel.run_pass(idx, addr, 0, p.extent)
-                    reg.observe(f"plan.pass.{p.kind}", perf_counter() - t0)
-                reg.inc("native.calls")
-                reg.inc("bytes_moved", 2 * len(passes) * buf.nbytes)
-                reg.inc("elements_touched", len(passes) * buf.shape[0])
-            else:
-                kernel.run(addr)
-        except MemoryError as exc:
-            pass_index = getattr(exc, "pass_index", 0)
-            _native().record_fallback(
-                f"scratch allocation failed at pass {pass_index}"
-            )
-            for kind, payload in self._steps[pass_index:]:
-                self._apply_step(V, kind, payload)
 
     def execute(self, buf: np.ndarray, *, backend: str | None = None) -> np.ndarray:
         """Transpose ``buf`` in place.
@@ -330,14 +298,17 @@ class TransposePlan(MapsPlan):
         ``buf`` must be flat and contiguous with ``m * n`` elements; after the
         call it holds the ``n x m`` transpose in the plan's storage order.
         Per-pass timings land in :mod:`repro.runtime.metrics` when enabled,
-        and one ``pass.*`` span per step in :mod:`repro.trace` when tracing.
+        and one ``pass.*`` span per pass in :mod:`repro.trace` when tracing.
 
         ``backend`` selects the execution engine: ``None``/``"auto"`` use a
         compiled native kernel when one is (or can be made) available and
         the buffer is large enough, ``"native"`` insists on it (falling back
         to numpy with a warning when impossible), ``"numpy"`` forces the
-        numpy gathers.  The sanitizer always runs on numpy — shadow-memory
-        checking needs to see every index.
+        numpy gathers.  The native kernel runs as the pass engine's one-band,
+        one-chunk case (:mod:`repro.parallel.engine`); a pass whose scratch
+        allocation fails is redone by the engine's numpy chunk.  The
+        sanitizer always runs on numpy — shadow-memory checking needs to see
+        every index.
         """
         if backend not in _BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
@@ -349,47 +320,41 @@ class TransposePlan(MapsPlan):
                 "(a non-contiguous view would be silently copied, not permuted)"
             )
         dec = self.dec
-        V = buf.reshape(dec.m, dec.n)
-        rt = _runtime_metrics()
+        schedule = self.schedule
         san = _sanitizer()
-        tr = _tracer()
         if san.enabled:
             if backend == "native":
                 _native().record_fallback("sanitizer active")
-            for kind, payload in self._steps:
-                self._apply_step_sanitized(V, kind, payload, san)
+            V = buf.reshape(dec.m, dec.n)
+            for p, (kind, payload) in zip(schedule.passes, self._steps):
+                self._apply_step_sanitized(V, p.name, kind, payload, san)
             return buf
+        engine = _engine()
         kernel = self._resolve_native(buf, backend)
         if kernel is not None:
-            self._execute_native(buf, V, kernel)
-            return buf
-        steps = self._steps
-        if tr.enabled:
+            engine.run(
+                schedule, engine.InRam(buf, dec.m, dec.n), scope="plan",
+                kernel=kernel, algorithm=self.algorithm,
+            )
+        else:
             # One span per decomposition pass, carrying the 2x read+write
             # byte volume so the profiler can join duration with traffic.
-            pass_bytes = 2 * buf.nbytes
-            reg = rt.registry
-            for kind, payload in steps:
-                with tr.span(
-                    f"pass.{kind}", m=dec.m, n=dec.n,
-                    algorithm=self.algorithm, bytes=pass_bytes,
-                ) as sp:
-                    self._apply_step(V, kind, payload)
-                if reg.enabled:
-                    reg.observe(f"plan.pass.{kind}", sp.duration_s)
-            if reg.enabled:
-                reg.inc("bytes_moved", len(steps) * pass_bytes)
-                reg.inc("elements_touched", len(steps) * buf.shape[0])
-        elif rt.registry.enabled:
-            for kind, payload in steps:
-                t0 = perf_counter()
-                self._apply_step(V, kind, payload)
-                rt.registry.observe(f"plan.pass.{kind}", perf_counter() - t0)
-            rt.registry.inc("bytes_moved", 2 * len(steps) * buf.nbytes)
-            rt.registry.inc("elements_touched", len(steps) * buf.shape[0])
-        else:
-            for kind, payload in steps:
-                self._apply_step(V, kind, payload)
+            V = buf.reshape(dec.m, dec.n)
+            attrs = {
+                "m": dec.m, "n": dec.n, "algorithm": self.algorithm,
+                "bytes": 2 * buf.nbytes,
+            }
+            for p, (kind, payload) in zip(schedule.passes, self._steps):
+                engine.timed_pass(
+                    "plan", p.name, attrs, self._apply_step, V, kind, payload
+                )
+        reg = _runtime_metrics().registry
+        if reg.enabled:
+            passes = len(schedule.passes)
+            if kernel is not None:
+                reg.inc("native.calls")
+            reg.inc("bytes_moved", 2 * passes * buf.nbytes)
+            reg.inc("elements_touched", passes * buf.shape[0])
         return buf
 
     def __repr__(self) -> str:

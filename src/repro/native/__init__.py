@@ -14,7 +14,10 @@ Policy lives here; mechanism lives in the submodules:
 :mod:`repro.native.kernel`
     Toolchain discovery, compilation, artifact caching, ctypes loading.
 
-Resolution contract (used by :meth:`TransposePlan.execute` and friends):
+Resolution contract (:func:`kernel_for_plan`, the one resolver: plans
+resolve their own kernel, and the pass engine's in-RAM and streamed callers
+reach it through the plan cache's single-matrix plan,
+:func:`repro.parallel.engine.native_kernel`):
 
 * ``REPRO_NATIVE=0`` disables the backend silently — no metric, no warning.
 * Buffers with fewer than ``REPRO_NATIVE_MIN_ELEMS`` (default 16384)
@@ -80,7 +83,6 @@ __all__ = [
     "available",
     "unavailable_reason",
     "kernel_for_plan",
-    "kernel_for_shape",
     "release_plan_kernels",
     "record_fallback",
 ]
@@ -195,37 +197,6 @@ def kernel_for_plan(plan, itemsize: int) -> NativeKernel | None:
 
 
 _MISS = object()
-
-#: (m, n, algorithm, itemsize) -> NativeKernel | None, for plan-free callers
-_shape_kernels: dict[tuple, "NativeKernel | None"] = {}
-_shape_lock = threading.Lock()
-
-
-def kernel_for_shape(dec, algorithm: str, itemsize: int) -> NativeKernel | None:
-    """The compiled kernel for a decomposition, without a TransposePlan.
-
-    The streaming executor must not build a full plan just to reach the
-    compiler: a plan that falls back to numpy materialises ``O(m * n)``
-    index-map bytes, which for an out-of-core matrix is exactly the
-    unbounded allocation the resident window exists to prevent.  Codegen
-    needs only the decomposition constants, so this memoises directly on
-    ``(m, n, algorithm, itemsize)``.  Failed/ineligible compiles memoise
-    as ``None``; artifacts are process-lifetime (no plan-cache slot to
-    charge or evict — file-shape cardinality is low).
-    """
-    key = (dec.m, dec.n, algorithm, itemsize)
-    with _shape_lock:
-        hit = _shape_kernels.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-        from types import SimpleNamespace
-
-        kernel, _why = _build_kernel(
-            SimpleNamespace(dec=dec, algorithm=algorithm), itemsize
-        )
-        _shape_kernels[key] = kernel
-        return kernel
-
 
 def _build_kernel(plan, itemsize: int):
     """Compile the kernel for ``plan``; returns ``(kernel, why_none)``."""

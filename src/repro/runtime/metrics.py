@@ -27,7 +27,7 @@ Usage::
 
     from repro.runtime import metrics
 
-    metrics.registry.observe("plan.pass.gather_cols", 0.0021)
+    metrics.registry.observe("plan.pass.row_shuffle", 0.0021)
     metrics.registry.inc("bytes_moved", 2 * buf.nbytes)
     print(metrics.registry.to_json())
 """

@@ -2,7 +2,7 @@
 
 :func:`transpose_file_inplace` is the windowed replacement for the old
 unbounded-memmap file path: same signature and error taxonomy, plus the
-streaming knobs (``window_bytes``, ``backend``, ``n_threads``).  The
+streaming knobs (``window_bytes``, ``n_threads``, ``native``).  The
 in-RAM wrapper :func:`repro.core.outofcore.transpose_file_inplace`
 delegates here, so every consumer of the old API inherits the bounded
 resident set.
@@ -40,7 +40,6 @@ def transpose_file_inplace(
     io_block_bytes: int | None = None,
     n_threads: int = 1,
     native: str = "auto",
-    strength_reduced: bool = True,
 ) -> dict:
     """Transpose the ``m x n`` matrix stored in a raw binary file, in place,
     through the banded windowed executor.
@@ -78,7 +77,6 @@ def transpose_file_inplace(
         n_threads,
         window_bytes=window_bytes,
         io_block_bytes=io_block_bytes,
-        strength_reduced=strength_reduced,
         native=native,
     ) as ex:
         return ex.transpose_file(

@@ -290,13 +290,10 @@ class ResidentWindow:
 
     # -- row bands (contiguous byte ranges) ----------------------------------
 
-    def load_rows(self, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
+    def load_rows(self, r0: int, r1: int) -> np.ndarray:
         """Materialise rows ``[r0, r1)`` into a RAM band buffer."""
-        band = (
-            np.empty((r1 - r0, self.cols), dtype=self.dtype)
-            if out is None else out
-        )
-        np.copyto(band.reshape(r1 - r0, self.cols), self.view[r0:r1])
+        band = np.empty((r1 - r0, self.cols), dtype=self.dtype)
+        np.copyto(band, self.view[r0:r1])
         self._drop_rows(r0, r1)  # clean pages: drop costs nothing
         self.bytes_read += (r1 - r0) * self._row_bytes
         self.loads += 1
@@ -314,18 +311,14 @@ class ResidentWindow:
 
     # -- column bands (strided, materialised via row blocks) -----------------
 
-    def load_cols(self, c0: int, c1: int, out: np.ndarray | None = None) -> np.ndarray:
+    def load_cols(self, c0: int, c1: int) -> np.ndarray:
         """Materialise columns ``[c0, c1)`` (all rows) into a RAM band."""
         width = c1 - c0
-        band = (
-            np.empty((self.rows, width), dtype=self.dtype)
-            if out is None else out
-        )
-        bview = band.reshape(self.rows, width)
+        band = np.empty((self.rows, width), dtype=self.dtype)
         step = self._block_rows(width)
         for i0 in range(0, self.rows, step):
             i1 = min(self.rows, i0 + step)
-            bview[i0:i1] = self.view[i0:i1, c0:c1]
+            band[i0:i1] = self.view[i0:i1, c0:c1]
             self._drop_rows(i0, i1)
         self.bytes_read += self.rows * width * self.dtype.itemsize
         self.loads += 1

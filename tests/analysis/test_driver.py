@@ -16,21 +16,21 @@ class TestAnalyzeDriver:
         assert report["ok"] is True
         assert report["lattice"]["shapes"] == 64
         assert report["lattice"]["ok"] is True
-        # 64 shapes x 2 thread counts x 2 algorithms x 3 schedule kinds
-        # (thread, and one banded per default band count (2, 3))
+        # 64 shapes x 2 thread counts x 2 algorithms x 3 default band
+        # counts (1 is the in-RAM schedule, 2 and 3 out-of-core)
         assert report["racecheck"]["schedules"] == 768
         assert report["racecheck"]["ok"] is True
-        assert report["racecheck"]["band_counts"] == [2, 3]
+        assert report["racecheck"]["band_counts"] == [1, 2, 3]
         assert report["lint"]["ok"] is True
         assert "sanitizer" in report
         assert report["seconds"] > 0
 
     def test_band_counts_are_configurable(self):
-        report = analyze(4, 4, thread_counts=(2,), band_counts=(2,),
+        report = analyze(4, 4, thread_counts=(2,), band_counts=(1, 2),
                          run_lint=False)
-        # 16 shapes x 1 thread count x 2 algorithms x 2 schedule kinds
+        # 16 shapes x 1 thread count x 2 algorithms x 2 band counts
         assert report["racecheck"]["schedules"] == 64
-        assert report["racecheck"]["band_counts"] == [2]
+        assert report["racecheck"]["band_counts"] == [1, 2]
 
     def test_native_section_via_kernelcheck(self):
         report = analyze(

@@ -147,7 +147,13 @@ class TestTransposeAbortsOnPassFailure:
         later passes over a half-permuted buffer would corrupt it further
         and mask the original error."""
         from repro.core import equations as eq_mod
+        from repro.parallel import cpu
 
+        # the plain //, % index maps: chunk_kernel(name, dec, None)
+        plain = cpu.chunk_kernel
+        monkeypatch.setattr(
+            cpu, "chunk_kernel", lambda name, dec, red: plain(name, dec, None)
+        )
         calls = []
         orig_sprime = eq_mod.sprime_v
 
@@ -163,7 +169,7 @@ class TestTransposeAbortsOnPassFailure:
         m, n = 7, 13  # coprime: no pre-rotation, row_shuffle runs first
         buf = np.arange(m * n, dtype=np.float64)
         snapshot = buf.copy()
-        with ParallelTranspose(2, strength_reduced=False) as pt:
+        with ParallelTranspose(2) as pt:
             with pytest.raises(PassExecutionError) as ei:
                 pt.c2r(buf, m, n)
         assert ei.value.pass_name == "row_shuffle"
@@ -214,14 +220,23 @@ class TestParallelTranspose:
     @given(dim_pairs)
     @settings(max_examples=30, deadline=None)
     def test_strength_reduction_toggle_identical(self, mn):
+        """The strength-reduced maps the engine runs and the plain //, %
+        maps (``chunk_kernel(name, dec, None)``) permute identically."""
+        from repro.analysis.racecheck import PASS_AXES, pass_order
+        from repro.core.indexing import Decomposition
+        from repro.parallel.cpu import chunk_kernel
+
         m, n = mn
         A = np.arange(m * n, dtype=np.float64)
         with_sr = A.copy()
         without_sr = A.copy()
-        with ParallelTranspose(2, strength_reduced=True) as pt:
+        with ParallelTranspose(2) as pt:
             pt.c2r(with_sr, m, n)
-        with ParallelTranspose(2, strength_reduced=False) as pt:
-            pt.c2r(without_sr, m, n)
+        dec = Decomposition.of(m, n)
+        V = without_sr.reshape(m, n)
+        for name in pass_order("c2r", dec.c):
+            total = getattr(dec, PASS_AXES[name][1])
+            chunk_kernel(name, dec, None)(V, slice(0, total))
         np.testing.assert_array_equal(with_sr, without_sr)
 
     @pytest.mark.parametrize("dtype", DTYPES)

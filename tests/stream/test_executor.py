@@ -11,7 +11,7 @@ from repro.stream import (
     BandedScheduleError,
     transpose_file_inplace,
 )
-from repro.stream import executor as executor_mod
+from repro.parallel import engine
 
 #: a window small enough to force many bands on every test shape
 TINY_WINDOW = 64 * 1024
@@ -164,21 +164,21 @@ class TestValidationAndFailure:
         def boom(*a, **k):
             raise RuntimeError("injected pass failure")
 
-        monkeypatch.setattr(BandedExecutor, "_run_one_band", boom)
+        monkeypatch.setattr(engine, "_run_band", boom)
         with BandedExecutor(1, window_bytes=4096) as ex:
             with pytest.raises(RuntimeError, match="injected pass failure"):
                 ex.transpose_file(path, m, n, np.float64)
 
     def test_proof_memo_covers_repeat_runs(self, tmp_path):
-        before = len(executor_mod._PROVEN)
+        before = len(engine._PROVEN)
         for _ in range(2):
             A = np.arange(12 * 18, dtype=np.int64).reshape(12, 18)
             path = _write(tmp_path, A)
             transpose_file_inplace(path, 12, 18, np.int64, window_bytes=4096)
         # second run re-proves nothing: every (shape, bands, algorithm)
         # key was already in the memo
-        assert len(executor_mod._PROVEN) > 0
-        assert len(executor_mod._PROVEN) >= before
+        assert len(engine._PROVEN) > 0
+        assert len(engine._PROVEN) >= before
 
 
 class TestStats:

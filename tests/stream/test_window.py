@@ -92,15 +92,6 @@ class TestResidentWindow:
             assert w.bytes_written == 8 * 16 * 8
             assert w.loads == 2 and w.stores == 1
 
-    def test_load_into_preallocated_buffer(self, tmp_path):
-        A = np.arange(12 * 10, dtype=np.int32).reshape(12, 10)
-        path = _write(tmp_path, A)
-        with ResidentWindow(path, 12, 10, np.int32) as w:
-            out = np.empty((3, 10), dtype=np.int32)
-            band = w.load_rows(4, 7, out=out)
-            assert band is out
-            np.testing.assert_array_equal(out, A[4:7])
-
     def test_close_is_idempotent(self, tmp_path):
         path = _write(tmp_path, np.zeros((4, 4)))
         w = ResidentWindow(path, 4, 4, np.float64)
