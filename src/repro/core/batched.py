@@ -143,21 +143,33 @@ class BatchedTransposePlan(MapsPlan):
         rows = np.arange(m, dtype=np.int64)[:, None]
         cols = np.arange(n, dtype=np.int64)[None, :]
         tile_writes = (rows * n + cols).ravel()  # repro-lint: allow(implicit-copy) flat index array, not a matrix view
+        attrs = {"m": m, "n": n, "batch": k, "algorithm": self.algorithm}
         for p, (kind, idx) in zip(self.schedule.passes, self._steps):
             if kind == "rows3":
                 tile_reads = idx[0].astype(np.int64) * n + cols
             else:  # cols3
                 tile_reads = rows * n + idx[0].astype(np.int64)
             tile_reads = tile_reads.ravel()  # repro-lint: allow(implicit-copy) flat index array, not a matrix view
-            with san.pass_scope(f"batched.{p.name}", k * mn):
-                for t in range(k):
-                    base = t * mn
-                    san.record(
-                        reads=base + tile_reads,
-                        writes=base + tile_writes,
-                        where=f"tile {t}",
-                    )
-                self._apply_np(V, kind, idx)
+            _engine().timed_pass(
+                "batched", p.name, attrs, self._pass_sanitized,
+                V, p.name, kind, idx, tile_reads, tile_writes, san,
+            )
+
+    def _pass_sanitized(
+        self, V, name, kind, idx, tile_reads, tile_writes, san
+    ) -> None:
+        """One batched pass inside its own shadow-memory scope."""
+        k, m, n = V.shape
+        mn = m * n
+        with san.pass_scope(f"batched.{name}", k * mn):
+            for t in range(k):
+                base = t * mn
+                san.record(
+                    reads=base + tile_reads,
+                    writes=base + tile_writes,
+                    where=f"tile {t}",
+                )
+            self._apply_np(V, kind, idx)
 
     def _execute_native(
         self, buf: np.ndarray, V: np.ndarray, kernel, attrs: dict

@@ -321,15 +321,19 @@ class TransposePlan(MapsPlan):
             )
         dec = self.dec
         schedule = self.schedule
+        engine = _engine()
         san = _sanitizer()
         if san.enabled:
             if backend == "native":
                 _native().record_fallback("sanitizer active")
             V = buf.reshape(dec.m, dec.n)
+            attrs = {"m": dec.m, "n": dec.n, "algorithm": self.algorithm}
             for p, (kind, payload) in zip(schedule.passes, self._steps):
-                self._apply_step_sanitized(V, p.name, kind, payload, san)
+                engine.timed_pass(
+                    "plan", p.name, attrs, self._apply_step_sanitized,
+                    V, p.name, kind, payload, san,
+                )
             return buf
-        engine = _engine()
         kernel = self._resolve_native(buf, backend)
         if kernel is not None:
             engine.run(

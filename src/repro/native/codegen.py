@@ -32,7 +32,7 @@ int64_t rs, int64_t origin)``
     band variants share one static body with the full-width entry points
     (which are exactly ``rs = n, origin = 0``) — only the addressing is
     rebased, which is what lets the out-of-core banded executor run the
-    compiled passes on its bounded-residency band copies.  The row
+    compiled passes on its bounded-residency column buffer.  The row
     shuffle needs no variant: a row band keeps the full row stride, so
     the executor hands ``repro_pass_gather_cols`` a shifted base pointer.
 ``int repro_run(char *buf)`` / ``int repro_run_batch(char *buf, int64_t k)``

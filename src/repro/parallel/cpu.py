@@ -46,7 +46,7 @@ _NULL_CM = nullcontext()
 # The numpy chunk bodies of the pass engine (repro.parallel.engine): every
 # kernel addresses the pass in *global* matrix coordinates and writes into
 # ``V``, whose first row/column/group along the pass axis is global index
-# ``origin`` (0 for the in-RAM matrix, the band start for a band copy).
+# ``origin`` (0 for the in-RAM matrix, the band start for a window band).
 
 #: rotation passes -> direction of the Lemma 1 rotation
 _ROTATE_SIGN = {"pre_rotate": -1, "post_rotate": 1}
@@ -70,7 +70,7 @@ def row_gather_chunk(
     V: np.ndarray, dec: Decomposition, index_map, rows: slice, origin: int = 0
 ) -> None:
     """Gather the rows in ``rows`` along axis 1 with ``index_map(i, cols)``
-    — a row reads only itself, so a band copy holds all the gather needs."""
+    — a row reads only itself, so a row band holds all the gather needs."""
     i = np.arange(rows.start, rows.stop, dtype=np.int64)[:, None]
     cols = np.arange(dec.n, dtype=np.int64)[None, :]
     idx = index_map(i, cols)

@@ -12,12 +12,18 @@ That schedule is :class:`repro.analysis.racecheck.Schedule`;
 
 * :class:`InRam` — the in-RAM matrix, one band per pass, a view (no copy);
 * :class:`WindowBands` — a :class:`~repro.stream.window.ResidentWindow`,
-  one load and one store per band.
+  one load and one store per band: a row band is the mapping's own view,
+  a column or rotation band the window's one reused column buffer.
+
+Both are sound for the same reason: the proof shows every chunk reads only
+inside its own rectangle, so a band permuted in the mapped pages never
+reads what another band writes, and the column buffer holds every element
+its chunks read.
 
 Each chunk runs the compiled kernel when one is given: ``run_pass`` on a
 full-stride buffer (the in-RAM matrix, or a row band through a base shifted
 back by its first row) and ``run_pass_banded`` on a column or rotation band
-copy narrower than a row.  Otherwise, and for a native chunk whose scratch
+buffer narrower than a row.  Otherwise, and for a native chunk whose scratch
 allocation failed (it moved nothing), the numpy chunk body
 (:func:`repro.parallel.cpu.chunk_kernel`) runs that exact chunk.
 
@@ -135,8 +141,11 @@ class InRam:
 
 
 class WindowBands:
-    """A :class:`~repro.stream.window.ResidentWindow`: each band is loaded
-    into a RAM copy, permuted, and stored back before the next loads."""
+    """A :class:`~repro.stream.window.ResidentWindow`: each band is loaded,
+    permuted and stored before the next loads.  A row band is permuted in
+    the mapping itself (its store only starts writeback and drops its
+    pages); a column or rotation band is copied into the window's column
+    buffer and back."""
 
     streamed = True
 
@@ -338,8 +347,8 @@ def _run_chunk(ps, dec, B, addr, origin, scope, kernel, idx, san, lo, hi) -> Non
                 kernel.run_pass(idx, addr - shift, lo, hi)
                 return
             if kernel.has_banded(idx):
-                # a column or rotation band copy narrower than a row: the
-                # band-rebased entry point, against the copy's own row stride
+                # a column or rotation band buffer narrower than a row: the
+                # band-rebased entry point, against the buffer's own row stride
                 kernel.run_pass_banded(idx, addr, lo, hi, B.shape[1], origin)
                 return
         except MemoryError:

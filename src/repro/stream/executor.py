@@ -6,7 +6,8 @@ pass's iteration range (rows, columns, or rotation column-groups) is split
 into sequential *bands* sized to the window byte budget; inside a band the
 usual ``n_threads`` chunk schedule runs on a
 :class:`~repro.parallel.executor.ParallelExecutor`, and the band is flushed
-before the next one loads.
+before the next one loads.  The same executor's workers split the row-block
+copies of every column band.
 
 Safety is not asserted, it is *proven*: before anything executes, the
 per-pass band counts go through
@@ -14,14 +15,14 @@ per-pass band counts go through
 (:func:`~repro.parallel.engine.proven_schedule`), which shows the band x
 chunk write rectangles of every pass are pairwise disjoint and covering and
 that reads stay inside the writing chunk's own rectangle.  That last
-property is exactly why the band copies are sound: a chunk of a band
-permutes only data the band itself holds, so a RAM copy of the band is
-indistinguishable from the mapped file.  A failed proof raises
-:class:`BandedScheduleError` and nothing is touched.  The engine runs the
-proven schedule object itself, with the compiled kernel when one is
-available (row bands through a shifted base, column and rotation bands
-through the band-rebased entry points) and the numpy chunk bodies
-otherwise.
+property is what makes both band forms sound: a row band permuted in place
+in the mapping reads nothing another band writes, and a column band copied
+into the window's buffer holds every element its chunks read.  A failed
+proof raises :class:`BandedScheduleError` and nothing is touched.  The
+engine runs the proven schedule object itself, with the compiled kernel
+when one is available (row bands through a shifted base, column and
+rotation bands through the band-rebased entry points) and the numpy chunk
+bodies otherwise.
 """
 
 from __future__ import annotations
@@ -54,14 +55,20 @@ class BandedExecutor:
     ----------
     n_threads:
         Chunk parallelism *within* a band (bands themselves are strictly
-        sequential — that is what bounds the resident set).
+        sequential — that is what bounds the resident set); the same
+        workers split each column band's copies.
     window_bytes:
         Resident byte budget per band (default ``REPRO_STREAM_WINDOW`` or
         256 MiB).
+    io_block_bytes:
+        Mapped pages in flight while a column band is copied, split over
+        the workers (default: see
+        :class:`~repro.stream.window.ResidentWindow`).
     native:
         ``"auto"`` (default) runs every pass through the compiled kernel
-        on band buffers when available (row passes via a shifted base,
-        column/rotation passes via the band-rebased entry points);
+        when available (row passes on the mapped rows via a shifted base,
+        column/rotation passes on the column buffer via the band-rebased
+        entry points);
         ``"off"`` keeps every chunk on numpy.
     """
 
@@ -105,7 +112,6 @@ class BandedExecutor:
         order: str = "C",
         *,
         algorithm: str = "auto",
-        mode: str = "r+",
     ) -> dict:
         """Transpose the ``m x n`` matrix stored in ``path`` in place,
         band-by-band, and return a stats dict (passes, bands, bytes moved,
@@ -146,7 +152,7 @@ class BandedExecutor:
             path, M, N, dtype,
             window_bytes=self.window_bytes,
             io_block_bytes=self.io_block_bytes,
-            mode=mode,
+            executor=self.executor,
         ) as window:
             with tr.span(
                 f"op.stream.{algorithm}", m=m, n=n, order=order,

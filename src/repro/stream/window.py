@@ -4,45 +4,53 @@ Out-of-core execution needs one invariant the raw ``np.memmap`` path cannot
 give: a *bound* on how much of the file is resident at once.  The
 :class:`ResidentWindow` provides it.  The file is mapped once, but the
 mapping is only ever *touched* through band-granular load/store calls, and
-every call ends by handing the touched pages back to the kernel
+every band ends by handing its touched pages back to the kernel
 (``msync`` + ``madvise(MADV_DONTNEED)``), so the process's resident set
-stays at (band buffer) + (one I/O block) + interpreter baseline regardless
-of file size.
+stays at (one band) + (the column buffer) + (one I/O block) + interpreter
+baseline regardless of file size.
 
 Flush ordering — the contract the banded race proof
 (:func:`repro.analysis.racecheck.check_banded_schedule`) depends on:
 
-1. a band is **loaded** (copied out of the mapping into a RAM buffer, the
-   touched pages dropped immediately — they are clean);
-2. the band is permuted entirely in RAM;
-3. the band is **stored** (written through the mapping), its writeback
-   initiated (``msync(MS_ASYNC)``) and its pages dropped (``madvise``)
-   *before the next band loads*; the op-end ``flush()`` (``MS_SYNC``) is
-   the durability barrier.
+1. a band is **loaded**: a row band is the mapping's own view of its rows
+   (no copy); a column or rotation band is copied into the window's one
+   column buffer, each row block's pages dropped as soon as it is copied
+   (they are clean);
+2. the band is permuted where it was loaded — in the mapped pages or in
+   the column buffer;
+3. the band is **stored**: a column band is written back through the
+   mapping; either kind then has its writeback initiated
+   (``msync(MS_ASYNC)``) and its pages dropped (``madvise``) *before the
+   next band loads*; the op-end ``flush()`` (``MS_SYNC``) is the
+   durability barrier.
 
-Because the proof guarantees all band rectangles of a pass are pairwise
-disjoint, no later band can observe — or clobber — a flushed band's
-elements within the pass, so step 3 is safe to run eagerly.  The
-*resident* set (RSS) never exceeds band buffer + one I/O block; dirty
-page-cache pages between the async initiation and the barrier are the
-kernel writeback system's to schedule (and throttle), which is what lets
-a scattered column-band store coalesce into sequential device writes
-instead of stalling on per-page random ``msync``.
+The proof shows that the band rectangles of a pass are pairwise disjoint
+and that every chunk reads only inside its own rectangle, so a band
+permuted in place never reads an element another band writes, and no later
+band can observe — or clobber — a flushed band's elements within the pass;
+that is why step 3 may run eagerly.  Dirty page-cache pages between the
+async initiation and the barrier are the kernel writeback system's to
+schedule (and throttle), which is what lets a scattered column-band store
+coalesce into sequential device writes instead of stalling on per-page
+random ``msync``.
 
 Two band geometries cover every decomposition pass:
 
-* **row bands** ``[r0, r1)`` — contiguous byte ranges of a row-major file;
-  one straight copy each way;
-* **column bands** ``[c0, c1)`` — strided; materialised via row-block
-  sub-copies, each sub-copy's pages dropped before the next faults in, so
-  even the gather of a column band respects the byte budget.
+* **row bands** ``[r0, r1)`` — contiguous byte ranges of a row-major file,
+  permuted in place in the mapping;
+* **column bands** ``[c0, c1)`` — strided; gathered into the column buffer
+  by row-block sub-copies and scattered back the same way.  With an
+  ``executor`` the sub-copies are split over its workers, each worker's
+  block being ``io_block_bytes // n_threads``, so at most one I/O block
+  of mapped pages is resident at any time.
 
 Environment knobs (see docs/STREAMING.md):
 
 * ``REPRO_STREAM_WINDOW`` — default window byte budget (suffixes k/m/g
   accepted); the library default is 256 MiB.
-* ``REPRO_STREAM_IO_BLOCK`` — byte budget of one strided sub-copy while
-  (de)materialising a column band; defaults to window/4.
+* ``REPRO_STREAM_IO_BLOCK`` — byte budget of the strided sub-copies in
+  flight while (de)materialising a column band; defaults to
+  ``max(4 MiB, window // 4)``.
 """
 
 from __future__ import annotations
@@ -204,17 +212,24 @@ class ResidentWindow:
     ----------
     path:
         Raw binary file of exactly ``rows * cols`` elements of ``dtype``
-        (row-major with respect to the ``(rows, cols)`` view).
+        (row-major with respect to the ``(rows, cols)`` view), mapped
+        read-write: row bands are permuted in the mapping itself.
     window_bytes:
         Resident byte budget for one band (default:
         :func:`default_window_bytes`).  A band never exceeds it except
         when a single row/column already does — the effective budget is
-        ``max(window_bytes, one iteration unit)``.
+        ``max(window_bytes, one iteration unit)``.  The column buffer is
+        sized to it (capped at the file size) once, on the first
+        :meth:`load_cols`.
     io_block_bytes:
-        Transient page budget of one strided sub-copy (default:
-        ``window_bytes // 4``, at least one page).
-    mode:
-        ``"r+"`` (default) or ``"r"`` for read-only consumers.
+        Budget of mapped pages resident at once while a column band is
+        copied (default: ``REPRO_STREAM_IO_BLOCK`` or
+        ``max(4 MiB, window_bytes // 4)``, at least one page).  Each
+        worker copies blocks of ``io_block_bytes // n_threads``.
+    executor:
+        :class:`~repro.parallel.executor.ParallelExecutor` whose workers
+        split the row blocks of every column-band copy (``None``: the
+        calling thread copies them all).
     """
 
     def __init__(
@@ -226,7 +241,7 @@ class ResidentWindow:
         *,
         window_bytes: int | None = None,
         io_block_bytes: int | None = None,
-        mode: str = "r+",
+        executor=None,
     ):
         if rows < 1 or cols < 1:
             raise ValueError(f"invalid matrix shape {rows}x{cols}")
@@ -256,11 +271,14 @@ class ResidentWindow:
                 else max(4 * 1024 * 1024, self.window_bytes // 4)
             )
         self.io_block_bytes = max(_PAGE, int(io_block_bytes))
+        self._executor = executor
         self._mm = np.memmap(
-            self.path, dtype=self.dtype, mode=mode, shape=(self.rows * self.cols,)
+            self.path, dtype=self.dtype, mode="r+", shape=(self.rows * self.cols,)
         )
         self.view = self._mm.reshape(self.rows, self.cols)
         self._row_bytes = self.cols * self.dtype.itemsize
+        #: the one column-band buffer, allocated by the first load_cols
+        self._col_buf: np.ndarray | None = None
         #: lifetime accounting (exported through stream metrics)
         self.bytes_read = 0
         self.bytes_written = 0
@@ -281,63 +299,91 @@ class ResidentWindow:
             self._mm._mmap, r0 * self._row_bytes, r1 * self._row_bytes
         )
 
-    def _block_rows(self, band_cols: int) -> int:
-        """Rows per strided sub-copy so one block's touched pages (one
-        ``band_cols`` span plus page-granularity slop per row) fit the
-        I/O block budget."""
-        per_row = band_cols * self.dtype.itemsize + _PAGE
-        return max(1, self.io_block_bytes // per_row)
+    def _row_blocks(self, band_cols: int, copy) -> None:
+        """Run ``copy(i0, i1)`` over row blocks covering every row.
 
-    # -- row bands (contiguous byte ranges) ----------------------------------
+        Each worker of the executor takes a contiguous share of the rows
+        and walks it in blocks sized so that one block's touched pages
+        (one ``band_cols`` span plus page-granularity slop per row) fit
+        ``io_block_bytes // n_threads``: all workers together hold at
+        most one I/O block of mapped pages.
+        """
+        ex = self._executor
+        workers = 1 if ex is None else ex.n_threads
+        per_row = band_cols * self.dtype.itemsize + _PAGE
+        step = max(1, self.io_block_bytes // workers // per_row)
+
+        def body(rows: slice) -> None:
+            for i0 in range(rows.start, rows.stop, step):
+                copy(i0, min(rows.stop, i0 + step))
+
+        if ex is None:
+            body(slice(0, self.rows))
+        else:
+            ex.parallel_for(self.rows, body, name="stream.band_copy")
+
+    # -- row bands (contiguous byte ranges, permuted in place) ---------------
 
     def load_rows(self, r0: int, r1: int) -> np.ndarray:
-        """Materialise rows ``[r0, r1)`` into a RAM band buffer."""
-        band = np.empty((r1 - r0, self.cols), dtype=self.dtype)
-        np.copyto(band, self.view[r0:r1])
-        self._drop_rows(r0, r1)  # clean pages: drop costs nothing
+        """Rows ``[r0, r1)`` as the mapping's own view (no copy): the
+        caller permutes them in the mapped pages."""
         self.bytes_read += (r1 - r0) * self._row_bytes
         self.loads += 1
-        return band
+        return self.view[r0:r1]
 
     def store_rows(self, r0: int, r1: int, band: np.ndarray) -> None:
-        """Write a row band back, initiate its writeback and drop its
-        pages (flush step 3 of the module contract) before the caller
-        loads the next band."""
-        self.view[r0:r1] = band.reshape(r1 - r0, self.cols)
+        """Finish a row band: copy ``band`` in unless it is the band's own
+        view, then initiate its writeback and drop its pages (flush step 3
+        of the module contract) before the caller loads the next band."""
+        dst = self.view[r0:r1]
+        src = band.reshape(r1 - r0, self.cols)
+        if src.ctypes.data != dst.ctypes.data or src.strides != dst.strides:
+            dst[...] = src
         self._sync_rows(r0, r1)
         self._drop_rows(r0, r1)
         self.bytes_written += (r1 - r0) * self._row_bytes
         self.stores += 1
 
-    # -- column bands (strided, materialised via row blocks) -----------------
+    # -- column bands (strided, copied via row blocks) -----------------------
 
     def load_cols(self, c0: int, c1: int) -> np.ndarray:
-        """Materialise columns ``[c0, c1)`` (all rows) into a RAM band."""
+        """Copy columns ``[c0, c1)`` (all rows) into the window's column
+        buffer and return it as a ``rows x (c1 - c0)`` array.  Every call
+        reuses the one buffer: the result is valid until the next
+        :meth:`load_cols`."""
         width = c1 - c0
-        band = np.empty((self.rows, width), dtype=self.dtype)
-        step = self._block_rows(width)
-        for i0 in range(0, self.rows, step):
-            i1 = min(self.rows, i0 + step)
-            band[i0:i1] = self.view[i0:i1, c0:c1]
-            self._drop_rows(i0, i1)
-        self.bytes_read += self.rows * width * self.dtype.itemsize
+        need = self.rows * width
+        if self._col_buf is None or self._col_buf.size < need:
+            cap = min(self.window_bytes, self.nbytes) // self.dtype.itemsize
+            self._col_buf = np.empty(max(need, cap), dtype=self.dtype)
+        band = self._col_buf[:need].reshape(self.rows, width)
+        view = self.view
+
+        def copy(i0: int, i1: int) -> None:
+            band[i0:i1] = view[i0:i1, c0:c1]
+            self._drop_rows(i0, i1)  # clean pages: drop costs nothing
+
+        self._row_blocks(width, copy)
+        self.bytes_read += need * self.dtype.itemsize
         self.loads += 1
         return band
 
     def store_cols(self, c0: int, c1: int, band: np.ndarray) -> None:
         """Write a column band back block-by-block; each block's writeback
-        is initiated and its pages dropped before the next one faults in,
-        so the *resident* set never exceeds one I/O block (the scattered
-        dirty pages drain through kernel writeback, not a blocking
-        per-block msync)."""
+        is initiated and its pages dropped before its worker faults in the
+        next, so the *resident* set never exceeds one I/O block (the
+        scattered dirty pages drain through kernel writeback, not a
+        blocking per-block msync)."""
         width = c1 - c0
         bview = band.reshape(self.rows, width)
-        step = self._block_rows(width)
-        for i0 in range(0, self.rows, step):
-            i1 = min(self.rows, i0 + step)
-            self.view[i0:i1, c0:c1] = bview[i0:i1]
+        view = self.view
+
+        def copy(i0: int, i1: int) -> None:
+            view[i0:i1, c0:c1] = bview[i0:i1]
             self._sync_rows(i0, i1)
             self._drop_rows(i0, i1)
+
+        self._row_blocks(width, copy)
         self.bytes_written += self.rows * width * self.dtype.itemsize
         self.stores += 1
 
@@ -354,6 +400,7 @@ class ResidentWindow:
             drop_pages(self._mm._mmap, 0, self.nbytes)
             self.view = None
             self._mm = None
+            self._col_buf = None
 
     def __enter__(self) -> "ResidentWindow":
         return self

@@ -4,7 +4,9 @@ window size must keep peak RSS near the window, and stay byte-exact.
 Runs in a subprocess so the ``VmHWM`` high-water mark reflects only the
 streamed run, not whatever the pytest session touched earlier.  File size
 scales with ``REPRO_STREAM_TEST_BYTES`` (default 96 MiB — the CI stream
-job raises it to 1 GiB and tightens nothing else).
+job raises it to 1 GiB and tightens nothing else).  One thread and two
+run under the same cap: the workers split each column-band copy's I/O
+block between them, so the threaded copies hold no more pages at once.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 #: default file size: 12x the window, big enough that an unbounded memmap
 #: walk would blow the cap, small enough for the tier-1 suite
 DEFAULT_TEST_BYTES = 96 * 1024 * 1024
@@ -24,6 +28,7 @@ import json, os, sys
 import numpy as np
 
 src_dir, path, total_bytes = sys.argv[1], sys.argv[2], int(sys.argv[3])
+n_threads = int(sys.argv[4])
 sys.path.insert(0, src_dir)
 
 def vm_hwm_kib():
@@ -50,7 +55,9 @@ with open(path, "wb") as fh:
 window = total_bytes // 12
 before = vm_hwm_kib()
 from repro.stream import transpose_file_inplace
-stats = transpose_file_inplace(path, m, n, np.uint32, window_bytes=window)
+stats = transpose_file_inplace(
+    path, m, n, np.uint32, window_bytes=window, n_threads=n_threads
+)
 after = vm_hwm_kib()
 
 # Blockwise byte-exact check: transposed flat index k holds value
@@ -75,14 +82,16 @@ print(json.dumps({
 """
 
 
-def test_streamed_rss_stays_near_window(tmp_path):
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_streamed_rss_stays_near_window(tmp_path, n_threads):
     total = int(os.environ.get("REPRO_STREAM_TEST_BYTES", DEFAULT_TEST_BYTES))
     src_dir = str(Path(__file__).resolve().parents[2] / "src")
     script = tmp_path / "residency_child.py"
     script.write_text(_CHILD)
     data = tmp_path / "big.bin"
     out = subprocess.run(
-        [sys.executable, str(script), src_dir, str(data), str(total)],
+        [sys.executable, str(script), src_dir, str(data), str(total),
+         str(n_threads)],
         capture_output=True, text=True, timeout=600,
     )
     assert out.returncode == 0, out.stderr[-2000:]
@@ -90,10 +99,11 @@ def test_streamed_rss_stays_near_window(tmp_path):
     assert rep["exact"], "streamed transpose is not byte-exact"
     assert rep["bands"] >= 3, rep
 
-    # Peak RSS growth over the pre-transpose baseline: one band buffer
-    # (<= window) + gather index/temporary arrays (int64 indices over
-    # uint32 data ~= 2x the band) + the transient I/O block, plus fixed
-    # interpreter/numpy slack.  An unbounded memmap walk would grow by
+    # Peak RSS growth over the pre-transpose baseline: one band (a row
+    # band's mapped pages or the column buffer, each <= window) + the
+    # column buffer held across row passes + gather index/temporary
+    # arrays (int64 indices over uint32 data ~= 2x the band) + the
+    # transient I/O block, plus fixed interpreter/numpy slack.  An unbounded memmap walk would grow by
     # ~total_bytes and blow through this cap.
     delta_bytes = (rep["after_kib"] - rep["before_kib"]) * 1024
     cap = 5 * rep["window"] + 48 * 1024 * 1024

@@ -1,11 +1,13 @@
-"""ResidentWindow: byte parsing, band load/store round trips, accounting,
-and the flush/close lifecycle."""
+"""ResidentWindow: byte parsing, band load/store round trips, row bands in
+place, the one column buffer, threaded column copies, accounting, and the
+flush/close lifecycle."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.parallel.executor import ParallelExecutor
 from repro.stream.window import (
     DEFAULT_WINDOW_BYTES,
     WINDOW_ENV,
@@ -63,6 +65,49 @@ class TestResidentWindow:
         np.testing.assert_array_equal(got[5:9], A[5:9][::-1])
         np.testing.assert_array_equal(got[:5], A[:5])
         np.testing.assert_array_equal(got[9:], A[9:])
+
+    def test_row_band_is_the_mapping_in_place(self, tmp_path):
+        A = np.arange(20 * 12, dtype=np.int64).reshape(20, 12)
+        path = _write(tmp_path, A)
+        with ResidentWindow(path, 20, 12, np.int64, window_bytes=4096) as w:
+            band = w.load_rows(5, 9)
+            assert np.shares_memory(band, w.view)
+            band[:] = band[::-1].copy()  # permute in the mapped pages
+            w.store_rows(5, 9, band)
+            assert w.bytes_read == w.bytes_written == 4 * 12 * 8
+            assert w.loads == w.stores == 1
+        got = np.fromfile(path, dtype=np.int64).reshape(20, 12)
+        np.testing.assert_array_equal(got[5:9], A[5:9][::-1])
+        np.testing.assert_array_equal(got[:5], A[:5])
+        np.testing.assert_array_equal(got[9:], A[9:])
+
+    def test_col_bands_reuse_one_buffer(self, tmp_path):
+        A = np.arange(32 * 24, dtype=np.float64).reshape(32, 24)
+        path = _write(tmp_path, A)
+        with ResidentWindow(path, 32, 24, np.float64, window_bytes=2048) as w:
+            first = w.load_cols(0, 8)
+            np.testing.assert_array_equal(first, A[:, 0:8])
+            second = w.load_cols(16, 22)
+            np.testing.assert_array_equal(second, A[:, 16:22])
+            assert second.ctypes.data == first.ctypes.data
+            assert not np.shares_memory(second, w.view)
+
+    @pytest.mark.parametrize("n_threads", [1, 2, 3])
+    def test_threaded_col_copies(self, tmp_path, n_threads):
+        A = np.arange(64 * 48, dtype=np.float32).reshape(64, 48)
+        path = _write(tmp_path, A)
+        with ParallelExecutor(n_threads) as ex:
+            with ResidentWindow(
+                path, 64, 48, np.float32, window_bytes=8192,
+                io_block_bytes=4096, executor=ex,
+            ) as w:
+                band = w.load_cols(10, 20)
+                np.testing.assert_array_equal(band, A[:, 10:20])
+                w.store_cols(10, 20, -band)
+        got = np.fromfile(path, dtype=np.float32).reshape(64, 48)
+        np.testing.assert_array_equal(got[:, 10:20], -A[:, 10:20])
+        np.testing.assert_array_equal(got[:, :10], A[:, :10])
+        np.testing.assert_array_equal(got[:, 20:], A[:, 20:])
 
     def test_col_band_round_trip_with_tiny_io_block(self, tmp_path):
         # A sub-row io block forces many strided sub-copies; the floor
