@@ -1271,6 +1271,18 @@ class _Parser:
                 return dst
 
             return run_copy, None
+        if name == "__builtin_prefetch":
+            # a cache hint: the arguments are evaluated, memory is not
+            # touched, so a prefetch never counts as a read or faults
+            if not 1 <= len(args) <= 3:
+                raise CParseError("__builtin_prefetch takes one to three arguments")
+
+            def run_prefetch(env, _a=args):
+                for a in _a:
+                    a(env)
+                return None
+
+            return run_prefetch, None
 
         def run_call(env, _n=name, _a=args):
             fn = it.functions.get(_n)

@@ -92,8 +92,10 @@ __all__ = [
 ]
 
 #: curated CI verification set: the bench-smoke shapes (incl. F-order and
-#: the non-square 500x1000), odd/prime and degenerate shapes, and small
-#: shapes covering every element width the codegen supports.
+#: the non-square 500x1000), odd/prime and degenerate shapes, small
+#: shapes covering every element width the codegen supports, and 48x100
+#: 16-byte, whose column shuffle runs full 32-column skew stripes (m > 32)
+#: under bands and chunks that start off the stripe grid.
 DEFAULT_CONFIGS: tuple[tuple[int, int, str, int], ...] = (
     (256, 384, "C", 8),
     (256, 384, "F", 8),
@@ -108,6 +110,7 @@ DEFAULT_CONFIGS: tuple[tuple[int, int, str, int], ...] = (
     (12, 18, "F", 2),
     (12, 96, "C", 16),
     (6, 4, "C", 4),
+    (48, 100, "C", 16),
 )
 
 #: largest operand range checked exhaustively for fastdiv exactness;

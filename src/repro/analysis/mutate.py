@@ -107,6 +107,23 @@ def _shorten_driver_extent(source: str) -> str | None:
     )
 
 
+def _shift_row_map(source: str) -> str | None:
+    """Add one inside the first ``MOD_`` of the row-permutation map, at
+    both places the cycle follower evaluates it: C2R's ``q`` becomes
+    ``q + 1 (mod m)``, R2C's ``q^{-1}`` moves its ``mod a`` digit by one."""
+    mo = re.search(r"nxt = MOD_[A-Z]\(", source)
+    if mo is None:
+        return None
+    end = source.index(";", mo.start())
+    close, depth = mo.end(), 1
+    while depth:  # the ``)`` that closes the first MOD_
+        depth += {"(": 1, ")": -1}.get(source[close], 0)
+        close += 1
+    expr = source[mo.start():end]
+    shifted = source[mo.start():close - 1] + " + 1" + source[close - 1:end]
+    return source.replace(expr + ";", shifted + ";")
+
+
 @dataclass(frozen=True)
 class FaultClass:
     """One injectable fault: a name, what it models, and the transform."""
@@ -208,10 +225,13 @@ FAULT_CLASSES: tuple[FaultClass, ...] = (
     ),
     FaultClass(
         "gather-stride-off-by-one",
-        "diagonal gather stride drops its +1 (reads a constant row)",
-        lambda src: (
-            _sub_first(r"p \+= w \+ 1;", "p += w;", src)
-            or _sub_first(r"p \+= A \* w \+ 1;", "p += A * w;", src)
+        "skew diagonal stride drops its one-column step (reads one column)",
+        lambda src: _sub_first(
+            r"#define DSTEP \((SKW \+ 1|1 - SKW)\)",
+            lambda mo: "#define DSTEP (SKW)"
+            if mo.group(1) == "SKW + 1"
+            else "#define DSTEP (-SKW)",
+            src,
         ),
     ),
     FaultClass(
@@ -245,11 +265,7 @@ FAULT_CLASSES: tuple[FaultClass, ...] = (
         "banded addressing drops the band-origin rebase (the full-width "
         "wrappers pass origin 0, so only the banded certificate sees it)",
         lambda src: (
-            _sub_first(
-                r"elem_t \*dst = V \+ i \* rs \+ \(j0 - c0\);",
-                "elem_t *dst = V + i * rs + j0;",
-                src,
-            )
+            _sub_first(r"X = V \+ \(lo - c0\);", "X = V + lo;", src)
             or _sub_first(
                 r"elem_t \*dst = V \+ i \* rs \+ \(g0 - gband\) \* B;",
                 "elem_t *dst = V + i * rs + g0 * B;",
@@ -260,6 +276,29 @@ FAULT_CLASSES: tuple[FaultClass, ...] = (
                 "rotate_group(V + g * B",
                 src,
             )
+        ),
+    ),
+    FaultClass(
+        "wrong-row-permutation",
+        "the static row map q (q^{-1} for R2C) is off by one row, in both "
+        "of its evaluations (still a permutation, so the cycles close)",
+        _shift_row_map,
+    ),
+    FaultClass(
+        "skipped-cycle-close",
+        "cycle following never writes the saved first row back at the "
+        "cycle's end",
+        lambda src: _sub_first(
+            r"\n    memcpy\(X \+ k \* rs, tmp, bytes\);", "", src
+        ),
+    ),
+    FaultClass(
+        "skew-offset-off-by-one",
+        "the skew reads each output row's diagonal one ring row late",
+        lambda src: _sub_first(
+            r"first = \(sg \* \(i \+ d\) \+ RBIAS\)",
+            "first = (sg * (i + d + 1) + RBIAS)",
+            src,
         ),
     ),
     FaultClass(

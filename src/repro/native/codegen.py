@@ -86,8 +86,8 @@ _ELEM_TYPES = {
     16: "repro_elem16_t",
 }
 
-#: scratch ceiling for the column-shuffle block (bytes); the block width
-#: shrinks for tall matrices so the temp tile stays cache-resident
+#: scratch ceiling for the narrow-group rotation's staged block (bytes);
+#: the block shrinks for tall matrices so it stays cache-resident
 _COL_BLOCK_SCRATCH = 1 << 19
 
 
@@ -430,97 +430,168 @@ int repro_pass_gather_cols(char *bufc, int64_t lo, int64_t hi) {{
 
 
 def _gather_rows_pass(dec: Decomposition, itemsize: int, *, algorithm: str) -> str:
-    """Column shuffle: each column gathers along axis 0 with ``s'``
-    (Eq. 26, C2R) or the fused ``q^{-1} . p^{-1}`` (Eqs. 34-35, R2C),
-    blocked over ``COLBLK`` columns.  Each block's column stripe is
-    staged into scratch with row-contiguous copies first, so the
-    diagonal gather runs against cache-resident scratch and the permuted
-    rows stream contiguously back to the array — both DRAM-facing loops
-    are sequential."""
-    colblk = max(1, min(64, _COL_BLOCK_SCRATCH // max(dec.m * itemsize, 1)))
+    """Column shuffle as the paper's two restricted operations (Section
+    4.2, Eqs. 32-35): a per-column rotation (the *skew*) and one static
+    row permutation that moves whole sub-rows.
+
+    C2R gathers column ``j`` with ``s'_j(i) = q(i) + j (mod m)``: rotate
+    column ``j`` up by ``j`` (Eq. 32), then gather rows with ``q(i) =
+    (i*n - i//a) mod m`` (Eq. 33).  R2C inverts it: gather rows with
+    ``q^{-1}`` (Eq. 34), then rotate column ``j`` down by ``j`` (Eq. 35).
+
+    The skew runs over stripes of ``SKW`` columns (512 bytes, at most 128
+    elements).  A stripe streams its row segments through a ``RING x SKW``
+    scratch ring, 16 output rows at a time, and builds each output row
+    from a diagonal of the ring; the segments 8 rows ahead are prefetched,
+    so both DRAM-facing streams are whole row segments.  The rows whose
+    rotation wraps are saved first.  A stripe is cut where its rotation
+    amount would pass ``m``; then every offset has one sign either on the
+    stripe or on its row-reversed view (``rs < 0``), and the side that
+    saves fewer rows (at most ``(m + SKW) / 2``) is taken.  The row
+    permutation follows the cycles of ``q`` (or ``q^{-1}``), computed on
+    the fly, over the chunk's whole sub-rows with one scratch sub-row and
+    a visited bitmap."""
+    skw = min(128, 512 // itemsize)
+    ring = 2 * skw
+    m = dec.m
+    saverows = max(1, min(m, (m + skw) // 2))
+    permute = "\n  repro_permute_rows(X, rs, hi - lo, tmp, seen);"
     if algorithm == "c2r":
-        # s'_j(i) = (j + i*n - i//a) mod m: for a fixed output row i the
-        # source row walks the diagonal src, src+1, ... (mod m).  Splitting
-        # the block row at the (at most one per m elements) wraparound
-        # leaves runs of constant address stride w+1 in the staged slab —
-        # branch-free, dependency-free loads the compiler can pipeline.
-        row_loop = """
-      int64_t s = MOD_M(i * N - DIV_A(i) + j0);
-      int64_t jj = 0;
-      while (jj < w) {
-        int64_t run = M - s;
-        const elem_t *p = stage + s * w + jj;
-        int64_t e;
-        if (run > w - jj) run = w - jj;
-        for (e = 0; e < run; ++e) {
-          dst[jj + e] = *p;
-          p += w + 1;
-        }
-        jj += run;
-        s = 0;
-      }"""
+        # out[x][t] = in[x + s + t]: the diagonal climbs one ring slot per
+        # column; sg = 1 when the stripe's shift is at most about M / 2
+        dstep, ring_slot, ring_run = "(SKW + 1)", "first + t", "RING - slot"
+        rising, near, far = "sg > 0", "1", "-1"
+        q_map = "MOD_M(k * N - DIV_A(k))"
+        perm_before, perm_after = "", permute
     else:
-        # Fused q^{-1} . p^{-1} (Eqs. 34-35): with x = (i - j) mod m the
-        # source row is v + s2a where v = ((c-1+x)//c * b^{-1}) mod a and
-        # s2a = ((c-1)*x mod c) * a.  Along a block row x decreases by 1,
-        # so s2a advances by +a (the source walks rows at fixed stride
-        # a*n + 1 in element space) until one of two period-c events
-        # fires: s2a wraps at m = c*a, or the quotient decrements and
-        # v -= b^{-1} (mod a).  Between events the loads are pure
-        # fixed-stride runs; events cost O(1) and recur every ~c elements.
+        # out[x][t] = in[x - s - t]: the diagonal descends the ring
+        dstep, ring_slot, ring_run = "(1 - SKW)", "first + RING - t", "slot + 1"
+        rising, near, far = "sg < 0", "-1", "1"
         c1 = dec.c - 1
         b_inv = mmi(dec.b, dec.a)
-        kadj = -(-dec.n // dec.m) * dec.m  # multiple of m >= n: keeps i-j+KADJ >= 0
-        row_loop = f"""
-      int64_t x0 = MOD_M(i - j0 + INT64_C({kadj}));
-      int64_t w0 = INT64_C({c1}) + x0;
-      int64_t qd = DIV_C(w0);
-      int64_t wr = w0 - qd * C;
-      int64_t v = MOD_A(qd * INT64_C({b_inv}));
-      int64_t s2a = MOD_C(INT64_C({c1}) * x0) * A;
-      int64_t jj = 0;
-      while (jj < w) {{
-        int64_t run = wr + 1;
-        int64_t run2 = DIV_A(M - s2a);  /* s2a is a multiple of a: exact */
-        const elem_t *p = stage + (v + s2a) * w + jj;
-        int64_t e;
-        if (run2 < run) run = run2;
-        if (w - jj < run) run = w - jj;
-        for (e = 0; e < run; ++e) {{
-          dst[jj + e] = *p;
-          p += A * w + 1;
-        }}
-        jj += run;
-        s2a += run * A;
-        if (s2a == M) s2a = 0;
-        wr -= run;
-        if (wr < 0) {{
-          wr += C;
-          v -= INT64_C({b_inv});
-          if (v < 0) v += A;
-        }}
-      }}"""
+        q_map = (
+            f"MOD_A(DIV_C(k + INT64_C({c1})) * INT64_C({b_inv})) + "
+            f"MOD_C(k * INT64_C({c1})) * A"
+        )
+        perm_before, perm_after = permute, ""
+    loads = "\n".join(f"    elem_t v{k} = p[{k} * DSTEP];" for k in range(8))
+    stores = "\n".join(f"    o[{k}] = v{k};" for k in range(8))
     return f"""
-#define COLBLK {colblk}
+#define SKW INT64_C({skw})
+#define RING INT64_C({ring})
+#define RMASK INT64_C({ring - 1})
+#define RBIAS INT64_C({ring * (-(-2 * m // ring))})
+#define SAVEROWS INT64_C({saverows})
+#define DSTEP {dstep}
+#define PFSTEP INT64_C({max(1, 64 // itemsize)})
+
+/* o[t] = p[t * DSTEP] for t < len: eight loads, then eight stores (a
+   plain strided loop is SLP-vectorised through the stack). */
+static void repro_diag(elem_t *o, const elem_t *p, int64_t len) {{
+  while (len >= 8) {{
+{loads}
+{stores}
+    o += 8;
+    p += 8 * DSTEP;
+    len -= 8;
+  }}
+  while (len > 0) {{
+    o[0] = p[0];
+    o += 1;
+    p += DSTEP;
+    len -= 1;
+  }}
+}}
+
+/* Skew w columns of the view at X (row stride rs, negative on the
+   row-reversed view): out[x][t] = in[(x + o_t) mod M] with o_t = d + t
+   when the offsets rise ({rising}), else d - t; every o_t >= 0, so the
+   outputs ascend and only rows [0, omax) wrap.  They are saved first;
+   virtual row v (v >= M reads saved row v - M) sits in ring slot
+   (sg * v + RBIAS) & RMASK. */
+static void repro_skew(elem_t *X, int64_t rs, int64_t w, int64_t d,
+                       int64_t sg, elem_t *ring, elem_t *save) {{
+  int64_t omax = ({rising}) ? d + w - 1 : d;
+  int64_t nv = omax - w + 1;
+  size_t bytes = (size_t)w * sizeof(elem_t);
+  int64_t i, x, xe, k, t, first, slot, run;
+  for (i = 0; i < omax; ++i)
+    memcpy(save + i * SKW, X + i * rs, bytes);
+  for (x = 0; x < M; x = xe) {{
+    xe = x + 16;
+    if (xe > M) xe = M;
+    for (; nv < xe + omax; ++nv) {{
+      const elem_t *src = (nv < M) ? X + nv * rs : save + (nv - M) * SKW;
+      if (nv + 8 < M)
+        for (k = 0; k < w; k += PFSTEP) __builtin_prefetch(X + (nv + 8) * rs + k, 0, 3);
+      memcpy(ring + ((sg * nv + RBIAS) & RMASK) * SKW, src, bytes);
+    }}
+    for (i = x; i < xe; ++i) {{
+      elem_t *o = X + i * rs;
+      if (i + 8 < M)
+        for (k = 0; k < w; k += PFSTEP) __builtin_prefetch(o + 8 * rs + k, 1, 3);
+      first = (sg * (i + d) + RBIAS) & RMASK;
+      for (t = 0; t < w; t += run) {{  /* at most two runs: the ring wraps once */
+        slot = ({ring_slot}) & RMASK;
+        run = {ring_run};
+        if (run > w - t) run = w - t;
+        repro_diag(o + t, ring + slot * SKW + t, run);
+      }}
+    }}
+  }}
+}}
+
+/* Gather whole sub-rows with the static row map (Eq. 33 / Eq. 34):
+   row i of X becomes old row Q(i), following each cycle once. */
+static void repro_permute_rows(elem_t *X, int64_t rs, int64_t wc,
+                               elem_t *tmp, uint64_t *seen) {{
+  int64_t i, k, nxt;
+  size_t bytes = (size_t)wc * sizeof(elem_t);
+  for (i = 0; i < (M + 63) / 64; ++i) seen[i] = 0;
+  for (i = 0; i < M; ++i) {{
+    if ((seen[i >> 6] >> (i & 63)) & 1) continue;
+    k = i;
+    nxt = {q_map};
+    if (nxt == i) continue;
+    memcpy(tmp, X + i * rs, bytes);
+    while (nxt != i) {{
+      memcpy(X + k * rs, X + nxt * rs, bytes);
+      seen[k >> 6] = seen[k >> 6] | ((uint64_t)1 << (k & 63));
+      k = nxt;
+      nxt = {q_map};
+    }}
+    memcpy(X + k * rs, tmp, bytes);
+    seen[k >> 6] = seen[k >> 6] | ((uint64_t)1 << (k & 63));
+  }}
+}}
 
 static int repro_gather_rows_impl(char *bufc, int64_t lo, int64_t hi,
                                   int64_t rs, int64_t c0) {{
   elem_t *V = (elem_t *) bufc;
-  elem_t *stage;
-  int64_t j0, i;
+  elem_t *X, *ring, *save, *tmp;
+  uint64_t *seen;
+  int64_t j0, w, s, sg;
   if (lo >= hi) return 0;
-  stage = (elem_t *) malloc((size_t)M * COLBLK * sizeof(elem_t));
-  if (stage == NULL) return 1;
-  for (j0 = lo; j0 < hi; j0 += COLBLK) {{
-    int64_t w = (j0 + COLBLK <= hi) ? COLBLK : (hi - j0);
-    for (i = 0; i < M; ++i)
-      memcpy(stage + i * w, V + i * rs + (j0 - c0), (size_t)w * sizeof(elem_t));
-    for (i = 0; i < M; ++i) {{
-      elem_t *dst = V + i * rs + (j0 - c0);
-{row_loop}
-    }}
-  }}
-  free(stage);
+  /* one block holds the ring, the saved rows and the scratch sub-row */
+  ring = (elem_t *) malloc((size_t)((RING + SAVEROWS) * SKW + (hi - lo)) * sizeof(elem_t));
+  if (ring == NULL) return 1;
+  seen = (uint64_t *) malloc((size_t)((M + 63) / 64) * sizeof(uint64_t));
+  if (seen == NULL) {{ free(ring); return 1; }}
+  save = ring + RING * SKW;
+  tmp = save + SAVEROWS * SKW;
+  X = V + (lo - c0);{perm_before}
+  for (j0 = lo; j0 < hi; j0 += w) {{
+    elem_t *Xs = X + (j0 - lo);
+    s = MOD_M(j0);
+    w = hi - j0;
+    if (w > SKW) w = SKW;
+    if (w > M - s) w = M - s;  /* the rotation amount stays below M */
+    sg = (s + w - 1 <= M - s) ? {near} : {far};
+    repro_skew(sg > 0 ? Xs : Xs + (M - 1) * rs, sg * rs, w,
+               ({rising}) ? s : M - s, sg, ring, save);
+  }}{perm_after}
+  free(seen);
+  free(ring);
   return 0;
 }}
 

@@ -7,7 +7,9 @@ Compilation itself has two interchangeable toolchains, selected by
 ``REPRO_NATIVE_TOOLCHAIN``:
 
 ``cc`` (default when a compiler binary is found)
-    One ``cc -shared -O3 -fPIC`` invocation; the artifact is loaded with
+    One ``cc -shared -O2 -fsplit-loops -fvect-cost-model=dynamic -fPIC``
+    invocation (retried at plain ``-O2``, and remembered, if the compiler
+    fails on the two GCC passes); the artifact is loaded with
     :mod:`ctypes`.
 ``cffi``
     ``cffi.FFI().set_source(...).compile()`` drives the same system
@@ -55,10 +57,21 @@ __all__ = [
 #: probe order when $CC is unset
 _DEFAULT_COMPILERS = ("cc", "gcc", "clang")
 
-_CFLAGS = ("-shared", "-O3", "-fPIC", "-fno-strict-aliasing")
+#: optimisation flags for both toolchains.  -O2 compiles a generated unit
+#: in about two thirds of -O3's time, but plain -O2 ran C2R's row shuffle
+#: (its table gathers) 10-40% slower; with these two of -O3's passes the
+#: passes of ``benchmarks/bench_orientation.py``'s shapes match -O3 but one
+#: (``benchmarks/bench_cflags.py``).  -fpeel-loops mends that one (the
+#: coprime row shuffle) but runs 4096x6000 u8's row shuffle 40% slower.
+_OPT_FLAGS = ("-O2", "-fsplit-loops", "-fvect-cost-model=dynamic")
+#: what a compiler that fails on the GCC passes is retried with
+_PLAIN_OPT = ("-O2",)
 
 _lock = threading.Lock()
 _which_cache: dict[tuple[str | None, str | None], str | None] = {}
+#: (toolchain, compiler) pairs that failed with _OPT_FLAGS and then
+#: compiled at _PLAIN_OPT; they get _PLAIN_OPT from the start
+_plain_opt: set[tuple[str, str]] = set()
 _workdir: str | None = None
 
 
@@ -159,7 +172,31 @@ def _artifact_path(source: str) -> str:
     return os.path.join(workdir(), f"repro_native_{digest}.so")
 
 
+def _compile_at_opt(key: tuple[str, str], compile_at) -> None:
+    """Run ``compile_at(flags)`` with :data:`_OPT_FLAGS`.  A compiler that
+    fails there is retried once at :data:`_PLAIN_OPT`, and remembered when
+    that works: the GCC passes are unknown to some compilers, so the
+    choice follows what the compiler did, not what it is called."""
+    with _lock:
+        plain = key in _plain_opt
+    if plain:
+        compile_at(_PLAIN_OPT)
+        return
+    try:
+        compile_at(_OPT_FLAGS)
+    except CompileError:
+        compile_at(_PLAIN_OPT)  # a fault in the source fails here too
+        with _lock:
+            _plain_opt.add(key)
+
+
 def _compile_cc(source: str, out_path: str, cc: str) -> None:
+    _compile_at_opt(
+        ("cc", cc), lambda flags: _compile_cc_at(source, out_path, cc, flags)
+    )
+
+
+def _compile_cc_at(source: str, out_path: str, cc: str, flags) -> None:
     dirpath = os.path.dirname(out_path)
     fd, c_path = tempfile.mkstemp(suffix=".c", dir=dirpath)
     try:
@@ -169,7 +206,8 @@ def _compile_cc(source: str, out_path: str, cc: str) -> None:
         os.close(fd2)
         try:
             proc = subprocess.run(
-                [cc, *_CFLAGS, c_path, "-o", tmp_so],
+                [cc, "-shared", *flags, "-fPIC", "-fno-strict-aliasing",
+                 c_path, "-o", tmp_so],
                 capture_output=True,
                 text=True,
                 timeout=120,
@@ -192,7 +230,13 @@ def _compile_cc(source: str, out_path: str, cc: str) -> None:
             pass
 
 
-def _compile_cffi(source: str, out_path: str) -> None:
+def _compile_cffi(source: str, out_path: str, cc: str) -> None:
+    _compile_at_opt(
+        ("cffi", cc), lambda flags: _compile_cffi_at(source, out_path, flags)
+    )
+
+
+def _compile_cffi_at(source: str, out_path: str, flags) -> None:
     import cffi
 
     dirpath = os.path.dirname(out_path)
@@ -202,7 +246,7 @@ def _compile_cffi(source: str, out_path: str) -> None:
         ffi.set_source(
             "_repro_native_cffi",
             source,
-            extra_compile_args=["-O3", "-fno-strict-aliasing"],
+            extra_compile_args=[*flags, "-fno-strict-aliasing"],
         )
         try:
             lib_path = ffi.compile(tmpdir=build_dir)
@@ -227,7 +271,7 @@ def compile_spec(spec: KernelSpec) -> "NativeKernel":
         cc = find_compiler()
         assert cc is not None
         if tc == "cffi":
-            _compile_cffi(spec.source, path)
+            _compile_cffi(spec.source, path, cc)
         else:
             _compile_cc(spec.source, path, cc)
     return NativeKernel(spec, path)

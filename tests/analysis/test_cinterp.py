@@ -309,3 +309,26 @@ class TestBuffersAndFootprints:
         with pytest.raises(CInterpError) as ei:
             it.call("f")
         assert ei.value.kind == "link"
+
+    def test_prefetch_is_a_no_op(self):
+        # a cache hint touches no memory: no read footprint, no fault even
+        # for an address past the buffer's end, and its arguments still run
+        it = interp(
+            """\
+            int64_t f(char *buf, int64_t i) {
+              int64_t *V = (int64_t *) buf;
+              int64_t k = 0;
+              __builtin_prefetch(V + i + 64, 0, 3);
+              __builtin_prefetch(V + (k = 3), 1, 3);
+              __builtin_prefetch(V);
+              V[0] = V[1];
+              return k;
+            }
+            """
+        )
+        buf = it.new_buffer(4)
+        assert it.call("f", buf, 2) == 3
+        assert it.reads == {1}
+        assert it.writes == {0}
+        with pytest.raises(CParseError):
+            interp("int64_t g(char *b) { __builtin_prefetch(); return 0; }\n")

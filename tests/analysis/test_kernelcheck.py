@@ -192,3 +192,30 @@ class TestVerifyNative:
         assert any(order == "F" for _, _, order, _ in DEFAULT_CONFIGS)
         sizes = {i for _, _, _, i in DEFAULT_CONFIGS}
         assert {1, 2, 4, 8, 16} <= sizes
+
+    @pytest.mark.parametrize("algorithm", ["c2r", "r2c"])
+    def test_column_shuffle_certified_off_the_stripe_grid(self, algorithm):
+        # 16-byte elements skew in 32-column stripes; m > 32 on both sides,
+        # so whole stripes run, and the banded certificate's bands (c0 > 0)
+        # and chunks start at columns that are not multiples of 32
+        from repro.core.indexing import Decomposition
+        from repro.parallel.partition import balanced_chunks
+
+        assert (48, 100, "C", 16) in DEFAULT_CONFIGS
+        rep = verify_kernel(48, 100, algorithm=algorithm, itemsize=16,
+                            thread_counts=(2, 3))
+        assert rep.ok, [c.as_dict() for c in rep.failures]
+        col = next(p for p in rep.passes if "column_shuffle" in p)
+        names = {c.name for c in rep.checks}
+        idx = rep.passes.index(col)
+        assert {f"pass{idx}-{col}-banded", f"pass{idx}-{col}-chunks-t3"} <= names
+        dec = (Decomposition.of(48, 100) if algorithm == "c2r"
+               else Decomposition.of(100, 48))
+        assert dec.m > 32
+        starts = {
+            b.start + ch.start
+            for b in balanced_chunks(dec.n, 3)
+            for ch in balanced_chunks(b.stop - b.start, 2)
+        }
+        assert any(s % 32 for s in starts)
+        assert any(b.start > 0 for b in balanced_chunks(dec.n, 3))

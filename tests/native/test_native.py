@@ -20,7 +20,9 @@ import pytest
 
 from repro import native
 from repro.core.batched import batched_transpose_inplace
+from repro.core.c2r import c2r_transpose
 from repro.core.plan import TransposePlan
+from repro.core.r2c import r2c_transpose
 from repro.core.transpose import transpose_inplace
 from repro.native.kernel import NativeKernel, NativeScratchError
 from repro.parallel import ParallelTranspose
@@ -147,6 +149,163 @@ class TestDifferential:
             np.testing.assert_array_equal(nat, expected)
         # the native chunks actually engaged (one kernel per algorithm)
         assert _counters().get("native.compile", 0) == 2
+
+
+# ---------------------------------------------------------------------------
+# the column shuffle: a column skew plus one static row permutation
+# ---------------------------------------------------------------------------
+
+
+def _restricted(proto: np.ndarray, m: int, n: int, alg: str) -> np.ndarray:
+    """The numpy restricted formulation (Eqs. 32-35) of ``alg`` on the
+    row-major ``m x n`` view."""
+    fn = c2r_transpose if alg == "c2r" else r2c_transpose
+    return fn(proto.copy(), m, n, variant="restricted")
+
+
+def _distinct(m: int, n: int, dtype) -> np.ndarray:
+    """``m * n`` elements of ``dtype``, pairwise distinct where the width
+    allows and pseudo-random bytes where it does not."""
+    dt = np.dtype(dtype)
+    if dt.itemsize >= 4:
+        return np.arange(m * n).astype(dt)
+    rng = np.random.default_rng(m * 7919 + n)
+    return rng.integers(0, 1 << (8 * dt.itemsize), m * n).astype(dt)
+
+
+def _run_chunked(kernel, addr: int, threads: int) -> None:
+    """Every pass over the schedule's ``threads`` column/row chunks."""
+    from repro.parallel.partition import balanced_chunks
+
+    for i, p in enumerate(kernel.passes):
+        for ch in balanced_chunks(p.extent, threads):
+            kernel.run_pass(i, addr, ch.start, ch.stop)
+
+
+@requires_toolchain
+class TestColumnShuffle:
+    """The compiled column shuffle streams each stripe of columns through
+    a ring (the skew, Eq. 32/35) and permutes whole sub-rows by cycle
+    following (Eq. 33/34); it must equal the restricted numpy form byte
+    for byte, whatever the stripe, chunk and band geometry."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    @pytest.mark.parametrize(
+        "m,n,dtype",
+        [
+            (7, 13, np.float64),  # m below the stripe width, c = 1
+            (1, 300, np.float32),  # one row
+            (300, 1, np.float32),  # one column
+            (130, 257, np.uint8),  # c = 1, stripes of 128 one-byte columns
+            (96, 300, np.uint16),
+            (200, 700, np.float32),  # m above the stripe width
+            (150, 1000, np.float64),
+            (300, 96, np.complex128),  # itemsize 16
+            (1536, 1024, np.float32),  # 4 KiB row pitch
+        ],
+    )
+    def test_byte_identical_to_restricted(self, m, n, dtype, alg, threads):
+        from repro.core.indexing import Decomposition
+        from repro.native.codegen import generate_source
+        from repro.native.kernel import compile_spec
+
+        proto = _distinct(m, n, dtype)
+        kernel = compile_spec(
+            generate_source(Decomposition.of(m, n), alg, proto.itemsize)
+        )
+        buf = proto.copy()
+        _run_chunked(kernel, buf.ctypes.data, threads)
+        ref = _restricted(proto, m, n, alg)
+        assert buf.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    @pytest.mark.parametrize(
+        "m,n,dtype,bands",
+        [
+            (200, 1000, np.float32, 3),  # 334/333/333: no band a stripe multiple
+            (150, 700, np.uint8, 4),
+            (40, 500, np.complex128, 3),
+        ],
+    )
+    def test_bands_off_the_stripe_grid(self, m, n, dtype, bands, alg):
+        from repro.core.indexing import Decomposition
+        from repro.native.codegen import generate_source
+        from repro.native.kernel import compile_spec
+        from repro.parallel.partition import balanced_chunks
+
+        dec = Decomposition.of(m, n)
+        proto = _distinct(m, n, dtype)
+        kernel = compile_spec(generate_source(dec, alg, proto.itemsize))
+        V = proto.copy().reshape(m, n)
+        for i, p in enumerate(kernel.passes):
+            if not kernel.has_banded(i):
+                kernel.run_pass(i, V.ctypes.data, 0, p.extent)
+                continue
+            unit = dec.b if p.axis == "groups" else 1
+            for bnd in balanced_chunks(p.extent, min(bands, p.extent)):
+                c0, c1 = bnd.start * unit, bnd.stop * unit
+                B = np.ascontiguousarray(V[:, c0:c1])
+                for ch in balanced_chunks(bnd.stop - bnd.start, 2):
+                    kernel.run_pass_banded(
+                        i, B.ctypes.data, bnd.start + ch.start,
+                        bnd.start + ch.stop, B.shape[1], bnd.start,
+                    )
+                V[:, c0:c1] = B
+        assert V.tobytes() == _restricted(proto, m, n, alg).tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_threaded_transposer_matches_restricted(self, alg, threads):
+        m, n = 1536, 1024  # 4 KiB row pitch, native-sized
+        proto = np.arange(m * n, dtype=np.float32)
+        buf = proto.copy()
+        with ParallelTranspose(threads) as pt:
+            getattr(pt, alg)(buf, m, n)
+        assert buf.tobytes() == _restricted(proto, m, n, alg).tobytes()
+        assert _counters().get("native.compile", 0) == 1
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_failed_allocation_returns_1_untouched(self, alg, tmp_path, monkeypatch):
+        """Either of the pass's two scratch allocations may fail; the pass
+        must return 1 with every byte of the matrix as it was."""
+        import ctypes
+        import dataclasses
+
+        from repro.core.indexing import Decomposition
+        from repro.native.codegen import generate_source
+        from repro.native.kernel import compile_spec
+
+        monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path))
+        m, n = 200, 300
+        spec = generate_source(Decomposition.of(m, n), alg, 4)
+        shim = (
+            "#include <string.h>\n"
+            "int repro_test_mallocs = -1;\n"
+            "static void *repro_test_malloc(size_t n) {\n"
+            "  if (repro_test_mallocs == 0) return NULL;\n"
+            "  if (repro_test_mallocs > 0) --repro_test_mallocs;\n"
+            "  return malloc(n);\n"
+            "}\n"
+            "#define malloc(n) repro_test_malloc(n)\n"
+        )
+        source = spec.source.replace("#include <string.h>\n", shim, 1)
+        assert source != spec.source
+        kernel = compile_spec(dataclasses.replace(spec, source=source))
+        budget = ctypes.c_int.in_dll(kernel._lib, "repro_test_mallocs")
+        idx = next(
+            i for i, p in enumerate(kernel.passes) if p.kind == "gather_rows"
+        )
+        proto = np.arange(m * n, dtype=np.float32)
+        for granted in range(2):
+            budget.value = granted
+            buf = proto.copy()
+            assert kernel._pass_fns[idx](buf.ctypes.data, 0, n) == 1, granted
+            assert buf.tobytes() == proto.tobytes(), granted
+        budget.value = -1
+        buf = proto.copy()
+        assert kernel._pass_fns[idx](buf.ctypes.data, 0, n) == 0
+        assert buf.tobytes() != proto.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +733,76 @@ class TestSanitizedNative:
         with pytest.raises(SanitizerError) as exc:
             plan.execute(np.arange(k * m * n, dtype=np.int64))
         assert exc.value.kind == "out-of-bounds read"
+
+
+# ---------------------------------------------------------------------------
+# optimisation flags
+# ---------------------------------------------------------------------------
+
+
+def _toolchains() -> list:
+    out = ["cc"]
+    try:
+        import cffi  # noqa: F401
+    except ImportError:
+        pass
+    else:
+        out.append("cffi")
+    return out
+
+
+@requires_toolchain
+class TestCompileFlags:
+    @pytest.mark.parametrize("toolchain", _toolchains())
+    def test_compiler_rejecting_gcc_passes_gets_plain_o2(
+        self, toolchain, tmp_path, monkeypatch
+    ):
+        """A compiler that fails on ``-fsplit-loops`` is retried at plain
+        ``-O2``, once: the next unit goes straight to plain ``-O2``."""
+        import stat
+
+        from repro.core.indexing import Decomposition
+        from repro.native import kernel as K
+        from repro.native.codegen import generate_source
+
+        real = K.find_compiler()
+        log = tmp_path / "calls.log"
+        fake = tmp_path / "fakecc"
+        fake.write_text(
+            "#!/bin/sh\n"
+            f'echo "$*" >> "{log}"\n'
+            'for a in "$@"; do\n'
+            '  if [ "$a" = -fsplit-loops ]; then\n'
+            '    echo "fakecc: unknown argument: $a" >&2; exit 1\n'
+            "  fi\n"
+            "done\n"
+            f'exec "{real}" "$@"\n'
+        )
+        fake.chmod(fake.stat().st_mode | stat.S_IXUSR)
+        monkeypatch.setenv("CC", str(fake))
+        monkeypatch.setenv("REPRO_NATIVE_TOOLCHAIN", toolchain)
+        monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path / "so"))
+        monkeypatch.setattr(K, "_plain_opt", set())
+
+        def o2_calls() -> tuple[int, int]:
+            lines = log.read_text().splitlines() if log.exists() else []
+            rejected = sum("-fsplit-loops" in ln for ln in lines)
+            plain = sum(
+                " -O2 " in f" {ln} " and "-fsplit-loops" not in ln
+                for ln in lines
+            )
+            return rejected, plain
+
+        for k, (m, n) in enumerate([(12, 18), (14, 21)]):
+            spec = generate_source(Decomposition.of(m, n), "c2r", 8)
+            kern = K.compile_spec(spec)
+            proto = np.arange(m * n, dtype=np.float64)
+            buf = proto.copy()
+            for i, p in enumerate(kern.passes):
+                kern.run_pass(i, buf.ctypes.data, 0, p.extent)
+            assert buf.tobytes() == _restricted(proto, m, n, "c2r").tobytes()
+            assert o2_calls() == (1, k + 1), log.read_text()
+        assert K._plain_opt == {(toolchain, str(fake))}
 
 
 # ---------------------------------------------------------------------------
