@@ -16,6 +16,8 @@ check                      what it proves
 ``rowshuffle-bijective``   Theorem 3: ``d'_i`` permutes ``[0, n)`` per row
 ``colshuffle-bijective``   Theorem 5: ``s'_j`` permutes ``[0, m)`` per column
 ``permute-q-bijective``    Eq. 33's static row permutation is a bijection
+``copy-rows-*``            the row maps of the streamed band copies
+                           (rotation by one row, ``q``) are bijections
 ``rotation-split``         Eq. 32-33: ``s'_j(i) == q(p_j(i))`` (gather form)
 ``dprime-inversion``       Eq. 31 gather exactly inverts the Eq. 24 scatter
 ``q-inversion``            Eq. 34 gather exactly inverts Eq. 33
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from time import perf_counter
 
 import numpy as np
@@ -54,6 +57,7 @@ __all__ = [
     "LatticeReport",
     "transposition_source_map",
     "composed_source_map",
+    "copy_row_map_check",
     "verify_shape",
     "verify_lattice",
 ]
@@ -404,6 +408,34 @@ def _check_fastdiv(dec: Decomposition) -> list[Check]:
               "" if not bad else f"divisor/operand failures: {bad[:3]}")
     )
     return checks
+
+
+@lru_cache(maxsize=256)
+def copy_row_map_check(dec: Decomposition, row_map: str) -> Check:
+    """Certify the per-column row map a band copy addresses the band
+    buffer through (``repro.analysis.racecheck.COPY_ROW_MAPS``) as a
+    bijection of ``[0, m)``, for the race proof of the streamed copies.
+
+    ``rotate`` and ``skew`` move column group ``g`` (column ``j``) by ``g
+    mod m`` (``j mod m``) rows: every such map is a power of the rotation
+    by one row, so that rotation being a bijection certifies them all.
+    ``q`` is Eq. 33's static row permutation (a load scattering by ``q``
+    gathers by ``q^{-1}``, Eq. 34)."""
+    m = dec.m
+    i = np.arange(m, dtype=np.int64)
+    if row_map == "identity":
+        image = i
+    elif row_map in ("rotate", "skew"):
+        image = (i + 1) % m
+    elif row_map == "q":
+        image = eq.permute_q_v(dec, i)
+    else:
+        return Check(f"copy-rows-{row_map}", False, f"unknown row map {row_map!r}")
+    ok = bool(np.array_equal(np.sort(image), i))
+    return Check(
+        f"copy-rows-{row_map}", ok,
+        "" if ok else f"the {row_map} row map does not permute [0, {m})",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -37,14 +37,20 @@ that the C does what the algebra says:
     write set, reads only inside each chunk's own rectangle, and composes
     to the same permutation — the property that lets a compiled kernel
     inherit the PR-2 racecheck guarantee.
-``pass*-banded``
-    For the column-facing passes, re-running the pass through its
-    band-rebased entry point (``repro_pass_<k>_banded``) against buffers
-    holding *only* each band's columns — chunked within each band, exactly
-    the geometry the out-of-core ``BandedExecutor`` drives — composes to
-    the same permutation.  The band buffers are allocated at exactly the
-    band's size, so any addressing that escapes the rebased stride faults
-    as an out-of-bounds access rather than silently landing elsewhere.
+``pass*-load`` / ``pass*-store``
+    For the column-facing passes, the band copies the out-of-core
+    ``BandedExecutor`` runs (``repro_pass_<k>_load`` / ``_store``): each
+    band of a three-band split is loaded from the matrix into a buffer
+    holding only that band and stored back, in mapped-row blocks split as
+    two workers split them.  A load must read only its own mapped rows of
+    the band's columns, write nothing in the matrix, and write band-buffer
+    elements no earlier block wrote, each holding an element of its own
+    rows; a store must read nothing in the matrix and write exactly its
+    own mapped rows of the band's columns, disjoint from every other
+    block.  The load buffers start undefined and are sized to the band
+    (the ring to :func:`~repro.native.codegen.ring_elems`), so a skipped
+    element reads as undefined and any escaping address faults, and the
+    stored bands compose to the pass's permutation.
 ``plan-composition`` / ``algebra-equivalence``
     ``repro_run`` equals the composition of the verified passes, and that
     composition equals the closed-form transposition map
@@ -73,10 +79,12 @@ import numpy as np
 from ..core.indexing import Decomposition
 from ..core.plan import TransposePlan
 from ..native.codegen import (
-    banded_pass_symbol,
+    COPY_PHASES,
+    copy_symbol,
     generate_source,
     ineligible_reason,
     pass_symbol,
+    ring_elems,
 )
 from ..parallel.partition import balanced_chunks
 from ..strength.magic import compute_magic
@@ -93,9 +101,11 @@ __all__ = [
 
 #: curated CI verification set: the bench-smoke shapes (incl. F-order and
 #: the non-square 500x1000), odd/prime and degenerate shapes, small
-#: shapes covering every element width the codegen supports, and 48x100
+#: shapes covering every element width the codegen supports, 48x100
 #: 16-byte, whose column shuffle runs full 32-column skew stripes (m > 32)
-#: under bands and chunks that start off the stripe grid.
+#: under bands and chunks that start off the stripe grid, and the coprime
+#: 40x57, whose C2R row shuffle takes the c = 1 form on rows longer than
+#: a skew stripe.
 DEFAULT_CONFIGS: tuple[tuple[int, int, str, int], ...] = (
     (256, 384, "C", 8),
     (256, 384, "F", 8),
@@ -111,6 +121,7 @@ DEFAULT_CONFIGS: tuple[tuple[int, int, str, int], ...] = (
     (12, 96, "C", 16),
     (6, 4, "C", 4),
     (48, 100, "C", 16),
+    (40, 57, "C", 4),
 )
 
 #: largest operand range checked exhaustively for fastdiv exactness;
@@ -378,6 +389,123 @@ def _seeded_buffer(interp: CInterp, state: np.ndarray):
     return buf
 
 
+def _copy_blocks(m: int) -> list[tuple[int, int]]:
+    """Mapped-row blocks as two workers walk them: each worker's share of
+    the rows, split in two."""
+    out = []
+    for share in balanced_chunks(m, 2):
+        for blk in balanced_chunks(share.stop - share.start, 2):
+            out.append((share.start + blk.start, share.start + blk.stop))
+    return out
+
+
+def _outside(elems: set[int], r0: int, r1: int, c0: int, c1: int, n: int):
+    """The first element of ``elems`` outside rows ``[r0, r1)`` x columns
+    ``[c0, c1)`` of a row-major matrix with ``n`` columns, or ``None``."""
+    if not elems:
+        return None
+    arr = np.fromiter(elems, dtype=np.int64, count=len(elems))
+    rows, cols = arr // n, arr % n
+    bad = arr[(rows < r0) | (rows >= r1) | (cols < c0) | (cols >= c1)]
+    return int(bad.min()) if bad.size else None
+
+
+def _check_copies(interp, pinfo, dec, state, expected, checks, tag) -> bool:
+    """The ``load`` and ``store`` certificates of one column-facing pass;
+    returns True when either failed."""
+    m, n = dec.m, dec.n
+    unit = dec.b if pinfo.axis == "groups" else 1
+    blocks = _copy_blocks(m)
+    nring = ring_elems(interp.itemsize)
+    work = state.copy().reshape(m, n)
+    fails = {"load": None, "store": None}
+    for bnd in balanced_chunks(pinfo.extent, min(3, pinfo.extent)):
+        c0, c1 = bnd.start * unit, bnd.stop * unit
+        width = c1 - c0
+        where = f"band [{bnd.start}, {bnd.stop})"
+        # token -> mapped row, for the provenance of loaded elements
+        row_of = np.empty(m * n, dtype=np.int64)
+        row_of[work.ravel()] = np.arange(m * n) // n
+        mapped = _seeded_buffer(interp, work.ravel())
+        band = interp.new_buffer(m * width, init="undef", track=False, tag="band")
+        ring = interp.new_buffer(nring, init="undef", track=False, tag="ring")
+        cells = band.obj.cells
+        for phase in COPY_PHASES:
+            sym = copy_symbol(pinfo.kind, phase)
+            written: set[int] = set()
+            for r0, r1 in blocks:
+                what = f"{where} rows [{r0}, {r1})"
+                before = dict(cells)
+                try:
+                    rc = interp.call(sym, mapped, band, bnd.start, bnd.stop, r0, r1, ring)
+                except CInterpError as exc:
+                    fails[phase] = f"{what}: {exc}"
+                    break
+                if rc != 0:
+                    fails[phase] = f"{what} returned {rc}"
+                    break
+                if phase == "load":
+                    e = _outside(interp.reads, r0, r1, c0, c1, n)
+                    if interp.writes:
+                        fails[phase] = f"{what} writes the matrix at {min(interp.writes)}"
+                    elif e is not None:
+                        fails[phase] = (
+                            f"{what} reads element {e} (row {e // n}, col "
+                            f"{e % n}) outside its own mapped rows"
+                        )
+                    else:
+                        for k, v in cells.items():
+                            if k in before:
+                                if before[k] != v:
+                                    fails[phase] = f"{what} rewrites band element {k}"
+                                    break
+                            elif not r0 <= row_of[v] < r1:
+                                fails[phase] = (
+                                    f"{what} loads band element {k} from "
+                                    f"mapped row {int(row_of[v])}"
+                                )
+                                break
+                else:
+                    e = _outside(interp.writes, r0, r1, c0, c1, n)
+                    if interp.reads:
+                        fails[phase] = f"{what} reads the matrix at {min(interp.reads)}"
+                    elif e is not None:
+                        fails[phase] = (
+                            f"{what} writes element {e} (row {e // n}, col "
+                            f"{e % n}) outside its own mapped rows"
+                        )
+                    elif interp.writes & written:
+                        fails[phase] = f"{what} rewrites element {min(interp.writes & written)}"
+                    written |= interp.writes
+                if fails[phase]:
+                    break
+            if fails[phase]:
+                break
+            if phase == "load" and len(cells) != m * width:
+                fails[phase] = f"{where}: load leaves {m * width - len(cells)} band elements unwritten"
+                break
+            if phase == "store" and len(written) != m * width:
+                fails[phase] = f"{where}: store writes {len(written)} of {m * width} elements"
+                break
+        if any(fails.values()):
+            break
+        got = np.asarray(mapped.values(), dtype=np.int64).reshape(m, n)
+        work[:, c0:c1] = got[:, c0:c1]
+    if not any(fails.values()):
+        bad = np.nonzero(work.ravel() != expected)[0]
+        if bad.size:
+            e = int(bad[0])
+            fails["store"] = (
+                f"loaded and stored bands diverge at element {e}: "
+                f"{int(work.ravel()[e])} != {int(expected[e])}"
+            )
+    for phase in COPY_PHASES:
+        checks.append(Check(f"{tag}-{phase}", fails[phase] is None, fails[phase] or ""))
+        if fails[phase]:
+            return True
+    return False
+
+
 def verify_kernel(
     m: int,
     n: int,
@@ -426,9 +554,10 @@ def verify_kernel(
         for p in spec.passes:
             needed.add(pass_symbol(p.kind))
             needed.add(pass_symbol(p.kind) + "_batch")
-            bsym = banded_pass_symbol(p.kind)
-            if bsym is not None:
-                needed.add(bsym)
+            for phase in COPY_PHASES:
+                csym = copy_symbol(p.kind, phase)
+                if csym is not None:
+                    needed.add(csym)
         missing = sorted(needed - interp.functions.keys())
         checks.append(
             Check(
@@ -574,54 +703,9 @@ def verify_kernel(
                 if fail is not None:
                     return report
 
-            # banded entry point: the pass applied band-by-band to buffers
-            # holding only each band's columns (the BandedExecutor geometry);
-            # buffers are sized to the band, so a rebase bug faults oob.
-            bsym = banded_pass_symbol(pinfo.kind)
-            if bsym is not None:
-                unit = dec.b if pinfo.axis == "groups" else 1
-                fail = None
-                work = state.copy().reshape(dec.m, dec.n)
-                for bnd in balanced_chunks(
-                    pinfo.extent, min(3, pinfo.extent)
-                ):
-                    width = (bnd.stop - bnd.start) * unit
-                    c0 = bnd.start * unit
-                    band_state = work[:, c0:c0 + width].ravel()  # repro-lint: allow(implicit-copy) band seed for the interpreter, not a hot path
-                    buf = _seeded_buffer(interp, band_state)
-                    for ch in balanced_chunks(bnd.stop - bnd.start, 2):
-                        try:
-                            rc = interp.call(
-                                bsym, buf,
-                                bnd.start + ch.start, bnd.start + ch.stop,
-                                width, bnd.start,
-                            )
-                        except CInterpError as exc:
-                            fail = (
-                                f"band [{bnd.start}, {bnd.stop}) chunk "
-                                f"[{ch.start}, {ch.stop}): {exc}"
-                            )
-                            break
-                        if rc != 0:
-                            fail = (
-                                f"band [{bnd.start}, {bnd.stop}) "
-                                f"returned {rc}"
-                            )
-                            break
-                    if fail is not None:
-                        break
-                    got = np.asarray(buf.values(), dtype=np.int64)
-                    work[:, c0:c0 + width] = got.reshape(dec.m, width)
-                if fail is None:
-                    bad = np.nonzero(work.ravel() != expected)[0]
-                    if bad.size:
-                        e = int(bad[0])
-                        fail = (
-                            f"banded composition diverges at element {e}: "
-                            f"{int(work.ravel()[e])} != {int(expected[e])}"
-                        )
-                checks.append(Check(f"{tag}-banded", fail is None, fail or ""))
-                if fail is not None:
+            if copy_symbol(pinfo.kind, "load") is not None:
+                fail = _check_copies(interp, pinfo, dec, state, expected, checks, tag)
+                if fail:
                     return report
             state = expected
 

@@ -261,21 +261,38 @@ FAULT_CLASSES: tuple[FaultClass, ...] = (
         ),
     ),
     FaultClass(
-        "band-origin-ignored",
-        "banded addressing drops the band-origin rebase (the full-width "
-        "wrappers pass origin 0, so only the banded certificate sees it)",
-        lambda src: (
-            _sub_first(r"X = V \+ \(lo - c0\);", "X = V + lo;", src)
-            or _sub_first(
-                r"elem_t \*dst = V \+ i \* rs \+ \(g0 - gband\) \* B;",
-                "elem_t *dst = V + i * rs + g0 * B;",
-                src,
-            )
-            or _sub_first(
-                r"rotate_group\(V \+ \(g - gband\) \* B",
-                "rotate_group(V + g * B",
-                src,
-            )
+        "copy-row-block-ignored",
+        "a band copy drives every mapped row, not only its own row block "
+        "(each block still lands the right values; only the copy "
+        "certificates' footprint checks see it)",
+        lambda src: _sub_first(
+            r"for \(i = r0; i < r1; \+\+i\)",
+            "for (i = 0; i < M; ++i)",
+            src,
+        ),
+    ),
+    FaultClass(
+        "copy-band-rebase-dropped",
+        "a skewing band copy addresses band column j at j, not j - lo",
+        lambda src: src.replace("W + (j0 - lo) * U", "W + j0 * U")
+        if "W + (j0 - lo) * U" in src else None,
+    ),
+    FaultClass(
+        "copy-row-permutation-off-by-one",
+        "a permuting band copy moves sub-rows by q + 1 (mod m), not q",
+        lambda src: _sub_first(
+            r"perm \? MOD_M\(i \* N - DIV_A\(i\)\)",
+            "perm ? MOD_M(i * N - DIV_A(i) + 1)",
+            src,
+        ),
+    ),
+    FaultClass(
+        "copy-skew-diagonal-late",
+        "the out-of-place skew takes each row's diagonal one ring row late",
+        lambda src: _sub_first(
+            r"first = \(y ([+-]) d \+ RBIAS\)",
+            lambda mo: f"first = (y {mo.group(1)} d + 1 + RBIAS)",
+            src,
         ),
     ),
     FaultClass(

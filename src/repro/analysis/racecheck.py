@@ -20,6 +20,18 @@ proves that object, per pass:
 * every chunk's reads stay inside its own rectangle, so no chunk can observe
   another chunk's in-flight writes.
 
+A streamed column or rotation band does not run chunks: it is permuted on
+its way through two copies, a *load* (mapping -> band buffer) and a
+*store* (band buffer -> mapping), each split over the workers by mapped
+row (:class:`CopyFootprint`).  The proof shows, per band and phase, that
+the workers' mapped rows tile the matrix rows, that a load reads only its
+own mapped rows of the band's columns and writes only the band buffer, and
+that a store reads only the band buffer and writes only its own mapped
+rows of the band's columns.  The band-buffer side is addressed through a
+per-column row map; that it is a bijection
+(:func:`repro.analysis.algebra.copy_row_map_check`) is what makes the
+workers' buffer writes disjoint and covering.
+
 :func:`check_schedule` is its one-band case.  :mod:`repro.parallel.engine`
 runs only schedules this proof has passed.
 
@@ -50,6 +62,7 @@ from ..parallel.partition import balanced_chunks
 __all__ = [
     "Rect",
     "ChunkFootprint",
+    "CopyFootprint",
     "PassFootprints",
     "RaceReport",
     "BandedRaceReport",
@@ -63,6 +76,8 @@ __all__ = [
     "check_partition",
     "check_schedule",
     "check_banded_schedule",
+    "prove_schedule",
+    "COPY_ROW_MAPS",
     "SanitizerError",
     "Sanitizer",
     "sanitizer",
@@ -119,6 +134,25 @@ class ChunkFootprint:
 
 
 @dataclass(frozen=True)
+class CopyFootprint:
+    """One worker's share of one phase of a band copy.
+
+    ``rows`` are the mapped rows the worker drives; ``reads`` and
+    ``writes`` are ``(memory, rectangle)`` pairs, the memory ``"map"`` (the
+    matrix) or ``"band"`` (the band buffer, in the matrix's column
+    coordinates), and ``row_map`` names the per-column row bijection
+    between the mapped rows and the band-buffer rows
+    (:data:`COPY_ROW_MAPS`)."""
+
+    label: str
+    phase: str  # "load" | "store"
+    rows: slice
+    reads: tuple[str, Rect]
+    writes: tuple[str, Rect]
+    row_map: str
+
+
+@dataclass(frozen=True)
 class PassFootprints:
     """The static schedule of one pass: its bands and their chunks."""
 
@@ -130,6 +164,9 @@ class PassFootprints:
     axis: str = "rows"
     #: the sequential bands tiling ``range(total)``, in execution order
     bands: tuple[slice, ...] = ()
+    #: per band, the workers' load then store footprints of a streamed
+    #: band copy (empty for the row-axis passes, permuted in place)
+    copies: tuple[tuple[CopyFootprint, ...], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -187,6 +224,36 @@ def _pass_order(algorithm: str, c: int) -> list[str]:
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
+#: pass name -> the per-column row maps of its band load and store:
+#: ``rotate`` (group g moves by g mod m rows), ``skew`` (column j by
+#: j mod m rows), ``q`` (Eq. 33's static row permutation) or ``identity``
+COPY_ROW_MAPS: dict[str, tuple[str, str]] = {
+    "pre_rotate": ("rotate", "identity"),
+    "column_shuffle": ("skew", "q"),
+    "inverse_column_shuffle": ("q", "skew"),
+    "post_rotate": ("rotate", "identity"),
+}
+
+
+def _band_copies(name: str, m: int, rect: Rect, bi: int, n_threads: int):
+    """The workers' load and store footprints of one band copy: each
+    worker drives a balanced share of the mapped rows."""
+    maps = COPY_ROW_MAPS[name]
+    whole = Rect(0, m, rect.c0, rect.c1)
+    out = []
+    for phase, row_map in zip(("load", "store"), maps):
+        for w, rows in enumerate(balanced_chunks(m, n_threads)):
+            mapped = Rect(rows.start, rows.stop, rect.c0, rect.c1)
+            reads, writes = (("map", mapped), ("band", whole))
+            if phase == "store":
+                reads, writes = writes, reads
+            out.append(CopyFootprint(
+                f"band{bi}/{phase}/w{w}/rows[{rows.start}:{rows.stop}]",
+                phase, rows, reads, writes, row_map,
+            ))
+    return tuple(out)
+
+
 #: public aliases — the schedule builder below, the pass engine
 #: (`repro.parallel.engine`) and the plans' numpy bodies name their passes
 #: from the *same* tables, so schedule and proof cannot drift apart.
@@ -214,6 +281,13 @@ def banded_schedule(
         total = getattr(dec, extent_attr)
         bands = tuple(balanced_chunks(total, k))
         chunks = []
+        copies = tuple(
+            _band_copies(
+                name, m, axis_rect(axis, m, n, total, band.start, band.stop),
+                bi, n_threads,
+            )
+            for bi, band in enumerate(bands)
+        ) if name in COPY_ROW_MAPS else ()
         for bi, band in enumerate(bands):
             for ch in balanced_chunks(band.stop - band.start, n_threads):
                 lo, hi = band.start + ch.start, band.start + ch.stop
@@ -225,7 +299,9 @@ def banded_schedule(
                 chunks.append(
                     ChunkFootprint(f"band{bi}/{axis}[{lo}:{hi}]", rect, rect)
                 )
-        passes.append(PassFootprints(name, total, tuple(chunks), axis, bands))
+        passes.append(
+            PassFootprints(name, total, tuple(chunks), axis, bands, copies)
+        )
     return Schedule(dec, algorithm, n_threads, tuple(passes))
 
 
@@ -330,6 +406,79 @@ def _prove_rects(p: PassFootprints, m: int, n: int) -> list[str]:
     return failures
 
 
+def _prove_copies(p: PassFootprints, m: int, n: int, n_threads: int, dec) -> list[str]:
+    """The band-copy side of the race proof for one pass: per band and
+    phase, the workers' mapped rows tile ``range(m)``; a load reads its own
+    mapped rows of the band's columns and writes only the band buffer; a
+    store reads only the band buffer and writes its own mapped rows of the
+    band's columns; and the row maps between the two sides are certified
+    bijections, so the buffer-side writes are disjoint and covering too."""
+    from .algebra import copy_row_map_check
+
+    failures: list[str] = []
+    if len(p.copies) != len(p.bands):
+        return [f"{p.name}: {len(p.copies)} band copies for {len(p.bands)} bands"]
+    for band, copies in zip(p.bands, p.copies):
+        rect = axis_rect(p.axis, m, n, p.total, band.start, band.stop)
+        own = Rect(0, m, rect.c0, rect.c1)
+        for phase, mapped_side in (("load", "reads"), ("store", "writes")):
+            feet = [f for f in copies if f.phase == phase]
+            ok, detail = _check_tiling([f.rows for f in feet], m, n_threads)
+            if not ok:
+                failures.append(
+                    f"{p.name}: band [{band.start}:{band.stop}] {phase} rows: {detail}"
+                )
+            for f in feet:
+                mine = Rect(f.rows.start, f.rows.stop, rect.c0, rect.c1)
+                mapped = getattr(f, mapped_side)
+                other = f.writes if mapped_side == "reads" else f.reads
+                if mapped != ("map", mine):
+                    verb = "reads" if phase == "load" else "writes"
+                    failures.append(
+                        f"{p.name}: {f.label} {verb} {mapped[0]} "
+                        f"{mapped[1].as_dict()}, not its own mapped rows "
+                        f"{mine.as_dict()} of the band's columns"
+                    )
+                if other[0] != "band" or not own.contains(other[1]):
+                    verb = "writes" if phase == "load" else "reads"
+                    failures.append(
+                        f"{p.name}: {f.label} {verb} {other[0]} "
+                        f"{other[1].as_dict()}, outside the band buffer "
+                        f"{own.as_dict()}"
+                    )
+                check = copy_row_map_check(dec, f.row_map)
+                if not check.ok:
+                    failures.append(f"{p.name}: {f.label}: {check.name}: {check.detail}")
+    return failures
+
+
+def prove_schedule(schedule: Schedule, n_bands) -> list[str]:
+    """Every failure of :func:`check_banded_schedule`'s proof of
+    ``schedule`` (empty when it holds); ``n_bands`` is the band count
+    asked for, one for every pass or one per pass."""
+    dec = schedule.dec
+    m, n = dec.m, dec.n
+    failures: list[str] = []
+    for i, p in enumerate(schedule.passes):
+        k = n_bands if isinstance(n_bands, int) else n_bands[i]
+        ok, detail = _check_tiling(p.bands, p.total, k)
+        if not ok:
+            failures.append(f"{p.name}: band partition: {detail}")
+        for band in p.bands:
+            ok, detail = check_partition(band.stop - band.start, schedule.n_threads)
+            if not ok:
+                failures.append(
+                    f"{p.name}: band [{band.start}:{band.stop}] "
+                    f"chunk partition: {detail}"
+                )
+        failures.extend(_prove_rects(p, m, n))
+        if p.name in COPY_ROW_MAPS:
+            failures.extend(_prove_copies(p, m, n, schedule.n_threads, dec))
+        elif p.copies:
+            failures.append(f"{p.name}: a row pass has band copies")
+    return failures
+
+
 @dataclass
 class BandedRaceReport(RaceReport):
     """Race verdict for a banded schedule (adds the band count and the
@@ -355,27 +504,16 @@ def check_banded_schedule(
     stay inside its own rectangle.  Cross-band disjointness is what lets a
     band be flushed to backing store before the next band is faulted in:
     no later chunk can touch a flushed band's elements within the pass.
-    The report carries the proven schedule as ``report.schedule``.
+    For the column-facing passes it also proves each band's two-phase copy
+    (:func:`_prove_copies`).  The report carries the proven schedule as
+    ``report.schedule``.
     """
     schedule = banded_schedule(m, n, n_bands, n_threads, algorithm)
     report = BandedRaceReport(
         m=m, n=n, n_threads=n_threads, algorithm=schedule.algorithm,
-        n_bands=n_bands, schedule=schedule,
+        n_bands=n_bands, schedule=schedule, passes=len(schedule.passes),
     )
-    for i, p in enumerate(schedule.passes):
-        report.passes += 1
-        k = n_bands if isinstance(n_bands, int) else n_bands[i]
-        ok, detail = _check_tiling(p.bands, p.total, k)
-        if not ok:
-            report.failures.append(f"{p.name}: band partition: {detail}")
-        for band in p.bands:
-            ok, detail = check_partition(band.stop - band.start, n_threads)
-            if not ok:
-                report.failures.append(
-                    f"{p.name}: band [{band.start}:{band.stop}] "
-                    f"chunk partition: {detail}"
-                )
-        report.failures.extend(_prove_rects(p, m, n))
+    report.failures.extend(prove_schedule(schedule, n_bands))
     return report
 
 

@@ -22,25 +22,29 @@ The generated translation unit exports, with C linkage:
     *before any element moved* (the caller falls back to numpy).
 ``int repro_pass_<k>_batch(char *buf, int64_t k)``
     The same pass applied to ``k`` consecutive ``m x n`` tiles.
-``int repro_pass_<k>_banded(char *buf, int64_t lo, int64_t hi,
-int64_t rs, int64_t origin)``
-    For the column-facing passes (rotation, column shuffle): the same
-    chunk ``[lo, hi)`` in *global* coordinates, executed against a band
-    buffer that holds only columns ``[origin, origin + width)`` of every
-    row (column groups ``[origin, ...)`` for the rotation) at a row
-    stride of ``rs`` elements.  The index arithmetic is untouched — the
-    band variants share one static body with the full-width entry points
-    (which are exactly ``rs = n, origin = 0``) — only the addressing is
-    rebased, which is what lets the out-of-core banded executor run the
-    compiled passes on its bounded-residency column buffer.  The row
-    shuffle needs no variant: a row band keeps the full row stride, so
-    the executor hands ``repro_pass_gather_cols`` a shifted base pointer.
+``int repro_pass_<k>_load(char *map, char *band, int64_t lo, int64_t hi,
+int64_t r0, int64_t r1, char *ring)`` / ``..._store(...)``
+    For the column-facing passes (rotation, column shuffle): the band
+    copies of the out-of-core executor.  A load copies band ``[lo, hi)``
+    (global column groups or columns) of mapped rows ``[r0, r1)`` from the
+    full matrix ``map`` into ``band`` (all ``m`` rows at the band's own
+    width), a store copies it back, and each applies its half of the
+    pass on the way (see :func:`_copy_passes`).  ``ring`` is one worker's
+    :func:`ring_elems`-element scratch, allocated by the caller, so a copy
+    never fails.  The row shuffle needs none: a row band keeps the full
+    row stride, so the executor hands ``repro_pass_gather_cols`` a shifted
+    base pointer.
 ``int repro_run(char *buf)`` / ``int repro_run_batch(char *buf, int64_t k)``
     All passes in plan order over one tile / ``k`` tiles.
 
 Every pass allocates its scratch up front and returns 1 without touching
 the matrix when the allocation fails, so a nonzero return never leaves a
 half-permuted buffer.
+
+The unit is one logical translation unit (what the verifier interprets),
+marked so that :func:`split_units` can cut it into two that compile
+concurrently: the passes and drivers, and the band copies, each with the
+shared prelude of types, constants, reciprocals and the skew ring.
 
 Eligibility
 -----------
@@ -65,7 +69,10 @@ __all__ = [
     "KernelSpec",
     "ineligible_reason",
     "generate_source",
-    "banded_pass_symbol",
+    "copy_symbol",
+    "COPY_PHASES",
+    "split_units",
+    "ring_elems",
     "SUPPORTED_ITEMSIZES",
     "MAX_AB",
 ]
@@ -161,7 +168,7 @@ def _rotate_pass(dec: Decomposition, itemsize: int, *, inverse: bool) -> str:
     if dec.b * itemsize >= 64:
         # Wide groups: rotate the m row segments with min(k, m-k) segments
         # of scratch and row-level memcpys (each segment is b contiguous
-        # elements at stride rs — the full row n, or a band copy's width).
+        # elements at row stride rs).
         body = """
 static int rotate_group(elem_t *g0, int64_t k, elem_t *tmp, int64_t rs) {
   int64_t i;
@@ -185,8 +192,7 @@ static int rotate_group(elem_t *g0, int64_t k, elem_t *tmp, int64_t rs) {
 }
 """
         return body + f"""
-static int repro_rotate_impl(char *bufc, int64_t glo, int64_t ghi,
-                             int64_t rs, int64_t gband) {{
+int repro_pass_rotate(char *bufc, int64_t glo, int64_t ghi) {{
   elem_t *V = (elem_t *) bufc;
   elem_t *tmp;
   int64_t g;
@@ -198,21 +204,10 @@ static int repro_rotate_impl(char *bufc, int64_t glo, int64_t ghi,
     if (k == 0) continue;
     k = {keff};
     if (k == 0 || k == M) continue;
-    rotate_group(V + (g - gband) * B, k, tmp, rs);
+    rotate_group(V + g * B, k, tmp, N);
   }}
   free(tmp);
   return 0;
-}}
-
-int repro_pass_rotate(char *bufc, int64_t glo, int64_t ghi) {{
-  int rc = repro_rotate_impl(bufc, glo, ghi, N, 0);
-  return rc;
-}}
-
-int repro_pass_rotate_banded(char *bufc, int64_t glo, int64_t ghi,
-                             int64_t rs, int64_t gband) {{
-  int rc = repro_rotate_impl(bufc, glo, ghi, rs, gband);
-  return rc;
 }}
 """
     # Narrow groups (b * itemsize below a cache line): a per-group
@@ -244,8 +239,7 @@ int repro_pass_rotate_banded(char *bufc, int64_t glo, int64_t ghi,
     return f"""
 #define GBLK {gblk}
 
-static int repro_rotate_impl(char *bufc, int64_t glo, int64_t ghi,
-                             int64_t rs, int64_t gband) {{
+int repro_pass_rotate(char *bufc, int64_t glo, int64_t ghi) {{
   elem_t *V = (elem_t *) bufc;
   elem_t *stage;
   int64_t g0, i;
@@ -257,10 +251,10 @@ static int repro_rotate_impl(char *bufc, int64_t glo, int64_t ghi,
     int64_t wcols = gw * B;
     int64_t k0 = MOD_M(g0);
     for (i = 0; i < M; ++i)
-      memcpy(stage + i * wcols, V + i * rs + (g0 - gband) * B,
+      memcpy(stage + i * wcols, V + i * N + g0 * B,
              (size_t)wcols * sizeof(elem_t));
     for (i = 0; i < M; ++i) {{
-      elem_t *dst = V + i * rs + (g0 - gband) * B;
+      elem_t *dst = V + i * N + g0 * B;
       {s_init}
       {{
         int64_t g = 0;
@@ -283,17 +277,6 @@ static int repro_rotate_impl(char *bufc, int64_t glo, int64_t ghi,
   }}
   free(stage);
   return 0;
-}}
-
-int repro_pass_rotate(char *bufc, int64_t glo, int64_t ghi) {{
-  int rc = repro_rotate_impl(bufc, glo, ghi, N, 0);
-  return rc;
-}}
-
-int repro_pass_rotate_banded(char *bufc, int64_t glo, int64_t ghi,
-                             int64_t rs, int64_t gband) {{
-  int rc = repro_rotate_impl(bufc, glo, ghi, rs, gband);
-  return rc;
 }}
 """
 
@@ -347,7 +330,14 @@ static void repro_gcseq(elem_t *dst, const elem_t *row, const int32_t *T,
   }
 }
 """
-        inner = f"""
+        if dec.c == 1:
+            # coprime: th = i + 1 - M clamps to 0 on every row, so the
+            # row is one run of N consecutive table indices from tB
+            inner = """
+    int64_t im = MOD_N(i);
+    repro_gcseq(tmp, row, T, (im == 0) ? 0 : (N - im), N);"""
+        else:
+            inner = f"""
     int64_t th = i + C - M;
     int64_t im = MOD_N(i);
     int64_t tB = (im == 0) ? 0 : (N - im);
@@ -429,51 +419,22 @@ int repro_pass_gather_cols(char *bufc, int64_t lo, int64_t hi) {{
 """
 
 
-def _gather_rows_pass(dec: Decomposition, itemsize: int, *, algorithm: str) -> str:
-    """Column shuffle as the paper's two restricted operations (Section
-    4.2, Eqs. 32-35): a per-column rotation (the *skew*) and one static
-    row permutation that moves whole sub-rows.
+def _skw(itemsize: int) -> int:
+    """Columns of one skew stripe: 512 bytes, at most 128 elements."""
+    return min(128, 512 // itemsize)
 
-    C2R gathers column ``j`` with ``s'_j(i) = q(i) + j (mod m)``: rotate
-    column ``j`` up by ``j`` (Eq. 32), then gather rows with ``q(i) =
-    (i*n - i//a) mod m`` (Eq. 33).  R2C inverts it: gather rows with
-    ``q^{-1}`` (Eq. 34), then rotate column ``j`` down by ``j`` (Eq. 35).
 
-    The skew runs over stripes of ``SKW`` columns (512 bytes, at most 128
-    elements).  A stripe streams its row segments through a ``RING x SKW``
-    scratch ring, 16 output rows at a time, and builds each output row
-    from a diagonal of the ring; the segments 8 rows ahead are prefetched,
-    so both DRAM-facing streams are whole row segments.  The rows whose
-    rotation wraps are saved first.  A stripe is cut where its rotation
-    amount would pass ``m``; then every offset has one sign either on the
-    stripe or on its row-reversed view (``rs < 0``), and the side that
-    saves fewer rows (at most ``(m + SKW) / 2``) is taken.  The row
-    permutation follows the cycles of ``q`` (or ``q^{-1}``), computed on
-    the fly, over the chunk's whole sub-rows with one scratch sub-row and
-    a visited bitmap."""
-    skw = min(128, 512 // itemsize)
+def _ring_section(dec: Decomposition, itemsize: int, algorithm: str) -> str:
+    """The skew ring's constants and its diagonal copy, shared by the
+    in-place column shuffle and the band copies: stripes of ``SKW``
+    columns (512 bytes, at most 128 elements) through a ``RING x SKW``
+    ring, whose diagonal climbs one ring row per column for C2R
+    (``DSTEP = SKW + 1``) and descends for R2C (``1 - SKW``)."""
+    skw = _skw(itemsize)
     ring = 2 * skw
     m = dec.m
     saverows = max(1, min(m, (m + skw) // 2))
-    permute = "\n  repro_permute_rows(X, rs, hi - lo, tmp, seen);"
-    if algorithm == "c2r":
-        # out[x][t] = in[x + s + t]: the diagonal climbs one ring slot per
-        # column; sg = 1 when the stripe's shift is at most about M / 2
-        dstep, ring_slot, ring_run = "(SKW + 1)", "first + t", "RING - slot"
-        rising, near, far = "sg > 0", "1", "-1"
-        q_map = "MOD_M(k * N - DIV_A(k))"
-        perm_before, perm_after = "", permute
-    else:
-        # out[x][t] = in[x - s - t]: the diagonal descends the ring
-        dstep, ring_slot, ring_run = "(1 - SKW)", "first + RING - t", "slot + 1"
-        rising, near, far = "sg < 0", "-1", "1"
-        c1 = dec.c - 1
-        b_inv = mmi(dec.b, dec.a)
-        q_map = (
-            f"MOD_A(DIV_C(k + INT64_C({c1})) * INT64_C({b_inv})) + "
-            f"MOD_C(k * INT64_C({c1})) * A"
-        )
-        perm_before, perm_after = permute, ""
+    dstep = "(SKW + 1)" if algorithm == "c2r" else "(1 - SKW)"
     loads = "\n".join(f"    elem_t v{k} = p[{k} * DSTEP];" for k in range(8))
     stores = "\n".join(f"    o[{k}] = v{k};" for k in range(8))
     return f"""
@@ -502,7 +463,51 @@ static void repro_diag(elem_t *o, const elem_t *p, int64_t len) {{
     len -= 1;
   }}
 }}
+"""
 
+
+def _gather_rows_pass(dec: Decomposition, itemsize: int, *, algorithm: str) -> str:
+    """Column shuffle as the paper's two restricted operations (Section
+    4.2, Eqs. 32-35): a per-column rotation (the *skew*) and one static
+    row permutation that moves whole sub-rows.
+
+    C2R gathers column ``j`` with ``s'_j(i) = q(i) + j (mod m)``: rotate
+    column ``j`` up by ``j`` (Eq. 32), then gather rows with ``q(i) =
+    (i*n - i//a) mod m`` (Eq. 33).  R2C inverts it: gather rows with
+    ``q^{-1}`` (Eq. 34), then rotate column ``j`` down by ``j`` (Eq. 35).
+
+    The skew runs over stripes of ``SKW`` columns (512 bytes, at most 128
+    elements).  A stripe streams its row segments through a ``RING x SKW``
+    scratch ring, 16 output rows at a time, and builds each output row
+    from a diagonal of the ring; the segments 8 rows ahead are prefetched,
+    so both DRAM-facing streams are whole row segments.  The rows whose
+    rotation wraps are saved first.  A stripe is cut where its rotation
+    amount would pass ``m``; then every offset has one sign either on the
+    stripe or on its row-reversed view (``rs < 0``), and the side that
+    saves fewer rows (at most ``(m + SKW) / 2``) is taken.  The row
+    permutation follows the cycles of ``q`` (or ``q^{-1}``), computed on
+    the fly, over the chunk's whole sub-rows with one scratch sub-row and
+    a visited bitmap."""
+    permute = "\n  repro_permute_rows(X, rs, hi - lo, tmp, seen);"
+    if algorithm == "c2r":
+        # out[x][t] = in[x + s + t]: the diagonal climbs one ring slot per
+        # column; sg = 1 when the stripe's shift is at most about M / 2
+        ring_slot, ring_run = "first + t", "RING - slot"
+        rising, near, far = "sg > 0", "1", "-1"
+        q_map = "MOD_M(k * N - DIV_A(k))"
+        perm_before, perm_after = "", permute
+    else:
+        # out[x][t] = in[x - s - t]: the diagonal descends the ring
+        ring_slot, ring_run = "first + RING - t", "slot + 1"
+        rising, near, far = "sg < 0", "-1", "1"
+        c1 = dec.c - 1
+        b_inv = mmi(dec.b, dec.a)
+        q_map = (
+            f"MOD_A(DIV_C(k + INT64_C({c1})) * INT64_C({b_inv})) + "
+            f"MOD_C(k * INT64_C({c1})) * A"
+        )
+        perm_before, perm_after = permute, ""
+    return f"""
 /* Skew w columns of the view at X (row stride rs, negative on the
    row-reversed view): out[x][t] = in[(x + o_t) mod M] with o_t = d + t
    when the offsets rise ({rising}), else d - t; every o_t >= 0, so the
@@ -565,12 +570,11 @@ static void repro_permute_rows(elem_t *X, int64_t rs, int64_t wc,
   }}
 }}
 
-static int repro_gather_rows_impl(char *bufc, int64_t lo, int64_t hi,
-                                  int64_t rs, int64_t c0) {{
+int repro_pass_gather_rows(char *bufc, int64_t lo, int64_t hi) {{
   elem_t *V = (elem_t *) bufc;
   elem_t *X, *ring, *save, *tmp;
   uint64_t *seen;
-  int64_t j0, w, s, sg;
+  int64_t rs = N, j0, w, s, sg;
   if (lo >= hi) return 0;
   /* one block holds the ring, the saved rows and the scratch sub-row */
   ring = (elem_t *) malloc((size_t)((RING + SAVEROWS) * SKW + (hi - lo)) * sizeof(elem_t));
@@ -579,7 +583,7 @@ static int repro_gather_rows_impl(char *bufc, int64_t lo, int64_t hi,
   if (seen == NULL) {{ free(ring); return 1; }}
   save = ring + RING * SKW;
   tmp = save + SAVEROWS * SKW;
-  X = V + (lo - c0);{perm_before}
+  X = V + lo;{perm_before}
   for (j0 = lo; j0 < hi; j0 += w) {{
     elem_t *Xs = X + (j0 - lo);
     s = MOD_M(j0);
@@ -594,17 +598,6 @@ static int repro_gather_rows_impl(char *bufc, int64_t lo, int64_t hi,
   free(ring);
   return 0;
 }}
-
-int repro_pass_gather_rows(char *bufc, int64_t lo, int64_t hi) {{
-  int rc = repro_gather_rows_impl(bufc, lo, hi, N, 0);
-  return rc;
-}}
-
-int repro_pass_gather_rows_banded(char *bufc, int64_t lo, int64_t hi,
-                                  int64_t rs, int64_t c0) {{
-  int rc = repro_gather_rows_impl(bufc, lo, hi, rs, c0);
-  return rc;
-}}
 """
 
 
@@ -614,13 +607,9 @@ _PASS_SYMBOLS = {
     "gather_rows": "repro_pass_gather_rows",
 }
 
-#: passes with a band-rebased entry point; gather_cols (the row shuffle)
-#: has none because a row band keeps the full row stride and runs through
-#: the plain symbol with a shifted base pointer
-_BANDED_PASS_SYMBOLS = {
-    "rotate_groups": "repro_pass_rotate_banded",
-    "gather_rows": "repro_pass_gather_rows_banded",
-}
+#: the band copy phases; a row band is permuted in the mapped pages
+#: through the plain symbol, so gather_cols (the row shuffle) has none
+COPY_PHASES = ("load", "store")
 
 
 def pass_symbol(kind: str) -> str:
@@ -628,10 +617,204 @@ def pass_symbol(kind: str) -> str:
     return _PASS_SYMBOLS[kind]
 
 
-def banded_pass_symbol(kind: str) -> str | None:
-    """The band-rebased C symbol for a plan-step kind, or ``None`` when the
-    full-width symbol already serves band buffers (row-axis passes)."""
-    return _BANDED_PASS_SYMBOLS.get(kind)
+def copy_symbol(kind: str, phase: str) -> str | None:
+    """The C symbol of a column-facing pass's band ``load`` or ``store``,
+    or ``None`` for the row-axis pass, which has no band copy."""
+    if kind == "gather_cols":
+        return None
+    return f"{_PASS_SYMBOLS[kind]}_{phase}"
+
+
+def ring_elems(itemsize: int) -> int:
+    """Elements of one worker's band-copy scratch ring (``RING x SKW``)."""
+    skw = _skw(itemsize)
+    return 2 * skw * skw
+
+
+def _copy_passes(dec: Decomposition, itemsize: int, algorithm: str, kinds) -> str:
+    """Band copies of the column-facing passes: the streamed executor's
+    load (mapping -> band buffer) and store (band buffer -> mapping), with
+    the pass applied on the way, out of place (Section 4.2: every column
+    operation is a per-column rotation or one static permutation of whole
+    sub-rows, and either can run while the data moves).
+
+    ``repro_pass_<k>_load(map, band, lo, hi, r0, r1, ring)`` and ``_store``
+    copy band ``[lo, hi)`` (global column groups or columns) of mapped rows
+    ``[r0, r1)`` only: a load reads exactly those mapped rows, a store
+    writes exactly them, and the band buffer (``m`` rows of the band's
+    width) is addressed through the pass's per-column row bijection, so
+    workers that split the mapped rows write disjoint buffer elements.
+    Source and destination differ, so no wrapped rows need saving.
+
+    * C2R: the pre-rotation is a rotating load (buffer row ``i``, group
+      ``g`` <- mapped row ``(i + g) mod m``) and a plain store; the column
+      shuffle a skewing load (column ``j`` rotated up by ``j``, Eq. 32) and
+      a store that gathers whole sub-rows by ``q`` (Eq. 33).
+    * R2C mirrors both: the inverse column shuffle is a load that
+      scatters sub-rows by ``q`` (the gather by ``q^-1``, Eq. 34) and a
+      skewing store (column ``j`` rotated down by ``j``, Eq. 35); the
+      post-rotation a rotating load and a plain store.
+
+    Rotations and skews run through ``repro_skew_band``: the source
+    segments of a stripe stream through the ``RING x SKW`` ring in row
+    order and each destination row is one diagonal of it (units of one
+    element for the skew, of one ``B``-element group for a narrow
+    rotation).  Wide groups (a cache line or more) are copied directly.
+    Plain and permuting copies run through ``repro_rows_band``."""
+    c2r = algorithm == "c2r"
+    if c2r:
+        # dst row y, unit u <- src row y + (d + u): the window of row y is
+        # [y + d, y + d + nu) and its diagonal climbs the ring
+        off, first = "d", "y + d + RBIAS"
+        slot, run, ustep = "first + u", "RING - slot", "(SKW + B)"
+        u_lo, u_hi = "v0 - y - d", "v1 - y - d"
+        rot_row = "y = i - k;\n      if (y < 0) y += M;"
+    else:
+        # dst row y, unit u <- src row y - (d + u): the window of row y is
+        # [y - d - nu + 1, y - d + 1) and its diagonal descends the ring
+        off, first = "-(d + nu - 1)", "y - d + RBIAS"
+        slot, run, ustep = "first + RING - u", "slot + 1", "(B - SKW)"
+        u_lo, u_hi = "y - d - v1 + 1", "y - d - v0 + 1"
+        rot_row = "y = i + k;\n      if (y >= M) y -= M;"
+    parts = [f"""
+/* Unit-wise diagonal copy: len units of U elements (U is 1 or B), unit k
+   at p + k * (DSTEP + U - 1), the ring diagonal's step. */
+static void repro_diag_units(elem_t *o, const elem_t *p, int64_t len,
+                             int64_t U) {{
+  int64_t k;
+  if (U == 1) {{
+    repro_diag(o, p, len);
+    return;
+  }}
+  for (k = 0; k < len; ++k)
+    memcpy(o + k * B, p + k * {ustep}, (size_t)B * sizeof(elem_t));
+}}
+
+/* Whole sub-rows of band columns [c0, c0 + wb) between the matrix V and
+   the band buffer W: mapped row i pairs with band row q(i) (Eq. 33) when
+   perm, else row i.  A load copies V -> W, a store W -> V, for mapped
+   rows [r0, r1) only. */
+static void repro_rows_band(elem_t *V, elem_t *W, int64_t c0, int64_t wb,
+                            int64_t r0, int64_t r1, int64_t perm,
+                            int64_t load) {{
+  size_t bytes = (size_t)wb * sizeof(elem_t);
+  int64_t i, t;
+  for (i = r0; i < r1; ++i) {{
+    t = perm ? MOD_M(i * N - DIV_A(i)) : i;
+    if (load)
+      memcpy(W + t * wb, V + i * N + c0, bytes);
+    else
+      memcpy(V + i * N + c0, W + t * wb, bytes);
+  }}
+}}
+
+/* Skew band [lo, hi) of units of U elements (U is 1 or B) between V and
+   W: unit u of a dst row y takes unit u of src row y {'+' if c2r else '-'} (j mod M), j
+   the unit's global index.  A load (V -> W) drives src rows [r0, r1),
+   wherever their dst rows land; a store (W -> V) drives dst rows [r0, r1).
+   Rows are reduced mod M when addressed.  The band runs in stripes of at
+   most SKW elements, cut where the shift would reach M.  A stripe's src
+   segments stream through the ring in row order, and each dst row takes
+   its units from one diagonal of the ring (row v sits in slot
+   (v + RBIAS) & RMASK); the segments 8 rows ahead on both sides are
+   prefetched. */
+static void repro_skew_band(elem_t *V, elem_t *W, int64_t lo, int64_t hi,
+                            int64_t U, int64_t r0, int64_t r1, int64_t load,
+                            elem_t *ring) {{
+  int64_t wb = (hi - lo) * U, j0, nu, d, off, y0, y1, v0, v1, nv, w;
+  int64_t drs = load ? wb : N, srs = load ? N : wb;
+  int64_t y, ulo, uhi, u, k, first, slot, run;
+  elem_t *dst, *o;
+  const elem_t *src;
+  for (j0 = lo; j0 < hi; j0 += nu) {{
+    d = MOD_M(j0);
+    nu = hi - j0;
+    if (nu > SKW / U) nu = SKW / U;
+    if (nu > M - d) nu = M - d;
+    dst = load ? W + (j0 - lo) * U : V + j0 * U;
+    src = load ? V + j0 * U : W + (j0 - lo) * U;
+    /* the src window of dst row y is [y + off, y + off + nu) */
+    off = {off};
+    y0 = load ? r0 - off - nu + 1 : r0;
+    y1 = load ? r1 - off : r1;
+    v0 = load ? r0 : r0 + off;
+    v1 = load ? r1 : r1 + off + nu - 1;
+    w = nu * U;
+    nv = v0;
+    for (y = y0; y < y1; ++y) {{
+      /* the ring holds src rows up to the top of row y's window */
+      for (; nv < y + off + nu && nv < v1; ++nv) {{
+        if (nv + 8 < v1)
+          for (k = 0; k < w; k += PFSTEP) __builtin_prefetch(src + MOD_M(nv + 8 + M) * srs + k, 0, 3);
+        memcpy(ring + ((nv + RBIAS) & RMASK) * SKW, src + MOD_M(nv + M) * srs,
+               (size_t)w * sizeof(elem_t));
+      }}
+      ulo = {u_lo};
+      uhi = {u_hi};
+      if (ulo < 0) ulo = 0;
+      if (uhi > nu) uhi = nu;
+      if (y + 8 < y1)
+        for (k = 0; k < w; k += PFSTEP) __builtin_prefetch(dst + MOD_M(y + 8 + M) * drs + k, 1, 3);
+      o = dst + MOD_M(y + M) * drs;
+      first = ({first}) & RMASK;
+      for (u = ulo; u < uhi; u += run) {{
+        slot = ({slot}) & RMASK;
+        run = {run};
+        if (run > uhi - u) run = uhi - u;
+        repro_diag_units(o + u * U, ring + slot * SKW + u * U, run, U);
+      }}
+    }}
+  }}
+}}
+"""]
+    head = """(char *mapc, char *bandc, int64_t lo, int64_t hi,
+    int64_t r0, int64_t r1, char *ringc) {
+  elem_t *V = (elem_t *) mapc;
+  elem_t *W = (elem_t *) bandc;
+  elem_t *ring = (elem_t *) ringc;
+  """
+    if "gather_rows" in kinds:
+        skew = "repro_skew_band(V, W, lo, hi, 1, r0, r1, %d, ring);"
+        rows = "repro_rows_band(V, W, lo, hi - lo, r0, r1, 1, %d);"
+        load, store = (skew % 1, rows % 0) if c2r else (rows % 1, skew % 0)
+        parts.append(f"int repro_pass_gather_rows_load{head}{load}\n  return 0;\n}}\n")
+        parts.append(f"int repro_pass_gather_rows_store{head}{store}\n  return 0;\n}}\n")
+    if "rotate_groups" in kinds:
+        if dec.b * itemsize >= 64:
+            # wide groups: each group's row segment is a cache line or more
+            load = f"""int64_t wb = (hi - lo) * B, i, g, k, y;
+  size_t bytes = (size_t)B * sizeof(elem_t);
+  for (i = r0; i < r1; ++i) {{
+    k = MOD_M(lo);
+    for (g = lo; g < hi; ++g) {{
+      {rot_row}
+      memcpy(W + y * wb + (g - lo) * B, V + i * N + g * B, bytes);
+      if (++k == M) k = 0;
+    }}
+  }}"""
+        else:
+            load = "repro_skew_band(V, W, lo, hi, B, r0, r1, 1, ring);"
+        store = "repro_rows_band(V, W, lo * B, (hi - lo) * B, r0, r1, 0, 0);"
+        parts.append(f"int repro_pass_rotate_load{head}{load}\n  return 0;\n}}\n")
+        parts.append(f"int repro_pass_rotate_store{head}{store}\n  return 0;\n}}\n")
+    return "\n".join(parts)
+
+
+#: markers of the unit's two halves: everything up to _SHARED_END is the
+#: prelude both need (types, constants, reciprocals, the ring), and the
+#: band copies between _COPIES_BEGIN and _COPIES_END compile on their own
+_SHARED_END = "/* -- end of the shared prelude -- */"
+_COPIES_BEGIN = "/* -- band copies: a translation unit of their own -- */"
+_COPIES_END = "/* -- end of the band copies -- */"
+
+
+def split_units(source: str) -> tuple[str, str]:
+    """The unit as two translation units that compile concurrently: the
+    passes and drivers, and the band copies, each with the shared
+    prelude.  Together they define exactly the symbols of ``source``."""
+    i, j = source.index(_COPIES_BEGIN), source.index(_COPIES_END)
+    prelude = source[: source.index(_SHARED_END)]
+    return source[:i] + source[j:], prelude + source[i:j]
 
 
 def _pass_layout(dec: Decomposition, algorithm: str) -> tuple[PassInfo, ...]:
@@ -689,6 +872,7 @@ def generate_source(
         "",
         _magic_macros(dec),
     ]
+    parts += [_ring_section(dec, itemsize, algorithm), _SHARED_END]
     emitted: set[str] = set()
     for p in passes:
         if p.kind in emitted:
@@ -700,6 +884,7 @@ def generate_source(
             parts.append(_gather_cols_pass(dec, algorithm=algorithm))
         else:
             parts.append(_gather_rows_pass(dec, itemsize, algorithm=algorithm))
+    parts += [_COPIES_BEGIN, _copy_passes(dec, itemsize, algorithm, emitted), _COPIES_END]
 
     # Whole-plan drivers: all passes over their full extents, one tile or k
     # consecutive tiles.  Failure returns are *positional* so the caller can

@@ -7,10 +7,11 @@ Compilation itself has two interchangeable toolchains, selected by
 ``REPRO_NATIVE_TOOLCHAIN``:
 
 ``cc`` (default when a compiler binary is found)
-    One ``cc -shared -O2 -fsplit-loops -fvect-cost-model=dynamic -fPIC``
-    invocation (retried at plain ``-O2``, and remembered, if the compiler
-    fails on the two GCC passes); the artifact is loaded with
-    :mod:`ctypes`.
+    The unit's two translation units (the passes, and the streamed band
+    copies) compile concurrently with ``cc -c -O2 -fsplit-loops
+    -fvect-cost-model=dynamic -fPIC`` (retried at plain ``-O2``, and
+    remembered, if the compiler fails on the two GCC passes) and link
+    into one shared object, loaded with :mod:`ctypes`.
 ``cffi``
     ``cffi.FFI().set_source(...).compile()`` drives the same system
     compiler through distutils; the produced extension module is *also*
@@ -42,7 +43,16 @@ import tempfile
 import threading
 from hashlib import sha256
 
-from .codegen import KernelSpec, banded_pass_symbol, pass_symbol
+import numpy as np
+
+from .codegen import (
+    COPY_PHASES,
+    KernelSpec,
+    copy_symbol,
+    pass_symbol,
+    ring_elems,
+    split_units,
+)
 
 __all__ = [
     "NativeKernel",
@@ -197,37 +207,59 @@ def _compile_cc(source: str, out_path: str, cc: str) -> None:
 
 
 def _compile_cc_at(source: str, out_path: str, cc: str, flags) -> None:
+    """Compile the unit's two translation units (:func:`split_units`: the
+    passes and drivers, and the band copies) concurrently to objects, then
+    link them into one shared object: the copies add their compile time
+    beside the passes', not after it."""
     dirpath = os.path.dirname(out_path)
-    fd, c_path = tempfile.mkstemp(suffix=".c", dir=dirpath)
+    made: list[str] = []
+    objs: list[str] = []
+    procs: list[subprocess.Popen] = []
+
+    def temp(suffix: str) -> str:
+        fd, path = tempfile.mkstemp(suffix=suffix, dir=dirpath)
+        os.close(fd)
+        made.append(path)
+        return path
+
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(source)
-        fd2, tmp_so = tempfile.mkstemp(suffix=".so", dir=dirpath)
-        os.close(fd2)
-        try:
-            proc = subprocess.run(
-                [cc, "-shared", *flags, "-fPIC", "-fno-strict-aliasing",
-                 c_path, "-o", tmp_so],
-                capture_output=True,
-                text=True,
-                timeout=120,
-            )
+        for unit in split_units(source):
+            c_path, obj = temp(".c"), temp(".o")
+            with open(c_path, "w") as fh:
+                fh.write(unit)
+            objs.append(obj)
+            procs.append(subprocess.Popen(
+                [cc, "-c", *flags, "-fPIC", "-fno-strict-aliasing", c_path,
+                 "-o", obj],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            ))
+        failed = []
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
             if proc.returncode != 0:
-                raise CompileError(
-                    f"{cc} failed ({proc.returncode}): {proc.stderr.strip()[:500]}"
-                )
-            os.replace(tmp_so, out_path)  # atomic: racers see one artifact
-        except BaseException:
+                failed.append(f"{cc} failed ({proc.returncode}): {err.strip()[:500]}")
+        if failed:
+            raise CompileError(failed[0])
+        tmp_so = temp(".so")
+        link = subprocess.run(
+            [cc, "-shared", *objs, "-o", tmp_so],
+            capture_output=True, text=True, timeout=120,
+        )
+        if link.returncode != 0:
+            raise CompileError(
+                f"{cc} failed ({link.returncode}): {link.stderr.strip()[:500]}"
+            )
+        os.replace(tmp_so, out_path)  # atomic: racers see one artifact
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        for path in made:
             try:
-                os.unlink(tmp_so)
+                os.unlink(path)
             except OSError:
                 pass
-            raise
-    finally:
-        try:
-            os.unlink(c_path)
-        except OSError:
-            pass
 
 
 def _compile_cffi(source: str, out_path: str, cc: str) -> None:
@@ -304,7 +336,7 @@ class NativeKernel:
         self._run_batch.restype = ctypes.c_int
         self._pass_fns = []
         self._pass_batch_fns = []
-        self._pass_banded_fns = []
+        self._copy_fns = []
         for p in spec.passes:
             fn = getattr(lib, pass_symbol(p.kind))
             fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
@@ -314,17 +346,22 @@ class NativeKernel:
             bfn.argtypes = [ctypes.c_void_p, ctypes.c_int64]
             bfn.restype = ctypes.c_int
             self._pass_batch_fns.append(bfn)
-            bsym = banded_pass_symbol(p.kind)
-            if bsym is None:
-                self._pass_banded_fns.append(None)
-            else:
-                nfn = getattr(lib, bsym)
-                nfn.argtypes = [
-                    ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-                    ctypes.c_int64, ctypes.c_int64,
+            copies = {}
+            for phase in COPY_PHASES:
+                sym = copy_symbol(p.kind, phase)
+                if sym is None:
+                    break
+                cfn = getattr(lib, sym)
+                cfn.argtypes = [
+                    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                    ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                    ctypes.c_void_p,
                 ]
-                nfn.restype = ctypes.c_int
-                self._pass_banded_fns.append(nfn)
+                cfn.restype = ctypes.c_int
+                copies[phase] = cfn
+            self._copy_fns.append(copies)
+        #: bytes of one worker's band-copy scratch ring
+        self.ring_bytes = ring_elems(spec.itemsize) * spec.itemsize
         self._lib = lib  # keep the CDLL (and its mapping) alive
 
     @property
@@ -358,29 +395,33 @@ class NativeKernel:
         if rc != 0:
             raise NativeScratchError(idx, rc - 1)
 
-    def has_banded(self, idx: int) -> bool:
-        """Whether pass ``idx`` exports a band-rebased entry point."""
-        return self._pass_banded_fns[idx] is not None
+    def copy_scratch(self, idx: int, workers: int) -> np.ndarray:
+        """The scratch of both copy phases of one band of pass ``idx``:
+        one ring per worker.  Allocated before the band loads, so a failed
+        allocation (:class:`MemoryError`) has moved nothing."""
+        return np.empty(max(1, workers) * self.ring_bytes, dtype=np.uint8)
 
     def run_pass_banded(
-        self, idx: int, addr: int, lo: int, hi: int,
-        row_stride: int, origin: int,
+        self, idx: int, phase: str, map_addr: int, band_addr: int,
+        lo: int, hi: int, r0: int, r1: int, ring_addr: int,
     ) -> None:
-        """Pass ``idx`` over global ``[lo, hi)`` against a band buffer.
+        """One worker's share of a band copy of pass ``idx``.
 
-        ``addr`` points at a copy holding only this pass's band — columns
-        (or column groups) ``[origin, ...)`` of every row, ``row_stride``
-        elements per row.  The index math runs in global coordinates;
-        only the addressing is rebased, so the result is bit-identical to
-        running the full-width pass on the whole matrix.
+        ``phase`` is ``"load"`` (mapping -> band buffer) or ``"store"``
+        (band buffer -> mapping); the pass is applied on the way.
+        ``map_addr`` is the full ``m x n`` matrix, ``band_addr`` the buffer
+        holding band ``[lo, hi)`` (global column groups or columns) of
+        every row at the band's own width, ``[r0, r1)`` the mapped rows
+        this call reads (load) or writes (store), and ``ring_addr`` this
+        worker's ring of :meth:`copy_scratch`.
         """
-        fn = self._pass_banded_fns[idx]
+        fn = self._copy_fns[idx].get(phase)
         if fn is None:
             raise ValueError(
                 f"pass {idx} ({self.spec.passes[idx].kind}) has no banded "
-                "entry point; run it on a full-stride buffer instead"
+                f"entry point for {phase!r}; a row band is permuted in place"
             )
-        if fn(addr, lo, hi, row_stride, origin) != 0:
+        if fn(map_addr, band_addr, lo, hi, r0, r1, ring_addr) != 0:
             raise NativeScratchError(idx)
 
     # -- lifecycle ---------------------------------------------------------

@@ -13,19 +13,25 @@ That schedule is :class:`repro.analysis.racecheck.Schedule`;
 * :class:`InRam` — the in-RAM matrix, one band per pass, a view (no copy);
 * :class:`WindowBands` — a :class:`~repro.stream.window.ResidentWindow`,
   one load and one store per band: a row band is the mapping's own view,
-  a column or rotation band the window's one reused column buffer.
+  permuted in place; a column or rotation band goes through the window's
+  one reused column buffer.
 
 Both are sound for the same reason: the proof shows every chunk reads only
 inside its own rectangle, so a band permuted in the mapped pages never
-reads what another band writes, and the column buffer holds every element
-its chunks read.
+reads what another band writes, and that a column band's load reads only
+its mapped columns and writes only the buffer, its store the reverse.
 
 Each chunk runs the compiled kernel when one is given: ``run_pass`` on a
 full-stride buffer (the in-RAM matrix, or a row band through a base shifted
-back by its first row) and ``run_pass_banded`` on a column or rotation band
-buffer narrower than a row.  Otherwise, and for a native chunk whose scratch
+back by its first row).  Otherwise, and for a native chunk whose scratch
 allocation failed (it moved nothing), the numpy chunk body
-(:func:`repro.parallel.cpu.chunk_kernel`) runs that exact chunk.
+(:func:`repro.parallel.cpu.chunk_kernel`) runs that exact chunk.  A
+streamed column or rotation band with a kernel runs no chunks: its load
+and store are the kernel's band copies (``run_pass_banded``), which apply
+the pass on the way, over the mapped rows the proven schedule's copy
+footprints give each worker.  A band whose copy scratch cannot be
+allocated, or whose load fails, reruns as a plain copy plus the numpy
+chunk body.
 
 The engine alone owns the ``pass.<name>`` span and the
 ``<scope>.pass.<name>`` timer (:func:`timed_pass`, which the plans' map and
@@ -145,7 +151,7 @@ class WindowBands:
     permuted and stored before the next loads.  A row band is permuted in
     the mapping itself (its store only starts writeback and drops its
     pages); a column or rotation band is copied into the window's column
-    buffer and back."""
+    buffer and back, permuted on the way when ``copy`` is given."""
 
     streamed = True
 
@@ -160,16 +166,69 @@ class WindowBands:
             return band.start * dec.b, band.stop * dec.b
         return band.start, band.stop
 
-    def load(self, axis: str, dec, band: slice):
+    def load(self, axis: str, dec, band: slice, copy=None):
         if axis == "rows":
             return self.window.load_rows(band.start, band.stop)
-        return self.window.load_cols(*self._cols(axis, dec, band))
+        return self.window.load_cols(*self._cols(axis, dec, band), copy)
 
-    def store(self, axis: str, dec, band: slice, B) -> None:
+    def store(self, axis: str, dec, band: slice, B, copy=None) -> None:
         if axis == "rows":
             self.window.store_rows(band.start, band.stop, B)
         else:
-            self.window.store_cols(*self._cols(axis, dec, band), B)
+            self.window.store_cols(*self._cols(axis, dec, band), B, copy)
+
+
+class _BandCopy:
+    """One streamed column or rotation band's load and store through the
+    kernel's copies of pass ``idx``, which apply the pass on the way.  The
+    workers' mapped rows are the proven schedule's copy footprints
+    (``rows[phase][w]``); each worker copies through its own ring of the
+    band's scratch, allocated before the load.  A load that fails moved
+    nothing in the mapping: it sets ``failed`` and the band reruns plain."""
+
+    def __init__(self, kernel, idx: int, band: slice, copies, scratch):
+        self._run = kernel.run_pass_banded
+        self._idx = idx
+        self._lo, self._hi = band.start, band.stop
+        self.rows = {
+            phase: tuple(f.rows for f in copies if f.phase == phase)
+            for phase in ("load", "store")
+        }
+        self._scratch = scratch  # keeps the rings alive
+        self._ring = scratch.ctypes.data
+        self._ring_bytes = kernel.ring_bytes
+        self.failed = False
+
+    def __call__(self, phase, map_addr, band_addr, i0, i1, worker) -> None:
+        if self.failed:
+            return
+        try:
+            self._run(
+                self._idx, phase, map_addr, band_addr, self._lo, self._hi,
+                i0, i1, self._ring + worker * self._ring_bytes,
+            )
+        except MemoryError:
+            if phase != "load":
+                raise
+            self.failed = True
+
+
+def _band_copy(ps, bi, band, scope, kernel, idx, executor):
+    """The band copy of a streamed column or rotation band, or ``None``
+    when the band runs as a plain copy plus chunks: a row band, no kernel,
+    or a failed scratch allocation (recorded as a native fallback)."""
+    if idx is None or not ps.copies:
+        return None
+    try:
+        scratch = kernel.copy_scratch(
+            idx, 1 if executor is None else executor.n_threads
+        )
+    except MemoryError:
+        native.record_fallback(
+            f"band copy scratch allocation failed in {scope} pass {ps.name}"
+        )
+        return None
+    return _BandCopy(kernel, idx, band, ps.copies[bi], scratch)
 
 
 # -- execution -------------------------------------------------------------------
@@ -295,12 +354,21 @@ def _run_band(ps, bi, band, source, dec, scope, kernel, idx, executor, san) -> N
         "stream.band", stage=ps.name, band=bi, bands=len(ps.bands),
         lo=band.start, hi=band.stop, bytes=2 * nbytes,
     ) if tr.enabled else _NULL_CM:
-        B = source.load(ps.axis, dec, band)
-        _run_chunks(
-            ps, band, B, B.ctypes.data, band.start, dec, scope, kernel, idx,
-            executor, san,
-        )
-        source.store(ps.axis, dec, band, B)
+        copy = _band_copy(ps, bi, band, scope, kernel, idx, executor)
+        B = source.load(ps.axis, dec, band, copy)
+        if copy is not None and copy.failed:
+            native.record_fallback(f"band load failed in {scope} pass {ps.name}")
+            copy = None
+            B = source.load(ps.axis, dec, band)
+        if copy is None:
+            # a row band in the mapped pages, or a column band run plain:
+            # only a full-stride row band can take the kernel
+            rows = ps.axis == "rows"
+            _run_chunks(
+                ps, band, B, B.ctypes.data, band.start, dec, scope,
+                kernel if rows else None, idx if rows else None, executor, san,
+            )
+        source.store(ps.axis, dec, band, B, copy)
     reg = metrics.registry
     if reg.enabled:
         reg.inc("stream.bands")
@@ -335,22 +403,16 @@ def _run_chunks(ps, band, B, addr, origin, dec, scope, kernel, idx, executor, sa
 def _run_chunk(ps, dec, B, addr, origin, scope, kernel, idx, san, lo, hi) -> None:
     """The global chunk ``[lo, hi)`` of pass ``ps`` on buffer ``B`` (at
     ``addr``; its first row, column or group is ``origin``): through kernel
-    pass ``idx`` when it can address ``B``, else — or when the native
-    chunk's scratch allocation failed, which moved nothing — through the
-    numpy chunk body."""
+    pass ``idx`` when one is given (``B`` then has the full row stride),
+    else — or when the native chunk's scratch allocation failed, which
+    moved nothing — through the numpy chunk body."""
     if idx is not None:
         try:
-            if B.shape[1] == dec.n:
-                # full row stride: the in-RAM matrix (origin 0) or a row
-                # band, addressed through a base shifted back to global row 0
-                shift = origin * dec.n * B.itemsize if ps.axis == "rows" else 0
-                kernel.run_pass(idx, addr - shift, lo, hi)
-                return
-            if kernel.has_banded(idx):
-                # a column or rotation band buffer narrower than a row: the
-                # band-rebased entry point, against the buffer's own row stride
-                kernel.run_pass_banded(idx, addr, lo, hi, B.shape[1], origin)
-                return
+            # full row stride: the in-RAM matrix (origin 0) or a row band,
+            # addressed through a base shifted back to global row 0
+            shift = origin * dec.n * B.itemsize if ps.axis == "rows" else 0
+            kernel.run_pass(idx, addr - shift, lo, hi)
+            return
         except MemoryError:
             native.record_fallback(
                 f"scratch allocation failed in {scope} pass {ps.name}"

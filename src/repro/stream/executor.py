@@ -3,25 +3,27 @@
 A facade over :mod:`repro.parallel.engine` that runs the decomposition's
 passes against a :class:`ResidentWindow` instead of an in-RAM buffer.  Each
 pass's iteration range (rows, columns, or rotation column-groups) is split
-into sequential *bands* sized to the window byte budget; inside a band the
-usual ``n_threads`` chunk schedule runs on a
-:class:`~repro.parallel.executor.ParallelExecutor`, and the band is flushed
-before the next one loads.  The same executor's workers split the row-block
-copies of every column band.
+into sequential *bands* sized to the window byte budget.  A row band runs
+the usual ``n_threads`` chunk schedule on a
+:class:`~repro.parallel.executor.ParallelExecutor` in the mapped pages; a
+column or rotation band is permuted during its load into the window's
+buffer and its store back, whose mapped rows the same executor's workers
+split.  Each band is flushed before the next one loads.
 
 Safety is not asserted, it is *proven*: before anything executes, the
 per-pass band counts go through
 :func:`repro.analysis.racecheck.check_banded_schedule`
 (:func:`~repro.parallel.engine.proven_schedule`), which shows the band x
 chunk write rectangles of every pass are pairwise disjoint and covering and
-that reads stay inside the writing chunk's own rectangle.  That last
-property is what makes both band forms sound: a row band permuted in place
-in the mapping reads nothing another band writes, and a column band copied
-into the window's buffer holds every element its chunks read.  A failed
+that reads stay inside the writing chunk's own rectangle, and that a
+column band's load reads only its mapped columns and writes only the
+buffer while its store does the reverse.  That is what makes both band
+forms sound: a row band permuted in place in the mapping reads nothing
+another band writes, and neither does a column band's copy.  A failed
 proof raises :class:`BandedScheduleError` and nothing is touched.  The
 engine runs the proven schedule object itself, with the compiled kernel
 when one is available (row bands through a shifted base, column and
-rotation bands through the band-rebased entry points) and the numpy chunk
+rotation bands through the kernel's band copies) and the numpy chunk
 bodies otherwise.
 """
 
@@ -67,8 +69,7 @@ class BandedExecutor:
     native:
         ``"auto"`` (default) runs every pass through the compiled kernel
         when available (row passes on the mapped rows via a shifted base,
-        column/rotation passes on the column buffer via the band-rebased
-        entry points);
+        column/rotation passes inside their band copies);
         ``"off"`` keeps every chunk on numpy.
     """
 

@@ -16,19 +16,22 @@ Flush ordering — the contract the banded race proof
    (no copy); a column or rotation band is copied into the window's one
    column buffer, each row block's pages dropped as soon as it is copied
    (they are clean);
-2. the band is permuted where it was loaded — in the mapped pages or in
-   the column buffer;
+2. a row band is permuted in the mapped pages; a column or rotation band
+   is permuted during its two copies (the load and the store apply the
+   pass on the way, so nothing runs in the column buffer in between);
 3. the band is **stored**: a column band is written back through the
    mapping; either kind then has its writeback initiated
    (``msync(MS_ASYNC)``) and its pages dropped (``madvise``) *before the
    next band loads*; the op-end ``flush()`` (``MS_SYNC``) is the
    durability barrier.
 
-The proof shows that the band rectangles of a pass are pairwise disjoint
-and that every chunk reads only inside its own rectangle, so a band
-permuted in place never reads an element another band writes, and no later
-band can observe — or clobber — a flushed band's elements within the pass;
-that is why step 3 may run eagerly.  Dirty page-cache pages between the
+The proof shows that the band rectangles of a pass are pairwise disjoint,
+that every chunk reads only inside its own rectangle, and that a column
+band's load reads only the band's mapped columns and writes only the
+buffer while its store does the reverse.  So a band never reads an
+element another band writes, and no later band can observe — or clobber
+— a flushed band's elements within the pass; that is why step 3 may run
+eagerly.  Dirty page-cache pages between the
 async initiation and the barrier are the kernel writeback system's to
 schedule (and throttle), which is what lets a scattered column-band store
 coalesce into sequential device writes instead of stalling on per-page
@@ -42,7 +45,11 @@ Two band geometries cover every decomposition pass:
   by row-block sub-copies and scattered back the same way.  With an
   ``executor`` the sub-copies are split over its workers, each worker's
   block being ``io_block_bytes // n_threads``, so at most one I/O block
-  of mapped pages is resident at any time.
+  of mapped pages is resident at any time.  A copy that permutes is
+  ordered by mapped rows in both directions (a load reads its block's
+  mapped rows and scatters into the buffer, a store gathers from the
+  buffer and writes its block's mapped rows), so the bound holds for it
+  unchanged.
 
 Environment knobs (see docs/STREAMING.md):
 
@@ -61,6 +68,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from ..parallel.partition import balanced_chunks
 
 __all__ = [
     "ResidentWindow",
@@ -299,28 +308,32 @@ class ResidentWindow:
             self._mm._mmap, r0 * self._row_bytes, r1 * self._row_bytes
         )
 
-    def _row_blocks(self, band_cols: int, copy) -> None:
-        """Run ``copy(i0, i1)`` over row blocks covering every row.
+    def _row_blocks(self, band_cols: int, copy, shares=None) -> None:
+        """Run ``copy(i0, i1, worker)`` over row blocks covering every row.
 
-        Each worker of the executor takes a contiguous share of the rows
-        and walks it in blocks sized so that one block's touched pages
-        (one ``band_cols`` span plus page-granularity slop per row) fit
-        ``io_block_bytes // n_threads``: all workers together hold at
-        most one I/O block of mapped pages.
+        Worker ``w`` takes the rows ``shares[w]`` (default: a balanced
+        share per executor worker) and walks them in blocks sized so that
+        one block's touched pages (one ``band_cols`` span plus
+        page-granularity slop per row) fit ``io_block_bytes // n_threads``:
+        all workers together hold at most one I/O block of mapped pages.
         """
         ex = self._executor
         workers = 1 if ex is None else ex.n_threads
+        if shares is None:
+            shares = balanced_chunks(self.rows, workers)
         per_row = band_cols * self.dtype.itemsize + _PAGE
         step = max(1, self.io_block_bytes // workers // per_row)
 
-        def body(rows: slice) -> None:
-            for i0 in range(rows.start, rows.stop, step):
-                copy(i0, min(rows.stop, i0 + step))
+        def body(ws: slice) -> None:
+            for w in range(ws.start, ws.stop):
+                rows = shares[w]
+                for i0 in range(rows.start, rows.stop, step):
+                    copy(i0, min(rows.stop, i0 + step), w)
 
         if ex is None:
-            body(slice(0, self.rows))
+            body(slice(0, len(shares)))
         else:
-            ex.parallel_for(self.rows, body, name="stream.band_copy")
+            ex.parallel_for(len(shares), body, name="stream.band_copy")
 
     # -- row bands (contiguous byte ranges, permuted in place) ---------------
 
@@ -346,11 +359,17 @@ class ResidentWindow:
 
     # -- column bands (strided, copied via row blocks) -----------------------
 
-    def load_cols(self, c0: int, c1: int) -> np.ndarray:
+    def load_cols(self, c0: int, c1: int, copy=None) -> np.ndarray:
         """Copy columns ``[c0, c1)`` (all rows) into the window's column
         buffer and return it as a ``rows x (c1 - c0)`` array.  Every call
         reuses the one buffer: the result is valid until the next
-        :meth:`load_cols`."""
+        :meth:`load_cols`.
+
+        ``copy`` is a band copy that permutes on the way: worker ``w``
+        drives the mapped rows ``copy.rows["load"][w]``, calling
+        ``copy("load", map_addr, band_addr, i0, i1, w)`` per row block, in
+        place of the plain copy.  Either way a block reads only mapped
+        rows ``[i0, i1)`` and drops their pages."""
         width = c1 - c0
         need = self.rows * width
         if self._col_buf is None or self._col_buf.size < need:
@@ -358,32 +377,41 @@ class ResidentWindow:
             self._col_buf = np.empty(max(need, cap), dtype=self.dtype)
         band = self._col_buf[:need].reshape(self.rows, width)
         view = self.view
+        map_addr, band_addr = view.ctypes.data, band.ctypes.data
 
-        def copy(i0: int, i1: int) -> None:
-            band[i0:i1] = view[i0:i1, c0:c1]
+        def block(i0: int, i1: int, w: int) -> None:
+            if copy is None:
+                band[i0:i1] = view[i0:i1, c0:c1]
+            else:
+                copy("load", map_addr, band_addr, i0, i1, w)
             self._drop_rows(i0, i1)  # clean pages: drop costs nothing
 
-        self._row_blocks(width, copy)
+        self._row_blocks(width, block, None if copy is None else copy.rows["load"])
         self.bytes_read += need * self.dtype.itemsize
         self.loads += 1
         return band
 
-    def store_cols(self, c0: int, c1: int, band: np.ndarray) -> None:
+    def store_cols(self, c0: int, c1: int, band: np.ndarray, copy=None) -> None:
         """Write a column band back block-by-block; each block's writeback
         is initiated and its pages dropped before its worker faults in the
         next, so the *resident* set never exceeds one I/O block (the
         scattered dirty pages drain through kernel writeback, not a
-        blocking per-block msync)."""
+        blocking per-block msync).  ``copy`` permutes on the way, as in
+        :meth:`load_cols`: a block writes only mapped rows ``[i0, i1)``."""
         width = c1 - c0
         bview = band.reshape(self.rows, width)
         view = self.view
+        map_addr, band_addr = view.ctypes.data, bview.ctypes.data
 
-        def copy(i0: int, i1: int) -> None:
-            view[i0:i1, c0:c1] = bview[i0:i1]
+        def block(i0: int, i1: int, w: int) -> None:
+            if copy is None:
+                view[i0:i1, c0:c1] = bview[i0:i1]
+            else:
+                copy("store", map_addr, band_addr, i0, i1, w)
             self._sync_rows(i0, i1)
             self._drop_rows(i0, i1)
 
-        self._row_blocks(width, copy)
+        self._row_blocks(width, block, None if copy is None else copy.rows["store"])
         self.bytes_written += self.rows * width * self.dtype.itemsize
         self.stores += 1
 

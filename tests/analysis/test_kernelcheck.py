@@ -69,6 +69,9 @@ class TestCleanKernels:
             assert f"pass{i}-{pname}-semantics" in names
             assert f"pass{i}-{pname}-chunks-t2" in names
             assert f"pass{i}-{pname}-chunks-t4" in names
+            if "row_shuffle" not in pname:  # row bands have no band copy
+                assert f"pass{i}-{pname}-load" in names
+                assert f"pass{i}-{pname}-store" in names
         # 12x18 has c = gcd = 6 > 1, so the plan carries a rotate pass
         assert len(rep.passes) == 3
 
@@ -196,8 +199,8 @@ class TestVerifyNative:
     @pytest.mark.parametrize("algorithm", ["c2r", "r2c"])
     def test_column_shuffle_certified_off_the_stripe_grid(self, algorithm):
         # 16-byte elements skew in 32-column stripes; m > 32 on both sides,
-        # so whole stripes run, and the banded certificate's bands (c0 > 0)
-        # and chunks start at columns that are not multiples of 32
+        # so whole stripes run, and the band copies' bands (c0 > 0) and the
+        # chunks start at columns that are not multiples of 32
         from repro.core.indexing import Decomposition
         from repro.parallel.partition import balanced_chunks
 
@@ -208,7 +211,10 @@ class TestVerifyNative:
         col = next(p for p in rep.passes if "column_shuffle" in p)
         names = {c.name for c in rep.checks}
         idx = rep.passes.index(col)
-        assert {f"pass{idx}-{col}-banded", f"pass{idx}-{col}-chunks-t3"} <= names
+        assert {
+            f"pass{idx}-{col}-load", f"pass{idx}-{col}-store",
+            f"pass{idx}-{col}-chunks-t3",
+        } <= names
         dec = (Decomposition.of(48, 100) if algorithm == "c2r"
                else Decomposition.of(100, 48))
         assert dec.m > 32

@@ -13,6 +13,7 @@ from repro.analysis.racecheck import (
     Rect,
     Sanitizer,
     SanitizerError,
+    axis_rect,
     banded_footprints,
     check_banded_schedule,
     check_partition,
@@ -120,6 +121,87 @@ class TestBandedScheduleProof:
         )
         failures = _prove_rects(overlapping, m, n)
         assert any("overlap" in f for f in failures)
+
+
+class TestBandCopyProof:
+    """The two-phase, two-memory copy schedule of the streamed column and
+    rotation bands: the proof accepts the schedule the engine runs and
+    rejects copies that touch the wrong memory or columns."""
+
+    @staticmethod
+    def _tamper(schedule, phase, **change):
+        """``schedule`` with the first ``phase`` footprint of the first
+        column-facing pass's second band changed."""
+        import dataclasses
+
+        i, p = next(
+            (i, p) for i, p in enumerate(schedule.passes) if p.copies
+        )
+        band = list(p.copies[1])
+        k = next(k for k, f in enumerate(band) if f.phase == phase)
+        band[k] = dataclasses.replace(band[k], **change)
+        copies = p.copies[:1] + (tuple(band),) + p.copies[2:]
+        passes = list(schedule.passes)
+        passes[i] = dataclasses.replace(p, copies=copies)
+        return dataclasses.replace(schedule, passes=tuple(passes)), band[k]
+
+    @pytest.mark.parametrize("algorithm", ["c2r", "r2c"])
+    def test_copies_are_two_phase_and_tile_the_rows(self, algorithm):
+        sched = check_banded_schedule(12, 18, 3, 2, algorithm).schedule
+        for p in sched.passes:
+            if p.axis == "rows":
+                assert p.copies == ()
+                continue
+            assert len(p.copies) == len(p.bands)
+            for band, copies in zip(p.bands, p.copies):
+                r = axis_rect(p.axis, 12, 18, p.total, band.start, band.stop)
+                cols = (r.c0, r.c1)
+                for f in copies:
+                    mapped, other = (
+                        (f.reads, f.writes) if f.phase == "load" else (f.writes, f.reads)
+                    )
+                    assert mapped[0] == "map" and other[0] == "band"
+                    assert (mapped[1].c0, mapped[1].c1) == cols
+                    assert (mapped[1].r0, mapped[1].r1) == (f.rows.start, f.rows.stop)
+                for phase in ("load", "store"):
+                    rows = [f.rows for f in copies if f.phase == phase]
+                    assert [(r.start, r.stop) for r in rows] == [(0, 6), (6, 12)]
+
+    def test_proof_rejects_a_store_writing_outside_its_band(self):
+        from repro.analysis.racecheck import prove_schedule
+
+        sched = check_banded_schedule(12, 18, 3, 2, "c2r").schedule
+        assert prove_schedule(sched, 3) == []
+        _, foot = self._tamper(sched, "store")
+        mem, rect = foot.writes
+        wide = Rect(rect.r0, rect.r1, rect.c0, rect.c1 + 1)
+        bad, _ = self._tamper(sched, "store", writes=(mem, wide))
+        failures = prove_schedule(bad, 3)
+        assert failures and all("writes map" in f for f in failures), failures
+
+    def test_proof_rejects_a_load_that_writes_the_mapping(self):
+        from repro.analysis.racecheck import prove_schedule
+
+        sched = check_banded_schedule(12, 18, 3, 2, "r2c").schedule
+        _, foot = self._tamper(sched, "load")
+        bad, _ = self._tamper(sched, "load", writes=("map", foot.reads[1]))
+        failures = prove_schedule(bad, 3)
+        assert any("writes map" in f and "outside the band buffer" in f
+                   for f in failures), failures
+
+    def test_proof_rejects_overlapping_worker_rows(self):
+        from repro.analysis.racecheck import prove_schedule
+
+        sched = check_banded_schedule(12, 18, 3, 2, "c2r").schedule
+        bad, _ = self._tamper(sched, "load", rows=slice(0, 7))
+        assert any("load rows" in f for f in prove_schedule(bad, 3))
+
+    def test_proof_rejects_an_unknown_row_map(self):
+        from repro.analysis.racecheck import prove_schedule
+
+        sched = check_banded_schedule(12, 18, 3, 2, "c2r").schedule
+        bad, _ = self._tamper(sched, "store", row_map="transpose")
+        assert any("unknown row map" in f for f in prove_schedule(bad, 3))
 
 
 class TestSanitizerViolations:

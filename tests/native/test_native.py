@@ -173,6 +173,35 @@ def _distinct(m: int, n: int, dtype) -> np.ndarray:
     return rng.integers(0, 1 << (8 * dt.itemsize), m * n).astype(dt)
 
 
+def _run_band_copies(kernel, dec, V: np.ndarray, bands: int, workers: int) -> None:
+    """Every pass of ``kernel`` over ``V`` as the streamed executor runs
+    it: the row pass in place, each column-facing pass band by band
+    through a band-sized buffer, loaded and stored in mapped-row blocks
+    split as ``workers`` workers split them."""
+    from repro.parallel.partition import balanced_chunks
+
+    m = dec.m
+    ring = kernel.copy_scratch(0, 1)
+    blocks = [
+        (share.start + b.start, share.start + b.stop)
+        for share in balanced_chunks(m, workers)
+        for b in balanced_chunks(share.stop - share.start, 2)
+    ]
+    for i, p in enumerate(kernel.passes):
+        if p.axis == "rows":
+            kernel.run_pass(i, V.ctypes.data, 0, p.extent)
+            continue
+        unit = dec.b if p.axis == "groups" else 1
+        for bnd in balanced_chunks(p.extent, min(bands, p.extent)):
+            B = np.empty((m, (bnd.stop - bnd.start) * unit), dtype=V.dtype)
+            for phase in ("load", "store"):
+                for r0, r1 in blocks:
+                    kernel.run_pass_banded(
+                        i, phase, V.ctypes.data, B.ctypes.data,
+                        bnd.start, bnd.stop, r0, r1, ring.ctypes.data,
+                    )
+
+
 def _run_chunked(kernel, addr: int, threads: int) -> None:
     """Every pass over the schedule's ``threads`` column/row chunks."""
     from repro.parallel.partition import balanced_chunks
@@ -232,26 +261,12 @@ class TestColumnShuffle:
         from repro.core.indexing import Decomposition
         from repro.native.codegen import generate_source
         from repro.native.kernel import compile_spec
-        from repro.parallel.partition import balanced_chunks
 
         dec = Decomposition.of(m, n)
         proto = _distinct(m, n, dtype)
         kernel = compile_spec(generate_source(dec, alg, proto.itemsize))
         V = proto.copy().reshape(m, n)
-        for i, p in enumerate(kernel.passes):
-            if not kernel.has_banded(i):
-                kernel.run_pass(i, V.ctypes.data, 0, p.extent)
-                continue
-            unit = dec.b if p.axis == "groups" else 1
-            for bnd in balanced_chunks(p.extent, min(bands, p.extent)):
-                c0, c1 = bnd.start * unit, bnd.stop * unit
-                B = np.ascontiguousarray(V[:, c0:c1])
-                for ch in balanced_chunks(bnd.stop - bnd.start, 2):
-                    kernel.run_pass_banded(
-                        i, B.ctypes.data, bnd.start + ch.start,
-                        bnd.start + ch.stop, B.shape[1], bnd.start,
-                    )
-                V[:, c0:c1] = B
+        _run_band_copies(kernel, dec, V, bands, workers=2)
         assert V.tobytes() == _restricted(proto, m, n, alg).tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -273,14 +288,16 @@ class TestColumnShuffle:
         import dataclasses
 
         from repro.core.indexing import Decomposition
-        from repro.native.codegen import generate_source
+        from repro.native.codegen import _SHARED_END, generate_source
         from repro.native.kernel import compile_spec
 
         monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path))
         m, n = 200, 300
         spec = generate_source(Decomposition.of(m, n), alg, 4)
+        # after the shared prelude: only the passes' translation unit
+        # (the band copies allocate nothing) defines the counter
         shim = (
-            "#include <string.h>\n"
+            f"{_SHARED_END}\n"
             "int repro_test_mallocs = -1;\n"
             "static void *repro_test_malloc(size_t n) {\n"
             "  if (repro_test_mallocs == 0) return NULL;\n"
@@ -289,7 +306,7 @@ class TestColumnShuffle:
             "}\n"
             "#define malloc(n) repro_test_malloc(n)\n"
         )
-        source = spec.source.replace("#include <string.h>\n", shim, 1)
+        source = spec.source.replace(f"{_SHARED_END}\n", shim, 1)
         assert source != spec.source
         kernel = compile_spec(dataclasses.replace(spec, source=source))
         budget = ctypes.c_int.in_dll(kernel._lib, "repro_test_mallocs")
@@ -316,9 +333,10 @@ class TestColumnShuffle:
 @requires_toolchain
 @requires_toolchain
 class TestBandedEntryPoints:
-    """``run_pass_banded``: the column-facing passes executed against
-    band-sized buffers compose to the same permutation as the full-width
-    entry points — the contract the out-of-core ``BandedExecutor`` runs on."""
+    """``run_pass_banded``: the band copies of the column-facing passes,
+    which apply the pass between the matrix and a band-sized buffer,
+    compose to the same permutation as the full-width entry points — the
+    contract the out-of-core ``BandedExecutor`` runs on."""
 
     @pytest.mark.parametrize("algorithm", ["c2r", "r2c"])
     @pytest.mark.parametrize("m,n", [(12, 18), (12, 96), (31, 47)])
@@ -326,32 +344,17 @@ class TestBandedEntryPoints:
         from repro.core.indexing import Decomposition
         from repro.native.codegen import generate_source
         from repro.native.kernel import compile_spec
-        from repro.parallel.partition import balanced_chunks
 
         dec = Decomposition.of(m, n)
         kernel = compile_spec(generate_source(dec, algorithm, 8))
-        state = np.arange(m * n, dtype=np.uint64).reshape(m, n)
+        ref = np.arange(m * n, dtype=np.uint64).reshape(m, n)
         for i, p in enumerate(kernel.passes):
-            ref = state.copy()
             kernel.run_pass(i, ref.ctypes.data, 0, p.extent)
-            if not kernel.has_banded(i):
-                assert p.axis == "rows"  # row passes need no rebase
-                state = ref
-                continue
-            unit = dec.b if p.axis == "groups" else 1
-            got = state.copy()
-            for bnd in balanced_chunks(p.extent, min(3, p.extent)):
-                c0, c1 = bnd.start * unit, bnd.stop * unit
-                B = np.ascontiguousarray(got[:, c0:c1])
-                for ch in balanced_chunks(bnd.stop - bnd.start, 2):
-                    kernel.run_pass_banded(
-                        i, B.ctypes.data,
-                        bnd.start + ch.start, bnd.start + ch.stop,
-                        B.shape[1], bnd.start,
-                    )
-                got[:, c0:c1] = B
+        got = np.arange(m * n, dtype=np.uint64).reshape(m, n)
+        for workers in (1, 3):
+            got[...] = np.arange(m * n, dtype=np.uint64).reshape(m, n)
+            _run_band_copies(kernel, dec, got, 3, workers)
             np.testing.assert_array_equal(got, ref)
-            state = ref
 
     def test_row_pass_has_no_banded_variant(self):
         from repro.core.indexing import Decomposition
@@ -364,9 +367,9 @@ class TestBandedEntryPoints:
         idx = next(
             i for i, p in enumerate(kernel.passes) if p.axis == "rows"
         )
-        assert not kernel.has_banded(idx)
-        with pytest.raises(ValueError, match="no banded entry point"):
-            kernel.run_pass_banded(idx, 0, 0, 1, 18, 0)
+        for phase in ("load", "store"):
+            with pytest.raises(ValueError, match="no banded entry point"):
+                kernel.run_pass_banded(idx, phase, 0, 0, 0, 1, 0, 1, 0)
 
 
 class TestArtifactAccounting:
@@ -758,7 +761,9 @@ class TestCompileFlags:
         self, toolchain, tmp_path, monkeypatch
     ):
         """A compiler that fails on ``-fsplit-loops`` is retried at plain
-        ``-O2``, once: the next unit goes straight to plain ``-O2``."""
+        ``-O2``, once: the next unit goes straight to plain ``-O2``.  The
+        ``cc`` toolchain compiles each unit as two translation units (the
+        passes and the band copies), ``cffi`` as one."""
         import stat
 
         from repro.core.indexing import Decomposition
@@ -801,7 +806,8 @@ class TestCompileFlags:
             for i, p in enumerate(kern.passes):
                 kern.run_pass(i, buf.ctypes.data, 0, p.extent)
             assert buf.tobytes() == _restricted(proto, m, n, "c2r").tobytes()
-            assert o2_calls() == (1, k + 1), log.read_text()
+            units = 2 if toolchain == "cc" else 1
+            assert o2_calls() == (units, units * (k + 1)), log.read_text()
         assert K._plain_opt == {(toolchain, str(fake))}
 
 

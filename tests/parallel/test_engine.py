@@ -73,6 +73,42 @@ class TestProofCoversTheRunningSchedule:
         assert stats["bands"] == sum(len(p.bands) for p in ran[0].passes)
         assert stats["bands"] > stats["passes"]
 
+    def test_stream_band_copies_drive_the_proven_rows(
+        self, tmp_path, monkeypatch, fresh_proofs
+    ):
+        """Each column or rotation band's copies split the mapped rows as
+        the proven schedule's copy footprints say."""
+        from repro import native
+        from repro.stream.window import ResidentWindow
+
+        if not native.available():
+            pytest.skip("no C toolchain")
+        monkeypatch.setenv("REPRO_NATIVE_MIN_ELEMS", "1")
+        proved, _ = _spy(monkeypatch)
+        shares = []
+        real = ResidentWindow._row_blocks
+
+        def spy(self, band_cols, copy, rows=None):
+            if rows is not None:
+                shares.append(tuple(rows))
+            return real(self, band_cols, copy, rows)
+
+        monkeypatch.setattr(ResidentWindow, "_row_blocks", spy)
+        m, n = 40, 24  # gcd 8: a rotation pass runs
+        A = np.arange(m * n, dtype=np.float64).reshape(m, n)
+        path = tmp_path / "m.bin"
+        A.tofile(path)
+        transpose_file_inplace(path, m, n, np.float64, window_bytes=2048, n_threads=2)
+        np.testing.assert_array_equal(np.fromfile(path, np.float64).reshape(n, m), A.T)
+        want = [
+            tuple(f.rows for f in copies if f.phase == phase)
+            for p in proved[0].passes
+            for copies in p.copies
+            for phase in ("load", "store")
+        ]
+        assert len(want) > 4
+        assert shares == want
+
     def test_plan_memoises_its_one_chunk_schedule(self, monkeypatch, fresh_proofs):
         from repro.core.plan import TransposePlan
 

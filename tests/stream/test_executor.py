@@ -139,6 +139,86 @@ class TestBandedTranspose:
         )
 
 
+def _native_compiler() -> bool:
+    from repro import native
+
+    return native.available()
+
+
+def _sanitized() -> bool:
+    """The shadow-memory sanitizer forces numpy bands (no kernel runs)."""
+    from repro.analysis import racecheck
+
+    return racecheck.sanitizer.enabled
+
+
+#: one window per band count asked of every column-facing pass:
+#: 1, 2 and at least 5 bands (a column band of the lattice shape is
+#: m * itemsize bytes per column)
+_LATTICE_BANDS = (1, 2, 5)
+
+
+@pytest.mark.skipif(not _native_compiler(), reason="no C toolchain")
+class TestStreamedLattice:
+    """``transpose_file_inplace`` against ``np.transpose`` byte for byte,
+    over both algorithms, ``c = 1`` and ``c > 1``, narrow and wide column
+    groups, every item width, both storage orders, one to many bands and
+    one or two threads.  The shapes sit above the native size floor, so
+    every column and rotation band runs through the band copies."""
+
+    #: (m, n): coprime (c = 1); c = 24 with narrow groups (a = 5, b = 7:
+    #: a group row is under a cache line at every width but 16); c = 2
+    #: with wide groups (a = 64, b = 65) on both algorithms' views
+    SHAPES = [(127, 129), (120, 168), (128, 130)]
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("itemsize", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("m,n", SHAPES)
+    def test_lattice_byte_identical(self, tmp_path, monkeypatch, m, n,
+                                    itemsize, order, n_threads):
+        from repro.core.indexing import Decomposition
+        from repro.native.kernel import NativeKernel
+
+        monkeypatch.setenv("REPRO_NATIVE_MIN_ELEMS", "1")
+        copies: list[str] = []
+        real = NativeKernel.run_pass_banded
+
+        def counted(self, idx, phase, *args):
+            copies.append(phase)
+            return real(self, idx, phase, *args)
+
+        monkeypatch.setattr(NativeKernel, "run_pass_banded", counted)
+        dtype = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64,
+                 16: np.complex128}[itemsize]
+        A = np.random.default_rng(m * itemsize).integers(
+            0, 256, (m, n * itemsize), dtype=np.uint8
+        ).view(dtype)
+        want = np.ascontiguousarray(np.transpose(A)).ravel(order=order).tobytes()
+        for algorithm in ("c2r", "r2c"):
+            vm, vn = (m, n) if order == "C" else (n, m)
+            M, N = (vm, vn) if algorithm == "c2r" else (vn, vm)
+            dec = Decomposition.of(M, N)
+            for k in _LATTICE_BANDS:
+                del copies[:]
+                # a column band of `per` columns fits the window exactly
+                per = -(-N // k)
+                window = per * M * itemsize
+                path = _write(tmp_path, A, order)
+                stats = transpose_file_inplace(
+                    path, m, n, dtype, order, algorithm=algorithm,
+                    window_bytes=window, io_block_bytes=4096,
+                    n_threads=n_threads,
+                )
+                assert np.fromfile(path, dtype=np.uint8).tobytes() == want, (
+                    algorithm, k, dec,
+                )
+                assert stats["bands"] >= stats["passes"]
+                # every column and rotation band ran its two copies
+                if not _sanitized():
+                    assert {"load", "store"} <= set(copies), (algorithm, k)
+
+
 class TestValidationAndFailure:
     def test_bad_order_rejected(self, tmp_path):
         path = _write(tmp_path, np.zeros((2, 3)))
@@ -191,6 +271,51 @@ class TestValidationAndFailure:
         with BandedExecutor(1, window_bytes=4096) as ex:
             with pytest.raises(RuntimeError, match="injected pass failure"):
                 ex.transpose_file(path, m, n, np.float64)
+
+    @pytest.mark.skipif(
+        not _native_compiler() or _sanitized(),
+        reason="needs the compiled band copies",
+    )
+    @pytest.mark.parametrize("algorithm", ["c2r", "r2c"])
+    @pytest.mark.parametrize("axis", ["groups", "cols"])
+    def test_failed_copy_scratch_reruns_the_band_plain(
+        self, tmp_path, monkeypatch, axis, algorithm
+    ):
+        """A band whose copy scratch cannot be allocated moves nothing: it
+        reruns as a plain copy plus the numpy chunk body, recorded as a
+        native fallback, and the file still matches ``np.transpose``."""
+        from repro import native
+        from repro.native.kernel import NativeKernel
+        from repro.runtime import metrics
+
+        m, n = 300, 500  # native-sized, gcd 100: a rotation pass runs
+        A = np.random.default_rng(3).standard_normal((m, n)).astype(np.float32)
+        path = _write(tmp_path, A)
+        real = NativeKernel.copy_scratch
+        calls: list[int] = []
+        failed: list[int] = []
+
+        def failing(self, idx, workers):
+            calls.append(idx)
+            # the first rotation band, or the first column band
+            if self.passes[idx].axis == axis and not failed:
+                failed.append(idx)
+                raise MemoryError("injected copy scratch failure")
+            return real(self, idx, workers)
+
+        monkeypatch.setattr(NativeKernel, "copy_scratch", failing)
+        monkeypatch.setattr(native, "_warned_once", True)  # silence
+        metrics.reset()
+        stats = transpose_file_inplace(
+            path, m, n, np.float32, algorithm=algorithm,
+            window_bytes=64 * 1024, n_threads=2,
+        )
+        assert stats["bands"] > stats["passes"]
+        want = np.ascontiguousarray(A.T).tobytes()
+        assert np.fromfile(path, dtype=np.float32).tobytes() == want
+        assert failed, f"no {axis} band ran"
+        assert len(calls) > 1, "the other bands must still copy natively"
+        assert metrics.snapshot()["counters"].get("native.fallback") == 1
 
     def test_proof_memo_covers_repeat_runs(self, tmp_path):
         before = len(engine._PROVEN)
