@@ -6,15 +6,15 @@ module keeps the original public surface —
 ``transpose_file_inplace(path, m, n, dtype, order)`` — but the execution
 now routes through :mod:`repro.stream`: the file is processed band by
 band under a byte-budgeted resident window instead of one unbounded
-memmap walk, each band is flushed (``msync`` + page drop) before the
-next loads, and the schedule is pre-proven race-free by
+memmap walk, each band's pages are dropped before the next loads, and
+the schedule is pre-proven race-free by
 :func:`repro.analysis.racecheck.check_banded_schedule`.
 
 Observability parity with the in-RAM paths: the streamed run emits an
 ``op.stream.*`` span, per-pass ``pass.*`` spans and band spans, and
 records ``stream.transpose`` bytes-moved metrics.  Failure semantics are
-deterministic — on a pass failure every band already stored has been
-synced, the mapping is flushed best-effort, and the error propagates
+deterministic — on a pass failure the mapping is flushed best-effort,
+so every band already stored is made durable, and the error propagates
 (the old path's ``finally: del buf`` silently skipped the flush).
 """
 

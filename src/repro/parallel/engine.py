@@ -149,8 +149,8 @@ class InRam:
 class WindowBands:
     """A :class:`~repro.stream.window.ResidentWindow`: each band is loaded,
     permuted and stored before the next loads.  A row band is permuted in
-    the mapping itself (its store only starts writeback and drops its
-    pages); a column or rotation band is copied into the window's column
+    the mapping itself (its load faults it in writable, its store drops
+    its pages); a column or rotation band is copied into the window's column
     buffer and back, permuted on the way when ``copy`` is given."""
 
     streamed = True

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .executor import BandedExecutor
-from .window import drop_pages, sync_pages_async
+from .window import drop_dirty_pages, drop_pages
 
 __all__ = ["transpose_file_inplace", "naive_transpose_copy"]
 
@@ -98,8 +98,8 @@ def naive_transpose_copy(
     Reads ``src`` (``m x n``, row-major) in row blocks and writes each
     block as a column slab of ``dst`` (``n x m``) — the straightforward
     approach when a second file's worth of disk is acceptable.  Per block,
-    writeback is initiated and the pages are dropped on both sides — the
-    same residency/flush discipline the streamed path uses — so the
+    the pages are dropped on both sides — the same residency/flush
+    discipline the streamed path uses — so the
     baseline runs with a bounded resident set and the comparison measures
     the algorithms, not two different page-management policies.  The
     final ``flush()`` is the durability barrier.
@@ -129,11 +129,9 @@ def naive_transpose_copy(
             i1 = min(m, i0 + step)
             b[:, i0:i1] = a[i0:i1].T
             drop_pages(a._mmap, i0 * src_row, i1 * src_row)
-            # The written slab spans every dst row; initiate writeback
-            # and drop across the whole mapping so the resident set
-            # stays one slab.
-            sync_pages_async(b._mmap, 0, n * dst_row)
-            drop_pages(b._mmap, 0, n * dst_row)
+            # The written slab spans every dst row; drop across the
+            # whole mapping so the resident set stays one slab.
+            drop_dirty_pages(b._mmap, 0, n * dst_row)
         b.flush()
     finally:
         del a, b

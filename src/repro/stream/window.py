@@ -5,7 +5,7 @@ give: a *bound* on how much of the file is resident at once.  The
 :class:`ResidentWindow` provides it.  The file is mapped once, but the
 mapping is only ever *touched* through band-granular load/store calls, and
 every band ends by handing its touched pages back to the kernel
-(``msync`` + ``madvise(MADV_DONTNEED)``), so the process's resident set
+(``madvise(MADV_DONTNEED)``), so the process's resident set
 stays at (one band) + (the column buffer) + (one I/O block) + interpreter
 baseline regardless of file size.
 
@@ -20,10 +20,11 @@ Flush ordering — the contract the banded race proof
    is permuted during its two copies (the load and the store apply the
    pass on the way, so nothing runs in the column buffer in between);
 3. the band is **stored**: a column band is written back through the
-   mapping; either kind then has its writeback initiated
-   (``msync(MS_ASYNC)``) and its pages dropped (``madvise``) *before the
-   next band loads*; the op-end ``flush()`` (``MS_SYNC``) is the
-   durability barrier.
+   mapping; either kind then has its pages dropped
+   (``madvise(MADV_DONTNEED)``) *before the next band loads*.  On a shared
+   file mapping that only ends residency: the pages stay dirty in the
+   page cache, and the op-end ``flush()`` (``MS_SYNC``) is the durability
+   barrier.
 
 The proof shows that the band rectangles of a pass are pairwise disjoint,
 that every chunk reads only inside its own rectangle, and that a column
@@ -31,16 +32,17 @@ band's load reads only the band's mapped columns and writes only the
 buffer while its store does the reverse.  So a band never reads an
 element another band writes, and no later band can observe — or clobber
 — a flushed band's elements within the pass; that is why step 3 may run
-eagerly.  Dirty page-cache pages between the
-async initiation and the barrier are the kernel writeback system's to
-schedule (and throttle), which is what lets a scattered column-band store
-coalesce into sequential device writes instead of stalling on per-page
-random ``msync``.
+eagerly.  Until the barrier, writing the dropped dirty pages back is the
+kernel writeback system's to schedule (and throttle); no band blocks on a
+per-page ``msync``.
 
 Two band geometries cover every decomposition pass:
 
 * **row bands** ``[r0, r1)`` — contiguous byte ranges of a row-major file,
-  permuted in place in the mapping;
+  permuted in place in the mapping.  A load faults the band in writable
+  with one ``madvise(MADV_POPULATE_WRITE)`` per worker share, so the
+  kernel pass takes no page faults (without it each page of a file held
+  in 4 KiB page-cache folios takes a read fault, then a write fault);
 * **column bands** ``[c0, c1)`` — strided; gathered into the column buffer
   by row-block sub-copies and scattered back the same way.  With an
   ``executor`` the sub-copies are split over its workers, each worker's
@@ -62,13 +64,16 @@ Environment knobs (see docs/STREAMING.md):
 
 from __future__ import annotations
 
+import errno
 import mmap
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 
+from ..parallel.executor import PassExecutionError
 from ..parallel.partition import balanced_chunks
 
 __all__ = [
@@ -79,8 +84,8 @@ __all__ = [
     "default_window_bytes",
     "parse_bytes",
     "drop_pages",
+    "drop_dirty_pages",
     "sync_pages",
-    "sync_pages_async",
 ]
 
 #: library default for the resident-window byte budget
@@ -156,62 +161,85 @@ def sync_pages(mapping: mmap.mmap, lo: int, hi: int) -> None:
         mapping.flush(start, stop - start)
 
 
-# msync(2) MS_ASYNC on Linux.  Python's mmap.flush() is MS_SYNC-only; a
-# column band's dirty pages are *scattered* (one slice per row), and a
-# synchronous msync of scattered 4 KiB pages degrades a sequential-capable
-# device to random-write bandwidth.  MS_ASYNC marks them for writeback and
-# returns; the kernel's flusher coalesces across bands, and the op-end
-# ``flush()`` (MS_SYNC) remains the durability barrier.
-_MS_ASYNC = 1
-
-_libc = None
-_async_broken = False
+#: On Linux a dropped page of a shared mapping stays dirty in the page
+#: cache, and ``msync(MS_ASYNC)`` has done nothing since 2.6.19
+#: (msync(2)), so dirty pages are dropped as they are and the closing
+#: ``flush()`` (``MS_SYNC``) writes them.  Elsewhere what ``MADV_DONTNEED``
+#: does to a dirty shared page is not specified, so they are synced first.
+_SYNC_BEFORE_DROP = not sys.platform.startswith("linux")
 
 
-def _msync_fn():
-    global _libc
-    if _libc is None:
-        import ctypes
-
-        _libc = ctypes.CDLL(None, use_errno=True)
-    return _libc.msync
-
-
-def sync_pages_async(mapping: mmap.mmap, lo: int, hi: int) -> None:
-    """Initiate writeback of bytes ``[lo, hi)`` without blocking on it.
-
-    Residency is unaffected (the caller still drops the pages); only the
-    durability point moves — from per-call to the next full
-    :func:`sync_pages` / ``flush()``.  Falls back to the synchronous
-    :func:`sync_pages` on platforms without a callable ``msync``.
-    """
-    global _async_broken
-    if _async_broken or not sys.platform.startswith("linux"):
+def drop_dirty_pages(mapping: mmap.mmap, lo: int, hi: int) -> None:
+    """Hand back the pages backing bytes ``[lo, hi)`` that were written:
+    :func:`drop_pages`, after a synchronous :func:`sync_pages` off Linux."""
+    if _SYNC_BEFORE_DROP:
         sync_pages(mapping, lo, hi)
-        return
-    start, stop = _page_span(lo, hi, len(mapping))
-    if stop <= start:
-        return
+    drop_pages(mapping, lo, hi)
+
+
+#: madvise(2) MADV_POPULATE_WRITE (Linux >= 5.14; Python 3.11's mmap does
+#: not name it): fault a range in writable, as a write to each page would
+_MADV_POPULATE_WRITE = 23
+
+#: whether MADV_POPULATE_WRITE works here: ``None`` until the first call
+#: probes it, ``False`` for the rest of the process after an EINVAL (an
+#: older kernel), when the row kernel's own writes fault the band in
+_populate_ok: bool | None = None if sys.platform.startswith("linux") else False
+_probe_lock = threading.Lock()
+
+_madvise_fn = None
+
+
+def _madvise(addr: int, length: int, advice: int) -> None:
+    """``madvise(2)`` through libc, raising :class:`OSError` on failure.
+    A ctypes call releases the GIL, so workers populate concurrently
+    (``mmap.madvise`` holds it)."""
+    global _madvise_fn
     import ctypes
 
-    buf = (ctypes.c_char * 0).from_buffer(mapping)
+    if _madvise_fn is None:
+        fn = ctypes.CDLL(None, use_errno=True).madvise
+        fn.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+        fn.restype = ctypes.c_int
+        _madvise_fn = fn
+    if _madvise_fn(addr, length, advice) != 0:
+        err = ctypes.get_errno()
+        raise OSError(err, os.strerror(err))
+
+
+def _populate(addr: int, length: int) -> bool:
+    """One ``MADV_POPULATE_WRITE``; ``False`` if the kernel rejects the
+    advice (EINVAL), any other error raised."""
     try:
-        addr = ctypes.addressof(buf)
-    finally:
-        del buf
-    try:
-        rc = _msync_fn()(
-            ctypes.c_void_p(addr + start),
-            ctypes.c_size_t(stop - start),
-            ctypes.c_int(_MS_ASYNC),
-        )
-    except (OSError, AttributeError):
-        _async_broken = True
-        sync_pages(mapping, lo, hi)
+        _madvise(addr, length, _MADV_POPULATE_WRITE)
+    except OSError as exc:
+        if exc.errno != errno.EINVAL:
+            raise
+        return False
+    return True
+
+
+def populate_pages(addr: int, size: int, lo: int, hi: int) -> None:
+    """Fault in writable the pages backing bytes ``[lo, hi)`` of the
+    ``size``-byte mapping at ``addr``, in one call.
+
+    Moves no bytes, and makes resident just the pages the first writes
+    would.  The first call in the process probes the advice while other
+    threads wait; after an EINVAL every call returns at once.  Any other
+    error (``EFAULT`` for pages past the end of a truncated file) raises
+    :class:`OSError`.
+    """
+    global _populate_ok
+    start, stop = _page_span(lo, hi, size)
+    if _populate_ok is False or stop <= start:
         return
-    if rc != 0:
-        _async_broken = True
-        sync_pages(mapping, lo, hi)
+    if _populate_ok is None:
+        with _probe_lock:
+            if _populate_ok is None:
+                _populate_ok = _populate(addr + start, stop - start)
+                return
+    if _populate_ok:
+        _populate(addr + start, stop - start)
 
 
 class ResidentWindow:
@@ -285,6 +313,7 @@ class ResidentWindow:
             self.path, dtype=self.dtype, mode="r+", shape=(self.rows * self.cols,)
         )
         self.view = self._mm.reshape(self.rows, self.cols)
+        self._addr = self.view.ctypes.data
         self._row_bytes = self.cols * self.dtype.itemsize
         #: the one column-band buffer, allocated by the first load_cols
         self._col_buf: np.ndarray | None = None
@@ -303,8 +332,8 @@ class ResidentWindow:
     def _drop_rows(self, r0: int, r1: int) -> None:
         drop_pages(self._mm._mmap, r0 * self._row_bytes, r1 * self._row_bytes)
 
-    def _sync_rows(self, r0: int, r1: int) -> None:
-        sync_pages_async(
+    def _drop_dirty_rows(self, r0: int, r1: int) -> None:
+        drop_dirty_pages(
             self._mm._mmap, r0 * self._row_bytes, r1 * self._row_bytes
         )
 
@@ -339,21 +368,43 @@ class ResidentWindow:
 
     def load_rows(self, r0: int, r1: int) -> np.ndarray:
         """Rows ``[r0, r1)`` as the mapping's own view (no copy): the
-        caller permutes them in the mapped pages."""
+        caller permutes them in the mapped pages.
+
+        The band is first faulted in writable (:func:`populate_pages`),
+        one call per worker share of the rows, split like the kernel
+        chunks: otherwise, on a file held in 4 KiB page-cache folios, each
+        page takes a read fault and then a write fault under the kernel.
+        An :class:`OSError` from that raises here, before any element of
+        the band moves."""
+        ex = self._executor
+        if ex is None:
+            self._populate_rows(r0, r1)
+        else:
+            def body(share: slice) -> None:
+                self._populate_rows(r0 + share.start, r0 + share.stop)
+
+            try:
+                ex.parallel_for(r1 - r0, body, name="stream.band_populate")
+            except PassExecutionError as exc:
+                raise exc.__cause__
         self.bytes_read += (r1 - r0) * self._row_bytes
         self.loads += 1
         return self.view[r0:r1]
 
+    def _populate_rows(self, r0: int, r1: int) -> None:
+        populate_pages(
+            self._addr, self.nbytes, r0 * self._row_bytes, r1 * self._row_bytes
+        )
+
     def store_rows(self, r0: int, r1: int, band: np.ndarray) -> None:
         """Finish a row band: copy ``band`` in unless it is the band's own
-        view, then initiate its writeback and drop its pages (flush step 3
-        of the module contract) before the caller loads the next band."""
+        view, then drop its pages (flush step 3 of the module contract)
+        before the caller loads the next band."""
         dst = self.view[r0:r1]
         src = band.reshape(r1 - r0, self.cols)
         if src.ctypes.data != dst.ctypes.data or src.strides != dst.strides:
             dst[...] = src
-        self._sync_rows(r0, r1)
-        self._drop_rows(r0, r1)
+        self._drop_dirty_rows(r0, r1)
         self.bytes_written += (r1 - r0) * self._row_bytes
         self.stores += 1
 
@@ -392,12 +443,12 @@ class ResidentWindow:
         return band
 
     def store_cols(self, c0: int, c1: int, band: np.ndarray, copy=None) -> None:
-        """Write a column band back block-by-block; each block's writeback
-        is initiated and its pages dropped before its worker faults in the
-        next, so the *resident* set never exceeds one I/O block (the
-        scattered dirty pages drain through kernel writeback, not a
-        blocking per-block msync).  ``copy`` permutes on the way, as in
-        :meth:`load_cols`: a block writes only mapped rows ``[i0, i1)``."""
+        """Write a column band back block-by-block; each block's pages are
+        dropped before its worker faults in the next, so the *resident*
+        set never exceeds one I/O block (the dropped pages stay dirty in
+        the page cache until kernel writeback or the closing ``flush()``).
+        ``copy`` permutes on the way, as in :meth:`load_cols`: a block
+        writes only mapped rows ``[i0, i1)``."""
         width = c1 - c0
         bview = band.reshape(self.rows, width)
         view = self.view
@@ -408,8 +459,7 @@ class ResidentWindow:
                 view[i0:i1, c0:c1] = bview[i0:i1]
             else:
                 copy("store", map_addr, band_addr, i0, i1, w)
-            self._sync_rows(i0, i1)
-            self._drop_rows(i0, i1)
+            self._drop_dirty_rows(i0, i1)
 
         self._row_blocks(width, block, None if copy is None else copy.rows["store"])
         self.bytes_written += self.rows * width * self.dtype.itemsize

@@ -7,6 +7,9 @@ scales with ``REPRO_STREAM_TEST_BYTES`` (default 96 MiB — the CI stream
 job raises it to 1 GiB and tightens nothing else).  One thread and two
 run under the same cap: the workers split each column-band copy's I/O
 block between them, so the threaded copies hold no more pages at once.
+Each runs on both page-cache layouts of the input (:data:`LAYOUTS`): the
+row bands are faulted in writable ahead of the kernel, which must make no
+more of the file resident on either.
 
 The child runs with ``REPRO_SANITIZE`` removed from its environment: the
 shadow-memory sanitizer keeps an O(mn) shadow per pass, so under it the
@@ -28,12 +31,18 @@ import pytest
 #: walk would blow the cap, small enough for the tier-1 suite
 DEFAULT_TEST_BYTES = 96 * 1024 * 1024
 
+#: how the child makes its input: large writes, which leave the file in
+#: large page-cache folios where the file system supports them, or large
+#: writes to a second file and ``shutil.copyfile`` of it, which leaves the
+#: copy in 4 KiB folios
+LAYOUTS = ("write", "copyfile")
+
 _CHILD = r"""
-import json, os, sys
+import json, os, shutil, sys
 import numpy as np
 
 src_dir, path, total_bytes = sys.argv[1], sys.argv[2], int(sys.argv[3])
-n_threads = int(sys.argv[4])
+n_threads, layout = int(sys.argv[4]), sys.argv[5]
 sys.path.insert(0, src_dir)
 
 def vm_hwm_kib():
@@ -49,13 +58,17 @@ def vm_hwm_kib():
 n = 4096
 m = total_bytes // (n * 4)
 write_block = 256
-with open(path, "wb") as fh:
+written = path + ".src" if layout == "copyfile" else path
+with open(written, "wb") as fh:
     for i0 in range(0, m, write_block):
         i1 = min(m, i0 + write_block)
         block = (
             np.arange(i0 * n, i1 * n, dtype=np.int64) % (1 << 32)
         ).astype(np.uint32)
         fh.write(block.tobytes())
+if layout == "copyfile":
+    shutil.copyfile(written, path)
+    os.unlink(written)
 
 window = total_bytes // 12
 before = vm_hwm_kib()
@@ -95,26 +108,28 @@ def test_streamed_rss_stays_near_window(tmp_path, n_threads):
     script.write_text(_CHILD)
     data = tmp_path / "big.bin"
     env = {k: v for k, v in os.environ.items() if k != "REPRO_SANITIZE"}
-    out = subprocess.run(
-        [sys.executable, str(script), src_dir, str(data), str(total),
-         str(n_threads)],
-        capture_output=True, text=True, timeout=600, env=env,
-    )
-    assert out.returncode == 0, out.stderr[-2000:]
-    rep = json.loads(out.stdout.strip().splitlines()[-1])
-    assert rep["exact"], "streamed transpose is not byte-exact"
-    assert rep["bands"] >= 3, rep
+    for layout in LAYOUTS:
+        out = subprocess.run(
+            [sys.executable, str(script), src_dir, str(data), str(total),
+             str(n_threads), layout],
+            capture_output=True, text=True, timeout=600, env=env,
+        )
+        assert out.returncode == 0, out.stderr[-2000:]
+        rep = json.loads(out.stdout.strip().splitlines()[-1])
+        assert rep["exact"], f"streamed transpose of the {layout} file is not byte-exact"
+        assert rep["bands"] >= 3, rep
 
-    # Peak RSS growth over the pre-transpose baseline: one band (a row
-    # band's mapped pages or the column buffer, each <= window) + the
-    # column buffer held across row passes + gather index/temporary
-    # arrays (int64 indices over uint32 data ~= 2x the band) + the
-    # transient I/O block, plus fixed interpreter/numpy slack.  An unbounded memmap walk would grow by
-    # ~total_bytes and blow through this cap.
-    delta_bytes = (rep["after_kib"] - rep["before_kib"]) * 1024
-    cap = 5 * rep["window"] + 48 * 1024 * 1024
-    assert delta_bytes <= cap, (
-        f"peak RSS grew {delta_bytes / 1e6:.0f} MB; "
-        f"cap {cap / 1e6:.0f} MB (window {rep['window'] / 1e6:.0f} MB)"
-    )
-    assert cap < total, "cap must be meaningfully below the file size"
+        # Peak RSS growth over the pre-transpose baseline: one band (a row
+        # band's mapped pages or the column buffer, each <= window) + the
+        # column buffer held across row passes + gather index/temporary
+        # arrays (int64 indices over uint32 data ~= 2x the band) + the
+        # transient I/O block, plus fixed interpreter/numpy slack.  An
+        # unbounded memmap walk would grow by ~total_bytes and blow
+        # through this cap.
+        delta_bytes = (rep["after_kib"] - rep["before_kib"]) * 1024
+        cap = 5 * rep["window"] + 48 * 1024 * 1024
+        assert delta_bytes <= cap, (
+            f"{layout} file: peak RSS grew {delta_bytes / 1e6:.0f} MB; "
+            f"cap {cap / 1e6:.0f} MB (window {rep['window'] / 1e6:.0f} MB)"
+        )
+        assert cap < total, "cap must be meaningfully below the file size"

@@ -1,13 +1,21 @@
 """ResidentWindow: byte parsing, band load/store round trips, row bands in
-place, the one column buffer, threaded column copies, accounting, and the
-flush/close lifecycle."""
+place, the one column buffer, threaded column copies, accounting, the
+flush/close lifecycle, and the row-band populate's failure and fallback."""
 
 from __future__ import annotations
+
+import errno
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.parallel.executor import ParallelExecutor
+from repro.stream import transpose_file_inplace
+from repro.stream import window as wmod
 from repro.stream.window import (
     DEFAULT_WINDOW_BYTES,
     WINDOW_ENV,
@@ -149,3 +157,79 @@ class TestResidentWindow:
         with pytest.raises(RuntimeError, match="boom"):
             with ResidentWindow(path, 4, 4, np.float64):
                 raise RuntimeError("boom")
+
+
+#: Truncates the file under an open window, then loads a row band that
+#: reaches past the new end.  Prints "raised <errno> <rows left in the file
+#: unchanged>" when the load raises OSError, "unsupported" when the kernel
+#: has no MADV_POPULATE_WRITE.  Without the populate the load returns and
+#: the write below dies of SIGBUS.
+_TRUNCATE_CHILD = r"""
+import os, sys
+import numpy as np
+
+sys.path.insert(0, sys.argv[1])
+path, n_threads = sys.argv[2], int(sys.argv[3])
+from repro.parallel.executor import ParallelExecutor
+from repro.stream import window as wmod
+
+rows, cols = 64, 1024  # 4 KiB rows of float32
+A = np.arange(rows * cols, dtype=np.float32).reshape(rows, cols)
+A.tofile(path)
+with ParallelExecutor(n_threads) as ex:
+    w = wmod.ResidentWindow(path, rows, cols, np.float32, executor=ex)
+    os.truncate(path, 40 * cols * 4)
+    try:
+        band = w.load_rows(32, 48)
+    except OSError as exc:
+        kept = np.fromfile(path, dtype=np.float32).reshape(40, cols)
+        print("raised", exc.errno, np.array_equal(kept, A[:40]))
+        sys.exit(0)
+    if wmod._populate_ok is False:
+        print("unsupported")
+        sys.exit(0)
+    band[:] = band[:, ::-1]
+    print("returned")
+"""
+
+
+class TestPopulate:
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_truncated_file_raises_before_any_element_moves(
+        self, tmp_path, n_threads
+    ):
+        src_dir = str(Path(__file__).resolve().parents[2] / "src")
+        script = tmp_path / "truncate_child.py"
+        script.write_text(_TRUNCATE_CHILD)
+        out = subprocess.run(
+            [sys.executable, str(script), src_dir, str(tmp_path / "t.bin"),
+             str(n_threads)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, (out.returncode, out.stderr[-2000:])
+        if out.stdout.strip() == "unsupported":
+            pytest.skip("kernel without MADV_POPULATE_WRITE")
+        assert out.stdout.split() == ["raised", str(errno.EFAULT), "True"]
+
+    def test_einval_falls_back_after_one_probe(self, tmp_path, monkeypatch):
+        calls: list[int] = []
+
+        def no_advice(addr, length, advice):
+            calls.append(advice)
+            time.sleep(0.05)  # the other workers reach the probe meanwhile
+            raise OSError(errno.EINVAL, "Invalid argument")
+
+        monkeypatch.setattr(wmod, "_populate_ok", None)
+        monkeypatch.setattr(wmod, "_madvise", no_advice)
+        m, n = 96, 160
+        A = np.random.default_rng(5).standard_normal((m, n))
+        path = _write(tmp_path, A)
+        for rows, cols, want in ((m, n, A.T), (n, m, A)):
+            transpose_file_inplace(
+                path, rows, cols, np.float64, window_bytes=16 * 1024,
+                n_threads=4,
+            )
+            got = np.fromfile(path, dtype=np.float64)
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert calls == [wmod._MADV_POPULATE_WRITE]
+        assert wmod._populate_ok is False
