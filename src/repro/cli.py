@@ -577,7 +577,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         request_timeout_s=args.request_timeout,
         slo_p99_ms=args.slo_p99_ms,
         slo_error_budget=args.slo_error_budget,
-        shards=args.shards,
         tenant_rate=args.tenant_rate,
         tenant_burst_s=args.tenant_burst_s,
         tenant_weights=tenant_weights,
@@ -592,7 +591,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     quota = (f"{config.tenant_rate:.0f} matrices/s/tenant"
              if config.tenant_rate else "off")
     print(f"repro-serve listening on http://{host}:{port} "
-          f"({config.shards} shard(s) x {config.workers} workers, "
+          f"({config.workers} workers, "
           f"queue {config.queue_size}, "
           f"max batch {config.max_batch}, max wait {config.max_wait_ms}ms, "
           f"quotas {quota})")
@@ -633,8 +632,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"accepted={summary['accepted']} responded={summary['responded']} "
         f"dropped={summary['dropped']} rejected_full={summary['rejected_full']} "
         f"retries={summary['retries']} drained={summary['drained']} "
-        f"shards={summary['shards']} "
-        f"shards_evicted={summary['shards_evicted']} "
         f"shm_leaked={summary['shm_leaked']}"
     )
     ok = (
@@ -643,38 +640,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         and summary["shm_leaked"] == 0
     )
     return 0 if ok else 1
-
-
-def _shard_aligned_shapes(router, base_m: int, base_n: int, dtype: str):
-    """One shape per shard: walk ``n`` outward from ``base_n`` until every
-    shard on the ring owns exactly one of the generated shapes.
-
-    The sharded loadtest measures aggregate scaling, which is only
-    meaningful when the workload spreads across all shards; deriving the
-    mix from the ring makes balance deterministic instead of hoping N
-    arbitrary shapes hash onto N distinct shards.
-    """
-    import numpy as np
-
-    from .serve.loadgen import ShapeMix
-
-    dtype_str = str(np.dtype(dtype))
-    want = set(router.shards)
-    shapes = []
-    for delta in range(0, 4096):
-        for n in ((base_n + delta,) if delta == 0
-                  else (base_n + delta, base_n - delta)):
-            if n < 2 or not want:
-                continue
-            sid = router.shard_for_key((base_m, n, "C", dtype_str))
-            if sid in want:
-                want.discard(sid)
-                shapes.append(ShapeMix(base_m, n, 1.0))
-        if not want:
-            break
-    if want:  # pragma: no cover - 4096 probes always cover a sane ring
-        raise RuntimeError(f"could not cover shards {sorted(want)}")
-    return shapes
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
@@ -692,13 +657,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         print("error: --trace-out requires --inproc (the trace ring lives "
               "in the server process)")
         return 1
-    if args.shards > 1 and not args.inproc:
-        print("error: --shards requires --inproc (it configures the "
-              "in-process server's router)")
-        return 1
-    if args.min_shard_scaling is not None and args.shards < 2:
-        print("error: --min-shard-scaling needs --shards >= 2")
-        return 1
     if args.trace_out:
         from .trace import spans
 
@@ -707,54 +665,18 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 
     server = None
     url = args.url
-    reference_rps = None
     if args.inproc:
         from .parallel import default_worker_count
         from .serve import ServeConfig, TransposeServer
 
-        workers = args.workers or default_worker_count()
-
-        def _make_server(n_shards: int) -> TransposeServer:
-            return TransposeServer(ServeConfig(
-                port=0,
-                workers=workers,
-                queue_size=args.queue_size,
-                max_batch=args.max_batch,
-                max_wait_ms=args.max_wait_ms,
-                shards=n_shards,
-            )).start()
-
-        server = _make_server(args.shards)
+        server = TransposeServer(ServeConfig(
+            port=0,
+            workers=args.workers or default_worker_count(),
+            queue_size=args.queue_size,
+            max_batch=args.max_batch,
+            max_wait_ms=args.max_wait_ms,
+        )).start()
         url = server.url
-        if args.shards > 1 and args.shapes == "256x384":
-            # Default workload + shards: spread one shape per shard so the
-            # aggregate number measures all N stacks, not whichever shard
-            # the single default shape happens to hash to.
-            shapes = _shard_aligned_shapes(server.router, 256, 384, args.dtype)
-            mix = ",".join(f"{s.m}x{s.n}" for s in shapes)
-            print(f"sharded workload: one shape per shard ({mix})")
-        if args.min_shard_scaling is not None:
-            # Single-shard reference first: same workload, same budget.
-            ref_server = _make_server(1)
-            try:
-                ref_report = run_loadtest(
-                    ref_server.url,
-                    rate=args.rate,
-                    duration_s=args.duration,
-                    shapes=shapes,
-                    dtype=args.dtype,
-                    tiles=args.tiles,
-                    connections=args.connections,
-                    batch=args.max_batch,
-                    seed=args.seed,
-                    reference=False,
-                    verify_every=args.verify_every,
-                    interim_every_s=0.0,
-                )
-            finally:
-                ref_server.shutdown()
-            reference_rps = ref_report.achieved_rps
-            print(f"single-shard reference: {reference_rps:.1f} matrices/s")
     elif not url:
         print("error: pass --url or --inproc")
         return 1
@@ -774,7 +696,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             verify_every=args.verify_every,
             interim_every_s=args.interim_every,
         )
-        router_stats = server.router.stats() if server is not None else None
     finally:
         summary = server.shutdown() if server is not None else None
 
@@ -791,13 +712,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
               f"{spans.tracer.dropped} dropped)")
 
     print(format_report(report))
-    if router_stats is not None and args.shards > 1:
-        for s in router_stats["per_shard"]:
-            print(
-                f"  shard {s['sid']}  routed={s['routed']} "
-                f"shapes={s['shapes']} affinity={s['affinity_rate']:.1%} "
-                f"rejected_full={s['rejected_full']}"
-            )
     if summary is not None:
         print(
             f"  shutdown  accepted={summary['accepted']} "
@@ -805,42 +719,9 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             f"shm_leaked={summary['shm_leaked']}"
         )
     if args.json:
-        doc = report.as_dict()
-        if router_stats is not None:
-            doc["router"] = router_stats
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
 
     failed = []
-    if reference_rps:
-        import os
-
-        cores = os.cpu_count() or 1
-        scaling = report.achieved_rps / reference_rps
-        target = args.min_shard_scaling * args.shards * reference_rps
-        print(
-            f"  scaling   {scaling:.2f}x over single shard "
-            f"(floor {args.min_shard_scaling:.2f} x {args.shards} shards)"
-        )
-        if cores < args.shards:
-            # A 4-shard scaling floor is unfalsifiable on fewer cores than
-            # shards; report, don't gate.
-            print(
-                f"  scaling floor skipped: {cores} core(s) < "
-                f"{args.shards} shards"
-            )
-        elif report.achieved_rps < target:
-            failed.append(
-                f"sharded throughput {report.achieved_rps:.0f} matrices/s < "
-                f"{target:.0f} ({args.min_shard_scaling:.2f} x {args.shards} "
-                f"x single-shard {reference_rps:.0f})"
-            )
-    if args.min_shard_affinity is not None and router_stats is not None:
-        for s in router_stats["per_shard"]:
-            if s["routed"] and s["affinity_rate"] < args.min_shard_affinity:
-                failed.append(
-                    f"shard {s['sid']} affinity {s['affinity_rate']:.1%} < "
-                    f"floor {args.min_shard_affinity:.1%}"
-                )
     if report.verify_failures:
         failed.append(f"{report.verify_failures} responses failed verification")
     if report.errors:
@@ -1109,9 +990,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="0 picks an ephemeral port (printed at startup)")
     p.add_argument("--workers", type=int, default=None,
                    help="worker count (default: os.cpu_count(), capped)")
-    p.add_argument("--shards", type=int, default=1,
-                   help="independent serve shards behind the consistent-hash "
-                   "router (workers are per shard; queue capacity is split)")
     p.add_argument("--tenant-rate", type=float, default=None,
                    help="per-tenant admission quota in matrices/s for a "
                    "weight-1.0 tenant (X-Repro-Tenant header; unset = "
@@ -1167,19 +1045,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="--inproc: worker count (default: os.cpu_count(), "
                    "capped)")
-    p.add_argument("--shards", type=int, default=1,
-                   help="--inproc: serve shards behind the consistent-hash "
-                   "router; the default workload is respread one shape "
-                   "per shard")
-    p.add_argument("--min-shard-scaling", type=float, default=None,
-                   help="with --shards N: run a single-shard reference "
-                   "first and fail unless aggregate throughput >= "
-                   "floor * N * reference (skipped on fewer cores than "
-                   "shards)")
-    p.add_argument("--min-shard-affinity", type=float, default=None,
-                   help="fail unless every shard's routing affinity rate "
-                   "(requests hitting an already-seen shape) >= this "
-                   "fraction")
     p.add_argument("--queue-size", type=int, default=512, help="--inproc: queue bound")
     p.add_argument("--max-batch", type=int, default=32)
     p.add_argument("--max-wait-ms", type=float, default=0.5)

@@ -217,16 +217,6 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[name] = float(value)
 
-    def remove_gauge(self, name: str) -> None:
-        """Drop gauge ``name`` from the registry (no-op when absent).
-
-        Gauges describe live objects; when the object goes away — a serve
-        shard evicted from the router, say — its last value must not keep
-        exporting as if it were still being observed.
-        """
-        with self._lock:
-            self._gauges.pop(name, None)
-
     def observe_value(
         self, name: str, value: float, bounds: tuple[float, ...] | None = None
     ) -> None:

@@ -1,14 +1,13 @@
 """Transposition serving layer (see docs/SERVING.md).
 
 Turns the kernel library into a service: a bounded request queue with
-admission control (:mod:`~repro.serve.queue`), a shape/dtype-coalescing
-batcher that amortizes plans across same-shape requests
-(:mod:`~repro.serve.batcher`), a draining worker pool
-(:mod:`~repro.serve.workers`), a consistent-hash shard router with
-per-tenant quotas and failover (:mod:`~repro.serve.router`), a stdlib
-HTTP front end (:mod:`~repro.serve.server`) and an open-loop load
-generator (:mod:`~repro.serve.loadgen`).  ``repro serve`` /
-``repro loadtest`` are the CLI entry points.
+admission control and per-tenant quotas (:mod:`~repro.serve.queue`), a
+shape/dtype-coalescing batcher that amortizes plans across same-shape
+requests (:mod:`~repro.serve.batcher`), a draining worker pool
+(:mod:`~repro.serve.workers`), a stdlib HTTP front end
+(:mod:`~repro.serve.server`) and an open-loop load generator
+(:mod:`~repro.serve.loadgen`).  ``repro serve`` / ``repro loadtest`` are
+the CLI entry points.
 """
 
 from .batcher import Group, ShapeBatcher
@@ -16,18 +15,14 @@ from .queue import (
     DeadlineExceededError,
     QueueClosedError,
     QueueFullError,
+    QuotaExceededError,
     Request,
     RequestCancelledError,
     RequestQueue,
-    compute_retry_after,
-)
-from .router import (
-    HashRing,
-    QuotaExceededError,
-    Shard,
-    ShardRouter,
     TenantQuotas,
     TokenBucket,
+    WorkersDeadError,
+    compute_retry_after,
 )
 from .server import ServeConfig, TransposeServer
 from .workers import WorkerPool
@@ -39,16 +34,14 @@ __all__ = [
     "QueueClosedError",
     "DeadlineExceededError",
     "RequestCancelledError",
+    "WorkersDeadError",
     "compute_retry_after",
     "Group",
     "ShapeBatcher",
     "WorkerPool",
-    "HashRing",
     "TokenBucket",
     "TenantQuotas",
     "QuotaExceededError",
-    "Shard",
-    "ShardRouter",
     "ServeConfig",
     "TransposeServer",
 ]

@@ -126,10 +126,10 @@ class ShapeBatcher:
     def drain_lanes(self) -> list[Request]:
         """Pop every request currently held in lanes, arrival order per lane.
 
-        Used by shard eviction (:mod:`repro.serve.router`): a dead shard's
-        workers will never dispatch its lanes, so the router reclaims the
-        requests and resubmits them to surviving shards — the "no request
-        loss" half of failover.
+        Used once every worker has died
+        (``TransposeServer._check_workers``):
+        nothing will dispatch these lanes, so their requests are failed
+        rather than left to time out.
         """
         with self._lock:
             out = [r for lane in self._lanes.values() for r in lane]

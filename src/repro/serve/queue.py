@@ -17,6 +17,12 @@ Three rules, all enforced here:
   (``PENDING -> CLAIMED -> terminal``), so a request is executed or
   cancelled, never both.
 
+The per-tenant quotas live here too: :class:`TenantQuotas` keeps one
+token bucket per tenant, refilled at ``rate x weight(tenant)``
+matrices/s.  The server checks them *before* :meth:`RequestQueue.submit`,
+so over-quota traffic never takes queue space, and the reject carries
+the computed time until the tenant's bucket recovers.
+
 The queue itself stores requests in arrival order and knows nothing about
 shapes; coalescing is :mod:`repro.serve.batcher`'s job.
 """
@@ -34,6 +40,10 @@ import numpy as np
 __all__ = [
     "QueueFullError",
     "QueueClosedError",
+    "WorkersDeadError",
+    "QuotaExceededError",
+    "TokenBucket",
+    "TenantQuotas",
     "DeadlineExceededError",
     "RequestCancelledError",
     "Request",
@@ -79,11 +89,24 @@ def compute_retry_after(
 
 
 class QueueFullError(RuntimeError):
-    """Admission reject: the queue is at capacity (HTTP 429)."""
+    """Admission reject: the queue is at capacity (HTTP 429).
+
+    ``retry_after_s`` is the backoff computed from the rejecting queue's
+    depth and drain rate (:func:`compute_retry_after`).
+    """
+
+    def __init__(self, message: str, *, retry_after_s: float):
+        super().__init__(message)
+        self.retry_after_s = retry_after_s
 
 
 class QueueClosedError(RuntimeError):
     """Submit after shutdown began (HTTP 503)."""
+
+
+class WorkersDeadError(RuntimeError):
+    """Every worker thread has exited, so a queued request can never run
+    (HTTP 503)."""
 
 
 class DeadlineExceededError(RuntimeError):
@@ -290,7 +313,8 @@ class RequestQueue:
             if len(self._items) >= self.maxsize:
                 self.rejected_full += 1
                 raise QueueFullError(
-                    f"queue full ({self.maxsize} requests); retry later"
+                    f"queue full ({self.maxsize} requests); retry later",
+                    retry_after_s=self.retry_after_s(),
                 )
             request.t_submit = monotonic()
             self._items.append(request)
@@ -377,3 +401,120 @@ class RequestQueue:
 
     def __len__(self) -> int:
         return self.depth
+
+
+class QuotaExceededError(RuntimeError):
+    """Per-tenant admission reject (HTTP 429, ``kind="quota"``).
+
+    ``retry_after_s`` is the computed time until the tenant's token bucket
+    holds enough tokens for the rejected request — the honest backoff, not
+    a constant.
+    """
+
+    def __init__(self, message: str, *, tenant: str, retry_after_s: float):
+        super().__init__(message)
+        self.tenant = tenant
+        self.retry_after_s = retry_after_s
+
+
+class TokenBucket:
+    """Classic token bucket: ``rate`` tokens/s refill, ``burst`` capacity.
+
+    Not thread-safe on its own — :class:`TenantQuotas` serializes access.
+    """
+
+    __slots__ = ("rate", "burst", "tokens", "t_last")
+
+    def __init__(self, rate: float, burst: float, now: float | None = None):
+        if rate <= 0:
+            raise ValueError("token rate must be positive")
+        self.rate = float(rate)
+        self.burst = max(float(burst), 1.0)
+        self.tokens = self.burst
+        self.t_last = monotonic() if now is None else now
+
+    def take(self, cost: float, now: float | None = None) -> float:
+        """Try to spend ``cost`` tokens.  Returns 0.0 on success, else the
+        seconds until the bucket will hold ``cost`` tokens (nothing is
+        spent on failure)."""
+        ts = monotonic() if now is None else now
+        self.tokens = min(self.burst, self.tokens + (ts - self.t_last) * self.rate)
+        self.t_last = ts
+        if self.tokens >= cost:
+            self.tokens -= cost
+            return 0.0
+        return (cost - self.tokens) / self.rate
+
+
+class TenantQuotas:
+    """Weighted per-tenant token buckets with lazy creation.
+
+    ``rate`` is matrices/s for a weight-1.0 tenant; a tenant's bucket
+    refills at ``rate x weight`` (weights default to 1.0), which is the
+    weighted-admission policy: capacity shares follow configured weights,
+    and the 429 a tenant sees when over its share carries the computed
+    time until its own bucket recovers.  ``rate=None`` disables quotas.
+    """
+
+    def __init__(
+        self,
+        rate: float | None = None,
+        *,
+        burst_s: float = 2.0,
+        weights: dict[str, float] | None = None,
+    ):
+        self.rate = None if rate is None else float(rate)
+        if self.rate is not None and self.rate <= 0:
+            raise ValueError("tenant rate must be positive (or None to disable)")
+        #: burst capacity expressed in seconds of refill
+        self.burst_s = float(burst_s)
+        self.weights = dict(weights or {})
+        self._lock = threading.Lock()
+        self._buckets: dict[str, TokenBucket] = {}
+        #: lifetime admission-reject count per tenant
+        self.rejected: dict[str, int] = {}
+
+    @property
+    def enabled(self) -> bool:
+        return self.rate is not None
+
+    def weight(self, tenant: str) -> float:
+        return float(self.weights.get(tenant, 1.0))
+
+    def admit(self, tenant: str, cost: float, now: float | None = None) -> None:
+        """Spend ``cost`` tokens from ``tenant``'s bucket or raise
+        :class:`QuotaExceededError` with the computed backoff."""
+        if self.rate is None:
+            return
+        with self._lock:
+            bucket = self._buckets.get(tenant)
+            if bucket is None:
+                tenant_rate = self.rate * self.weight(tenant)
+                bucket = self._buckets[tenant] = TokenBucket(
+                    tenant_rate, tenant_rate * self.burst_s, now
+                )
+            wait = bucket.take(cost, now)
+            if wait > 0.0:
+                self.rejected[tenant] = self.rejected.get(tenant, 0) + 1
+                raise QuotaExceededError(
+                    f"tenant {tenant or '<default>'} over quota "
+                    f"({bucket.rate:.1f} matrices/s); retry in {wait:.2f}s",
+                    tenant=tenant,
+                    retry_after_s=wait,
+                )
+
+    def stats(self) -> dict:
+        with self._lock:
+            return {
+                "enabled": self.rate is not None,
+                "rate": self.rate,
+                "burst_s": self.burst_s,
+                "tenants": {
+                    t: {
+                        "rate": b.rate,
+                        "tokens": round(b.tokens, 3),
+                        "rejected": self.rejected.get(t, 0),
+                    }
+                    for t, b in self._buckets.items()
+                },
+            }

@@ -15,12 +15,12 @@ Endpoints
     ``X-Repro-Timeout-Ms`` (a per-request deadline).  Response: the
     ``n x m`` transpose(s), raw, with the swapped shape echoed in the
     same headers.  Optional ``X-Repro-Tenant`` names the quota tenant
-    (serve/router.py).  Errors: 400 (bad shape/dtype/size), 429
+    (serve/queue.py).  Errors: 400 (bad shape/dtype/size), 429
     (admission control — ``kind`` distinguishes ``queue-full`` from
-    ``quota``; ``Retry-After`` is *computed* from the rejecting shard's
-    queue depth and recent drain rate, or from the tenant bucket's
-    refill deficit), 503 (shutting down), 504 (deadline exceeded),
-    500 (execution failure).
+    ``quota``; ``Retry-After`` is *computed* from the queue's depth and
+    recent drain rate, or from the tenant bucket's refill deficit), 503
+    (shutting down, or every worker thread has died), 504 (deadline
+    exceeded), 500 (execution failure).
 
     **Zero-copy ingress** (same-host clients): send
     ``Content-Type: application/json`` with body ``{"segment": name}``
@@ -78,15 +78,19 @@ from ..trace import spans
 from ..trace.events import event_log
 from ..trace.export import to_prometheus
 from ..trace.spans import TraceContext, new_trace_id
+from .batcher import ShapeBatcher
 from .queue import (
-    RETRY_AFTER_MIN_S,
     DeadlineExceededError,
     QueueClosedError,
     QueueFullError,
+    QuotaExceededError,
     Request,
+    RequestQueue,
+    TenantQuotas,
+    WorkersDeadError,
 )
-from .router import QuotaExceededError, ShardRouter
 from .slo import SloTracker
+from .workers import WorkerPool
 
 __all__ = ["ServeConfig", "TransposeServer"]
 
@@ -125,10 +129,6 @@ class ServeConfig:
     #: against
     slo_p99_ms: float = 50.0
     slo_error_budget: float = 0.01
-    #: independent serve shards behind the consistent-hash router
-    #: (serve/router.py).  ``workers`` is per shard; total queue capacity
-    #: stays ~``queue_size`` split across shards.
-    shards: int = 1
     #: per-tenant admission quota in matrices/s for a weight-1.0 tenant
     #: (X-Repro-Tenant header selects the tenant; None disables quotas)
     tenant_rate: float | None = None
@@ -424,7 +424,7 @@ class _Handler(BaseHTTPRequestHandler):
             if sp is not None:
                 request.parent_span_id = sp.span_id
             try:
-                shard_id, admit_depth = app.submit(request, tenant=tenant)
+                admit_depth = app.submit(request, tenant=tenant)
             except QuotaExceededError as exc:
                 metrics.registry.inc("serve.rejected_quota")
                 if event_log.enabled:
@@ -445,13 +445,11 @@ class _Handler(BaseHTTPRequestHandler):
                         "reject", trace_id=trace_id, reason="full",
                         request=request.id,
                     )
-                # Computed, not constant: the router annotated the error
-                # with depth/drain-rate-derived backoff for the shard that
-                # rejected (bounded to [RETRY_AFTER_MIN_S, RETRY_AFTER_MAX_S]).
-                retry_s = getattr(exc, "retry_after_s", RETRY_AFTER_MIN_S)
+                # Computed, not constant: the queue derived the backoff
+                # from its depth and drain rate when it rejected.
                 self._reply_error(
                     429, str(exc),
-                    {"Retry-After": _retry_after_header(retry_s)},
+                    {"Retry-After": _retry_after_header(exc.retry_after_s)},
                     kind="queue-full",
                 )
                 return
@@ -465,13 +463,12 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply_error(503, str(exc))
                 return
             if event_log.enabled:
-                # admit_depth was observed under the shard queue's lock at
+                # admit_depth was observed under the queue's lock at
                 # admission; re-reading queue.depth here would race with
                 # concurrent worker drains and under-report.
                 event_log.emit(
                     "admit", trace_id=trace_id, request=request.id,
                     m=m, n=n, tiles=tiles, depth=admit_depth,
-                    shard=shard_id,
                 )
 
             try:
@@ -490,6 +487,9 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             except DeadlineExceededError as exc:
                 self._reply_error(504, str(exc), kind="client-deadline")
+                return
+            except WorkersDeadError as exc:
+                self._reply_error(503, str(exc), kind="workers-dead")
                 return
             except Exception as exc:  # noqa: BLE001 — report execution errors
                 self._reply_error(500, f"{type(exc).__name__}: {exc}")
@@ -654,15 +654,10 @@ class _HTTPServer(ThreadingHTTPServer):
 
 
 class TransposeServer:
-    """The assembled service: shard router + HTTP front.
-
-    With ``ServeConfig.shards == 1`` (the default) this is exactly the
-    classic single stack — queue + batcher + worker pool — and the
-    ``queue``/``batcher``/``pool`` attributes address it directly.  With
-    more shards, each request is consistent-hashed by its
-    ``(m, n, order, dtype)`` coalescing key onto one of N independent
-    stacks so per-shape plan/kernel cache state stays shard-local
-    (serve/router.py).
+    """The assembled service: quotas, one queue, one shape batcher and one
+    worker pool behind the HTTP front.  Throughput scales with
+    ``ServeConfig.workers``; the kernels parallelise inside each
+    transpose.
 
     Usage::
 
@@ -675,23 +670,16 @@ class TransposeServer:
     def __init__(self, config: ServeConfig | None = None, *, verbose: bool = False):
         self.config = config or ServeConfig()
         self.verbose = verbose
-        self.router = ShardRouter(
-            self.config.shards,
-            queue_size=self.config.queue_size,
-            max_batch=self.config.max_batch,
-            max_wait_s=self.config.max_wait_ms / 1e3,
-            workers=self.config.workers,
-            tenant_rate=self.config.tenant_rate,
-            tenant_burst_s=self.config.tenant_burst_s,
-            tenant_weights=self.config.tenant_weights or None,
+        cfg = self.config
+        self.quotas = TenantQuotas(
+            cfg.tenant_rate, burst_s=cfg.tenant_burst_s,
+            weights=cfg.tenant_weights or None,
         )
-        # Shard-0 aliases: with the default shards=1 these ARE the whole
-        # serving stack, and single-shard tests/tools keep poking them
-        # directly (srv.queue.submit(...), srv.pool.alive, ...).
-        shard0 = self.router.shards[0]
-        self.queue = shard0.queue
-        self.batcher = shard0.batcher
-        self.pool = shard0.pool
+        self.queue = RequestQueue(maxsize=cfg.queue_size)
+        self.batcher = ShapeBatcher(
+            self.queue, max_batch=cfg.max_batch, max_wait_s=cfg.max_wait_ms / 1e3
+        )
+        self.pool = WorkerPool(self.batcher, cfg.workers)
         self.slo = SloTracker(
             p99_objective_ms=self.config.slo_p99_ms,
             error_budget=self.config.slo_error_budget,
@@ -705,18 +693,23 @@ class TransposeServer:
 
     # -- request accounting (called from handler threads) ---------------------
 
-    def submit(self, request: Request, *, tenant: str = "") -> tuple[int, int]:
-        """Route ``request`` through the shard router; returns
-        ``(shard_id, admit_depth)`` where ``admit_depth`` is the shard
-        queue's depth captured atomically at admission."""
-        shard_id, admit_depth = self.router.submit(request, tenant=tenant)
+    def submit(self, request: Request, *, tenant: str = "") -> int:
+        """Admit ``request``: tenant quota first, so over-quota traffic
+        never takes queue space, then the queue.  Returns the queue depth
+        captured atomically at admission.  Raises
+        :class:`~repro.serve.queue.QuotaExceededError`,
+        :class:`~repro.serve.queue.QueueFullError` (both carrying a
+        computed ``retry_after_s``) or
+        :class:`~repro.serve.queue.QueueClosedError`."""
+        self.quotas.admit(tenant, float(request.tiles))
+        self.queue.submit(request)
         reg = metrics.registry
         with self._state_lock:
             self.accepted += 1
         if reg.enabled:
             reg.inc("serve.accepted")
-            reg.set_gauge("serve.queue_depth", self.router.depth)
-        return shard_id, admit_depth
+            reg.set_gauge("serve.queue_depth", self.queue.depth)
+        return request.admit_depth
 
     def responded_one(self) -> None:
         with self._state_lock:
@@ -735,7 +728,7 @@ class TransposeServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "TransposeServer":
-        self.router.start()
+        self.pool.start()
         self._serve_thread = threading.Thread(
             target=self._httpd.serve_forever,
             kwargs={"poll_interval": 0.05},
@@ -753,9 +746,7 @@ class TransposeServer:
         """
         t_end = monotonic() + timeout
         self._httpd.shutdown()  # stop the accept loop (handlers continue)
-        pool_summary = self.router.shutdown(
-            timeout=max(t_end - monotonic(), 0.1)
-        )
+        pool_summary = self.pool.shutdown(timeout=max(t_end - monotonic(), 0.1))
         # Handler threads deliver the final responses; wait for them.
         while monotonic() < t_end:
             with self._state_lock:
@@ -774,8 +765,8 @@ class TransposeServer:
             "accepted": accepted,
             "responded": responded,
             "dropped": accepted - responded,
-            "rejected_full": self.router.rejected_full,
-            "rejected_closed": self.router.rejected_closed,
+            "rejected_full": self.queue.rejected_full,
+            "rejected_closed": self.queue.rejected_closed,
             # Live shared-memory segments after a full drain mean a leak;
             # CI asserts this is zero after SIGTERM.
             "shm_leaked": len(shm.owned_segments()),
@@ -784,46 +775,58 @@ class TransposeServer:
 
     # -- introspection ---------------------------------------------------------
 
+    def _check_workers(self) -> None:
+        """Fail every waiting request once all worker threads have died.
+
+        Nothing would ever dispatch them, so the queue is closed (later
+        submits get 503) and the queued and laned requests are failed with
+        :class:`~repro.serve.queue.WorkersDeadError` (503) instead of
+        waiting out their timeouts.  Called from the ``/healthz`` and
+        ``/statusz`` handlers.
+        """
+        if not self.pool.started or self.pool.alive:
+            return
+        self.queue.close()
+        for r in self.queue.drain_nowait() + self.batcher.drain_lanes():
+            r.fail(WorkersDeadError(
+                f"all {self.pool.n_workers} worker threads have died; "
+                f"request {r.id} was not executed"
+            ))
+
     def health(self) -> dict:
-        # Health scraping drives shard eviction: a started shard whose
-        # workers all died is removed from the ring here, with its backlog
-        # failed over to the survivors.
-        self.router.check_health()
+        self._check_workers()
         with self._state_lock:
             accepted, responded = self.accepted, self.responded
-        qstats = self.router.queue_stats()
         return {
-            "status": "draining" if self.router.closed else "ok",
-            "queue_depth": qstats["depth"],
-            "queue_maxsize": qstats["maxsize"],
-            "pending_batches": self.router.pending,
-            "workers_alive": self.router.workers_alive,
+            "status": "draining" if self.queue.closed else "ok",
+            "queue_depth": self.queue.depth,
+            "queue_maxsize": self.queue.maxsize,
+            "pending_batches": self.batcher.pending,
+            "workers_alive": self.pool.alive,
             "accepted": accepted,
             "responded": responded,
-            "rejected_full": self.router.rejected_full,
-            "shards": len(self.router.shards),
-            "shards_evicted": len(self.router.evicted),
+            "rejected_full": self.queue.rejected_full,
         }
 
     def statusz(self) -> dict:
         """One-page JSON operational status (the ``/statusz`` endpoint):
         queue + inflight state, worker health, live SLO judgment, plan-cache
         occupancy, native/fallback counters, and trace/event-log health."""
-        self.router.check_health()
+        self._check_workers()
         with self._state_lock:
             accepted, responded = self.accepted, self.responded
         snap = metrics.snapshot()
         counters = snap.get("counters", {})
         tr = spans.tracer
         return {
-            "status": "draining" if self.router.closed else "ok",
-            "queue": self.router.queue_stats(),
-            "router": self.router.stats(),
+            "status": "draining" if self.queue.closed else "ok",
+            "queue": self.queue.stats(),
+            "quotas": self.quotas.stats(),
             "inflight": accepted - responded,
             "accepted": accepted,
             "responded": responded,
             "workers": {
-                "alive": self.router.workers_alive,
+                "alive": self.pool.alive,
                 "completed": counters.get("serve.completed", 0),
                 "retries": counters.get("serve.retries", 0),
                 "group_failures": counters.get("serve.group_failures", 0),
@@ -848,10 +851,9 @@ class TransposeServer:
     def render_metrics(self) -> str:
         reg = metrics.registry
         if reg.enabled:
-            reg.set_gauge("serve.queue_depth", self.router.depth)
-            reg.set_gauge("serve.pending_batches", self.router.pending)
-            reg.set_gauge("serve.workers", self.router.workers_alive)
-            self.router.publish_gauges()
+            reg.set_gauge("serve.queue_depth", self.queue.depth)
+            reg.set_gauge("serve.pending_batches", self.batcher.pending)
+            reg.set_gauge("serve.workers", self.pool.alive)
             with self._state_lock:
                 inflight = self.accepted - self.responded
             reg.set_gauge("serve.inflight", inflight)

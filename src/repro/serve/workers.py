@@ -100,6 +100,10 @@ class WorkerPool:
         }
 
     @property
+    def started(self) -> bool:
+        return self._started
+
+    @property
     def alive(self) -> int:
         return sum(t.is_alive() for t in self._threads)
 

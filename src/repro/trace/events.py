@@ -7,13 +7,10 @@ the answer after the span ring has wrapped.  One record per decision:
 =============== ======================================================
 kind            emitted when
 =============== ======================================================
-``admit``       the HTTP front end admitted a request into a shard's
-                queue (``shard``, plus ``depth`` as observed atomically
-                at admission)
+``admit``       the HTTP front end admitted a request into the queue
+                (``depth`` as observed atomically at admission)
 ``reject``      admission failed (``reason``: full / closed / expired /
                 quota)
-``shard_down``  the router evicted a dead shard from the hash ring
-                (``shard``, ``resubmitted``/``failed`` backlog counts)
 ``coalesce``    the batcher formed a dispatchable same-shape group
 ``dispatch``    a group entered execution (``mode``: batch/single/process)
 ``expired``     a queued request missed its deadline at claim time

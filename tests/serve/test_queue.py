@@ -15,8 +15,11 @@ from repro.serve.queue import (
     PENDING,
     QueueClosedError,
     QueueFullError,
+    QuotaExceededError,
     Request,
     RequestQueue,
+    TenantQuotas,
+    TokenBucket,
 )
 
 
@@ -244,3 +247,61 @@ class TestDrainRateAndRetryAfter:
             q.submit(_req())
         # no drains observed: full queue advertises the max clamp
         assert q.retry_after_s() == 30.0
+
+
+class TestQuotas:
+    def test_bucket_burst_then_computed_wait(self):
+        b = TokenBucket(rate=10.0, burst=20.0, now=0.0)
+        assert b.take(20.0, now=0.0) == 0.0  # full burst spends cleanly
+        wait = b.take(5.0, now=0.0)
+        assert wait == pytest.approx(0.5)  # 5 tokens at 10/s
+        # refill: 1s later the 5-token request fits again
+        assert b.take(5.0, now=1.0) == 0.0
+
+    def test_quota_reject_carries_computed_retry_after(self):
+        q = TenantQuotas(rate=10.0, burst_s=1.0)
+        q.admit("t", 10.0, now=0.0)  # exactly the burst
+        with pytest.raises(QuotaExceededError) as ei:
+            q.admit("t", 10.0, now=0.0)
+        assert ei.value.tenant == "t"
+        assert ei.value.retry_after_s == pytest.approx(1.0)
+        assert q.rejected["t"] == 1
+
+    def test_weighted_admission(self):
+        """A weight-4 tenant's bucket holds 4x the tokens of a weight-1
+        tenant: same instant, same demand, different outcomes."""
+        q = TenantQuotas(rate=10.0, burst_s=1.0, weights={"gold": 4.0})
+        q.admit("gold", 40.0, now=0.0)
+        with pytest.raises(QuotaExceededError):
+            q.admit("free", 40.0, now=0.0)
+
+    def test_disabled_quotas_admit_everything(self):
+        q = TenantQuotas(rate=None)
+        for _ in range(100):
+            q.admit("anyone", 1e9)
+        assert q.stats()["enabled"] is False
+
+    def test_submit_taxonomy(self):
+        """Quota rejections never consume queue capacity; queue-full
+        rejections carry the drain-rate-computed backoff."""
+        from repro.serve import ServeConfig, TransposeServer
+
+        srv = TransposeServer(ServeConfig(
+            port=0, queue_size=2, workers=1,
+            tenant_rate=4.0, tenant_burst_s=1.0,
+        ))
+        try:
+            srv.submit(_req(tiles=4), tenant="t")  # spends the whole burst
+            with pytest.raises(QuotaExceededError) as ei:
+                srv.submit(_req(tiles=4), tenant="t")
+            assert ei.value.retry_after_s > 0.0
+            assert srv.queue.depth == 1  # the rejected request never enqueued
+            # an unthrottled tenant can still fill the queue...
+            srv.submit(_req(), tenant="other")
+            with pytest.raises(QueueFullError) as full:
+                srv.submit(_req(), tenant="other")
+            # ...and the full error carries a computed backoff
+            assert full.value.retry_after_s >= 1.0
+        finally:
+            srv.queue.close()
+            srv._httpd.server_close()

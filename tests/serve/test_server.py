@@ -259,6 +259,26 @@ class TestErrorMapping:
             srv._httpd.shutdown()
             srv._httpd.server_close()
 
+    def test_quota_429_never_takes_queue_space(self):
+        srv = TransposeServer(ServeConfig(
+            port=0, workers=1, tenant_rate=1.0, tenant_burst_s=1.0,
+        )).start()
+        try:
+            A = np.arange(12, dtype=np.float64)
+            tenant = {"X-Repro-Tenant": "t"}
+            status, _, _ = _post(srv, A.tobytes(), _headers(3, 4, **tenant))
+            assert status == 200  # spends the one-token burst
+            submitted = srv.queue.stats()["submitted"]
+            status, body, headers = _post(
+                srv, A.tobytes(), _headers(3, 4, **tenant)
+            )
+            assert status == 429
+            assert json.loads(body)["kind"] == "quota"
+            assert int(headers["Retry-After"]) >= 1
+            assert srv.queue.stats()["submitted"] == submitted
+        finally:
+            srv.shutdown(timeout=10)
+
     def test_retry_after_scales_with_queue_depth(self):
         # Regression for the hardcoded Retry-After: with an observed drain
         # rate, the advertised backoff must grow with the rejecting
@@ -338,6 +358,50 @@ class TestTransposeFileBackend:
         assert status == 400
         assert b"threads" in body
         np.testing.assert_array_equal(np.fromfile(path, np.float64), A)
+
+
+class TestWorkerDeath:
+    def test_dead_pool_fails_waiters_and_later_posts_with_503(self):
+        """Once every worker thread has died, the health check fails the
+        stranded requests and closes the queue: each client gets a JSON
+        503, never a closed connection, and every admitted request gets
+        exactly one response."""
+        import threading
+        import time
+
+        srv = TransposeServer(ServeConfig(port=0, workers=1))
+        srv.pool._run = lambda: None  # the worker thread exits at once
+        srv.start()
+        try:
+            deadline = time.monotonic() + 5.0
+            while srv.pool.alive and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert srv.pool.alive == 0
+            A = np.arange(12, dtype=np.float64)
+            stranded = {}
+            waiter = threading.Thread(target=lambda: stranded.update(
+                reply=_post(srv, A.tobytes(), _headers(3, 4))
+            ))
+            waiter.start()
+            while srv.accepted < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert srv.accepted == 1
+
+            status, body = _get(srv, "/healthz")
+            assert status == 200
+            assert json.loads(body)["workers_alive"] == 0
+            waiter.join(timeout=10)
+            status, body, _ = stranded["reply"]
+            assert status == 503
+            assert json.loads(body)["kind"] == "workers-dead"
+
+            status, body, _ = _post(srv, A.tobytes(), _headers(3, 4))
+            assert status == 503
+            assert "error" in json.loads(body)
+            assert srv.accepted == srv.responded == 1
+        finally:
+            summary = srv.shutdown(timeout=10)
+        assert summary["dropped"] == 0
 
 
 class TestShutdown:
