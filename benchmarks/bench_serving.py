@@ -101,7 +101,8 @@ def main(argv: list[str] | None = None) -> int:
               f"shm_leaked={point['shutdown'].get('shm_leaked', 0)}")
         print()
 
-    print("tiles sweep (achieved matrices/s and efficiency vs ceiling):")
+    print("tiles sweep (achieved matrices/s and efficiency vs "
+          "min(offered, ceiling)):")
     for tiles, point in zip(tiles_sweep, points):
         r = point["report"]
         print(f"  tiles={tiles:<3} achieved {r.achieved_rps:8.1f}  "

@@ -617,9 +617,7 @@ def verify_kernel(
             tag = f"pass{i}-{pinfo.parallel_name}"
             sym = pass_symbol(pinfo.kind)
             expected = state.copy()
-            TransposePlan._apply_step(
-                expected.reshape(dec.m, dec.n), kind, payload
-            )
+            TransposePlan._apply_step(expected.reshape(1, -1), payload)
 
             buf = _seeded_buffer(interp, state)
             try:

@@ -113,9 +113,10 @@ ENTRY_POINT_GUARDS = [
     ("core/transpose.py", "transpose_inplace"),
     ("core/transpose.py", "transpose"),
     ("core/plan.py", "TransposePlan.execute"),
-    ("core/batched.py", "BatchedTransposePlan.execute"),
-    # ParallelTranspose.c2r/r2c and the plans' native path hand the buffer
-    # to the pass engine's in-RAM band source, which holds the guard
+    # BatchedTransposePlan.execute, and batched_transpose_inplace's call
+    ("core/plan.py", "_ShapePlan.execute_batch"),
+    # ParallelTranspose.c2r/r2c hand the buffer to the pass engine's
+    # in-RAM band source, which holds the guard
     ("parallel/engine.py", "InRam.__init__"),
 ]
 

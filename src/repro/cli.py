@@ -1054,7 +1054,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="byte-verify every Nth response per shape "
                    "(1 = verify all)")
     p.add_argument("--min-efficiency", type=float, default=None,
-                   help="fail unless achieved/ceiling >= this fraction")
+                   help="fail unless achieved/min(offered, ceiling) >= this fraction")
     p.add_argument("--min-batch-speedup", type=float, default=None,
                    help="fail unless coalesced/naive >= this factor")
     p.add_argument("--interim-every", type=float, default=2.0,

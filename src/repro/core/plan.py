@@ -1,18 +1,27 @@
-"""Precomputed transpose plans.
+"""Precomputed transpose plans: one plan per shape, the batch axis free.
 
-Applications that repeatedly transpose same-shaped buffers (e.g. the
-AoS/SoA conversions of Section 6.1, or batched FFT-style pipelines) build a
-:class:`TransposePlan` once and call :meth:`TransposePlan.execute` per
-buffer.
+The decomposition's passes (the pre-rotation, the row shuffle of Eq. 31
+and the column shuffle of Eqs. 32-33) are fixed by ``(m, n)`` alone, so
+one plan serves a single matrix and a batch of ``k`` same-shaped matrices
+alike: a single matrix is a batch of one tile.  Applications that
+repeatedly transpose same-shaped buffers (the AoS/SoA conversions of
+Section 6.1, batched FFT-style pipelines, serving) build a plan once and
+execute it per buffer; :mod:`repro.runtime.plan_cache` keeps one per
+``(m, n, order, algorithm, dtype)``.
 
-The plan captures the direction decision (C2R vs R2C, ``"auto"`` resolved by
-:func:`~repro.core.transpose.choose_algorithm`) and the dimension/order
-folding of Theorems 1-2-7.  The numpy fast path also needs ``O(mn)`` int32
-gather maps (``d'^{-1}``/``s'``), whose construction costs as much as a pass
-over the data; a plan builds them once, on first use, under its own lock.
-The compiled native kernel computes every index in closed form (Eq. 26/31)
-with ``O(max(m, n))`` scratch, so a plan that only ever runs natively never
-holds maps at all.
+The plan captures the direction decision (C2R vs R2C, ``"auto"`` resolved
+by :func:`~repro.core.transpose.choose_algorithm`) and the dimension/order
+folding of Theorems 1-2-7.  The numpy path gathers every tile through one
+flat int32 source-index map per pass, whose construction costs as much as
+a pass over the data; a plan builds them once, on first use, under its own
+lock.  The compiled native kernel computes every index in closed form
+(Eq. 26/31) with ``O(max(m, n))`` scratch, so a plan that only ever runs
+natively never holds maps at all.
+
+:class:`TransposePlan` executes one flat ``m * n`` matrix;
+:class:`BatchedTransposePlan` executes ``k`` stacked matrices.  Both are the
+same plan (:meth:`TransposePlan.execute_batch` is the batched execute), so
+a cached plan serves both entry points.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from . import equations as eq
 from .indexing import Decomposition
 from .transpose import choose_algorithm
 
-__all__ = ["TransposePlan"]
+__all__ = ["TransposePlan", "BatchedTransposePlan"]
 
 _metrics = None
 _racecheck = None
@@ -76,18 +85,28 @@ def _engine():
 
 _BACKENDS = (None, "auto", "native", "numpy")
 
+#: each pass's gather map and the axis it gathers along, in pass order
+_C2R_STEPS = (
+    ("rotate_groups", eq.rotate_r_matrix, "rows"),
+    ("gather_cols", eq.dprime_inverse_matrix, "cols"),
+    ("gather_rows", eq.sprime_matrix, "rows"),
+)
+_R2C_STEPS = (
+    ("gather_rows", eq.sprime_inverse_matrix, "rows"),
+    ("gather_cols", eq.dprime_matrix, "cols"),
+    ("rotate_groups", eq.rotate_r_inverse_matrix, "rows"),
+)
 
-class MapsPlan:
-    """Shape identity plus lazily built gather maps.
 
-    The common base of :class:`TransposePlan` and
-    :class:`~repro.core.batched.BatchedTransposePlan`.  Construction resolves
-    the algorithm and the folded :class:`Decomposition` only; subclasses
-    supply ``_build_c2r``/``_build_r2c``, which :attr:`_steps` runs once, on
-    first use, under the plan's lock.  Callers that read :attr:`_steps` are
-    the numpy execute, the sanitizer, the batched native scratch-failure
-    resume and the analysis tools; the native kernel never does.  Step ``i``
-    is pass ``i`` of :attr:`schedule`, whose name the spans and timers use.
+class _ShapePlan:
+    """The plan of one ``(m, n, order, algorithm)``; see the module notes.
+
+    Construction resolves the algorithm and the folded
+    :class:`Decomposition` only.  :attr:`_steps` builds the maps once, on
+    first use, under the plan's lock: one ``(kind, map)`` per pass, where
+    ``map`` is the flat source index within a tile of every element of the
+    tile.  Step ``i`` is pass ``i`` of :attr:`schedule`, whose name the
+    spans and timers use, and of the native kernel.
     """
 
     def __init__(self, m: int, n: int, order: str = "C", algorithm: str = "auto"):
@@ -110,7 +129,7 @@ class MapsPlan:
     @property
     def schedule(self):
         """The plan's one-band, one-chunk engine schedule (proven and
-        memoised on first use)."""
+        memoised on first use): its pass names and order."""
         schedule = self._schedule
         if schedule is None:
             schedule = self._schedule = _engine().proven_schedule(
@@ -120,7 +139,7 @@ class MapsPlan:
 
     @property
     def _steps(self) -> list:
-        """The ``(kind, payload)`` passes, building the maps on first use."""
+        """The ``(kind, map)`` passes, building the maps on first use."""
         steps = self._maps
         if steps is None:
             steps = self._materialize()
@@ -131,9 +150,7 @@ class MapsPlan:
             if self._maps is not None:
                 return self._maps  # another thread built them meanwhile
             t0 = perf_counter()
-            build = self._build_c2r if self.algorithm == "c2r" else self._build_r2c
-            steps = build(self.dec)
-            self._maps = steps
+            self._maps = steps = self._build_maps(self.dec)
         reg = _runtime_metrics().registry
         if reg.enabled:
             reg.observe("plan.build_maps", perf_counter() - t0)
@@ -144,13 +161,30 @@ class MapsPlan:
         plan_cache.charge(self, self.scratch_bytes)
         return steps
 
+    def _build_maps(self, dec: Decomposition) -> list:
+        """Flat int32 gather maps (int64 past 2**31 elements), one per
+        pass; the rotation is skipped when ``c == 1``."""
+        i = np.arange(dec.m, dtype=np.int64)[:, None]
+        j = np.arange(dec.n, dtype=np.int64)[None, :]
+        dtype = np.int32 if dec.m * dec.n <= np.iinfo(np.int32).max else np.int64
+        steps = []
+        for kind, gather, axis in (
+            _C2R_STEPS if self.algorithm == "c2r" else _R2C_STEPS
+        ):
+            if kind == "rotate_groups" and dec.c == 1:
+                continue
+            idx = gather(dec)
+            flat = idx * dec.n + j if axis == "rows" else i * dec.n + idx
+            steps.append((kind, flat.astype(dtype).reshape(-1)))  # repro-lint: allow(implicit-copy) a fresh array, not a matrix view
+        return steps
+
     @property
     def scratch_bytes(self) -> int:
         """Bytes of gather maps resident now (0 until a numpy pass runs)."""
         steps = self._maps
         if steps is None:
             return 0
-        return sum(p.nbytes for _, p in steps if isinstance(p, np.ndarray))
+        return sum(idx.nbytes for _, idx in steps)
 
     def __reduce__(self):
         # Ship the identity, never the maps: a plan crossing a process
@@ -165,9 +199,7 @@ class MapsPlan:
         ``"native"`` asks for it unconditionally and reports every reason it
         could not be honored (fallback metric + one-time warning) — it still
         returns ``None`` rather than raising, per the backend's
-        never-an-error contract.  Batched and single plans for one
-        ``(algorithm, shape, itemsize)`` generate identical C source, so the
-        on-disk artifact is shared; only the per-plan memo slot is separate.
+        never-an-error contract.
         """
         if backend == "numpy":
             return None
@@ -190,8 +222,131 @@ class MapsPlan:
         """Plan-cache eviction hook: unlink any compiled kernel artifacts."""
         _native().release_plan_kernels(self)
 
+    # -- execution -------------------------------------------------------------
 
-class TransposePlan(MapsPlan):
+    @staticmethod
+    def _apply_step(V: np.ndarray, idx: np.ndarray) -> None:
+        """One pass over the ``(k, m*n)`` tiles: each gathers through
+        ``idx``."""
+        V[:] = np.take(V, idx, axis=1)
+
+    def _pass_sanitized(self, V: np.ndarray, name: str, idx: np.ndarray, san) -> None:
+        """One pass inside its own shadow-memory scope.  Each tile's flat
+        reads (resolved through the map) and writes are recorded before
+        mutating (reads logically precede writes in a gather); tiles are
+        disjoint slices of the shadow, so per-tile records carry tile
+        provenance without false clobbers."""
+        k, mn = V.shape
+        reads = idx.astype(np.int64)
+        writes = np.arange(mn, dtype=np.int64)
+        with san.pass_scope(f"plan.{name}", k * mn):
+            for t in range(k):
+                san.record(
+                    reads=t * mn + reads, writes=t * mn + writes,
+                    where=f"tile {t}",
+                )
+            self._apply_step(V, idx)
+
+    def _native_pass(self, kernel, i: int, name: str, V: np.ndarray, addr: int) -> None:
+        """Kernel pass ``i`` over every tile in one call.  A scratch
+        allocation that fails at tile ``t`` moved nothing there, so numpy
+        redoes the pass from tile ``t``; later passes stay native."""
+        try:
+            kernel.run_pass_batch(i, addr, V.shape[0])
+        except MemoryError as exc:
+            _native().record_fallback(
+                f"scratch allocation failed in plan pass {name}"
+            )
+            self._apply_step(V[getattr(exc, "tile", 0):], self._steps[i][1])
+
+    def _run(self, buf: np.ndarray, V: np.ndarray, backend: str | None) -> np.ndarray:
+        """Every pass over the ``(k, m*n)`` tile view ``V`` of ``buf``.
+
+        The sanitizer always runs on numpy — shadow-memory checking needs
+        to see every index.  One ``pass.<name>`` span and
+        ``plan.pass.<name>`` timer per pass; the span carries the 2x
+        read+write byte volume of the whole batch.
+        """
+        dec = self.dec
+        passes = self.schedule.passes
+        engine = _engine()
+        attrs = {
+            "m": dec.m, "n": dec.n, "batch": V.shape[0],
+            "algorithm": self.algorithm,
+        }
+        san = _sanitizer()
+        if san.enabled:
+            if backend == "native":
+                _native().record_fallback("sanitizer active")
+            for p, (_, idx) in zip(passes, self._steps):
+                engine.timed_pass(
+                    "plan", p.name, attrs, self._pass_sanitized, V, p.name, idx, san
+                )
+            return buf
+        attrs["bytes"] = 2 * buf.nbytes
+        kernel = self._resolve_native(buf, backend)
+        if kernel is not None:
+            attrs["backend"] = "native"
+            addr = buf.ctypes.data
+            for i, p in enumerate(passes):
+                engine.timed_pass(
+                    "plan", p.name, attrs, self._native_pass, kernel, i, p.name, V, addr
+                )
+        else:
+            for p, (_, idx) in zip(passes, self._steps):
+                engine.timed_pass("plan", p.name, attrs, self._apply_step, V, idx)
+        reg = _runtime_metrics().registry
+        if reg.enabled:
+            if kernel is not None:
+                reg.inc("native.calls")
+            reg.inc("bytes_moved", 2 * len(passes) * buf.nbytes)
+            reg.inc("elements_touched", len(passes) * buf.size)
+        return buf
+
+    def execute_batch(self, buf: np.ndarray, *, backend: str | None = None) -> np.ndarray:
+        """Transpose every matrix of a batch in place; returns ``buf``.
+
+        ``buf`` is a flat buffer of ``k * m * n`` elements or a
+        ``(k, m*n)`` / ``(k, m, n)`` array, C-contiguous and writeable;
+        matrix ``b`` is ``buf[b * m * n : (b + 1) * m * n]``.  ``backend``
+        follows :meth:`TransposePlan.execute`.
+        """
+        if backend not in _BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}")
+        mn = self.m * self.n
+        if not buf.flags["C_CONTIGUOUS"]:
+            raise ValueError(
+                "batched buffers must be C-contiguous "
+                "(a strided view would be silently copied, not permuted)"
+            )
+        if not buf.flags.writeable:
+            raise ValueError(
+                "batched buffers must be writeable "
+                "(in-place transposition writes the result back)"
+            )
+        if buf.ndim == 1:
+            if buf.shape[0] % mn:  # repro-lint: allow(raw-divmod) one length check per call, not per element
+                raise ValueError("flat batch length must be a multiple of m*n")
+            V = buf.reshape(-1, mn)
+        elif (buf.ndim == 2 and buf.shape[1] == mn) or (
+            buf.ndim == 3 and buf.shape[1] * buf.shape[2] == mn
+        ):
+            V = buf.reshape(buf.shape[0], mn)
+        else:
+            raise ValueError(
+                f"cannot interpret shape {buf.shape} as a batch of "
+                f"{self.m}x{self.n} matrices"
+            )
+        return self._run(buf, V, backend)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(m={self.m}, n={self.n}, "
+            f"order={self.order!r}, algorithm={self.algorithm!r})"
+        )
+
+
+class TransposePlan(_ShapePlan):
     """A reusable, shape-specialized in-place transpose.
 
     Parameters
@@ -211,87 +366,6 @@ class TransposePlan(MapsPlan):
     construction; ``plan.scratch_bytes`` reports what is resident.
     """
 
-    # -- plan construction ---------------------------------------------------
-
-    @staticmethod
-    def _shrink(idx: np.ndarray) -> np.ndarray:
-        """Gather indices are bounded by max(m, n) < 2**31: int32 halves the
-        plan's memory footprint (and cache traffic) at no loss."""
-        return idx.astype(np.int32, copy=False)
-
-    def _build_c2r(self, dec: Decomposition):
-        plan = []
-        if dec.c > 1:
-            plan.append(("rotate_groups", self._rotation_shifts(dec, inverse=False)))
-        plan.append(("gather_cols", self._shrink(eq.dprime_inverse_matrix(dec))))
-        plan.append(("gather_rows", self._shrink(eq.sprime_matrix(dec))))
-        return plan
-
-    def _build_r2c(self, dec: Decomposition):
-        plan = [
-            ("gather_rows", self._shrink(eq.sprime_inverse_matrix(dec))),
-            ("gather_cols", self._shrink(eq.dprime_matrix(dec))),
-        ]
-        if dec.c > 1:
-            plan.append(("rotate_groups", self._rotation_shifts(dec, inverse=True)))
-        return plan
-
-    @staticmethod
-    def _rotation_shifts(dec: Decomposition, *, inverse: bool) -> list[tuple[slice, int]]:
-        """Per-group ``np.roll`` shifts for the (inverse) pre-rotation."""
-        out = []
-        for g in range(dec.c):
-            k = g % dec.m  # repro-lint: allow(raw-divmod) O(c) plan construction, not per-element
-            if k == 0:
-                continue
-            shift = k if inverse else -k
-            out.append((slice(g * dec.b, (g + 1) * dec.b), shift))
-        return out
-
-    # -- execution -------------------------------------------------------------
-
-    @staticmethod
-    def _apply_step(V: np.ndarray, kind: str, payload) -> None:
-        if kind == "rotate_groups":
-            for cols, shift in payload:
-                V[:, cols] = np.roll(V[:, cols], shift, axis=0)
-        elif kind == "gather_cols":
-            V[:] = np.take_along_axis(V, payload, axis=1)
-        elif kind == "gather_rows":
-            V[:] = np.take_along_axis(V, payload, axis=0)
-        elif kind == "permute_rows":
-            V[:] = V[payload, :]
-
-    @staticmethod
-    def _apply_step_sanitized(V: np.ndarray, name: str, kind: str, payload, san) -> None:
-        """One step under the shadow-memory sanitizer: report the flat read
-        and write footprints (reads logically precede writes in a gather)
-        before mutating, so clobbers/double-writes carry pass provenance."""
-        m, n = V.shape
-        rows = np.arange(m, dtype=np.int64)[:, None]
-        cols = np.arange(n, dtype=np.int64)[None, :]
-        if kind == "rotate_groups":
-            # Zero-shift groups are skipped by construction, so the pass
-            # covers at most (not exactly) the whole matrix.
-            with san.pass_scope(f"plan.{name}", m * n, full_coverage=False):
-                for csl, shift in payload:
-                    flat = (rows * n + np.arange(csl.start, csl.stop)).ravel()  # repro-lint: allow(implicit-copy) flat index array, not a matrix view
-                    san.record(
-                        reads=flat, writes=flat,
-                        where=f"cols[{csl.start}:{csl.stop}]",
-                    )
-                    V[:, csl] = np.roll(V[:, csl], shift, axis=0)
-            return
-        if kind == "gather_cols":
-            reads = rows * n + payload.astype(np.int64)
-        elif kind == "gather_rows":
-            reads = payload.astype(np.int64) * n + cols
-        else:  # permute_rows
-            reads = payload.astype(np.int64)[:, None] * n + cols
-        with san.pass_scope(f"plan.{name}", m * n):
-            san.record(reads=reads, writes=rows * n + cols, where="full matrix")
-            TransposePlan._apply_step(V, kind, payload)
-
     def execute(self, buf: np.ndarray, *, backend: str | None = None) -> np.ndarray:
         """Transpose ``buf`` in place.
 
@@ -304,11 +378,8 @@ class TransposePlan(MapsPlan):
         compiled native kernel when one is (or can be made) available and
         the buffer is large enough, ``"native"`` insists on it (falling back
         to numpy with a warning when impossible), ``"numpy"`` forces the
-        numpy gathers.  The native kernel runs as the pass engine's one-band,
-        one-chunk case (:mod:`repro.parallel.engine`); a pass whose scratch
-        allocation fails is redone by the engine's numpy chunk.  The
-        sanitizer always runs on numpy — shadow-memory checking needs to see
-        every index.
+        numpy gathers.  A native pass whose scratch allocation fails is
+        redone by numpy; the passes after it stay native.
         """
         if backend not in _BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
@@ -319,50 +390,16 @@ class TransposePlan(MapsPlan):
                 "in-place transposition requires a contiguous buffer "
                 "(a non-contiguous view would be silently copied, not permuted)"
             )
-        dec = self.dec
-        schedule = self.schedule
-        engine = _engine()
-        san = _sanitizer()
-        if san.enabled:
-            if backend == "native":
-                _native().record_fallback("sanitizer active")
-            V = buf.reshape(dec.m, dec.n)
-            attrs = {"m": dec.m, "n": dec.n, "algorithm": self.algorithm}
-            for p, (kind, payload) in zip(schedule.passes, self._steps):
-                engine.timed_pass(
-                    "plan", p.name, attrs, self._apply_step_sanitized,
-                    V, p.name, kind, payload, san,
-                )
-            return buf
-        kernel = self._resolve_native(buf, backend)
-        if kernel is not None:
-            engine.run(
-                schedule, engine.InRam(buf, dec.m, dec.n), scope="plan",
-                kernel=kernel, algorithm=self.algorithm,
-            )
-        else:
-            # One span per decomposition pass, carrying the 2x read+write
-            # byte volume so the profiler can join duration with traffic.
-            V = buf.reshape(dec.m, dec.n)
-            attrs = {
-                "m": dec.m, "n": dec.n, "algorithm": self.algorithm,
-                "bytes": 2 * buf.nbytes,
-            }
-            for p, (kind, payload) in zip(schedule.passes, self._steps):
-                engine.timed_pass(
-                    "plan", p.name, attrs, self._apply_step, V, kind, payload
-                )
-        reg = _runtime_metrics().registry
-        if reg.enabled:
-            passes = len(schedule.passes)
-            if kernel is not None:
-                reg.inc("native.calls")
-            reg.inc("bytes_moved", 2 * passes * buf.nbytes)
-            reg.inc("elements_touched", passes * buf.shape[0])
-        return buf
+        return self._run(buf, buf.reshape(1, -1), backend)
 
-    def __repr__(self) -> str:
-        return (
-            f"TransposePlan(m={self.m}, n={self.n}, order={self.order!r}, "
-            f"algorithm={self.algorithm!r})"
-        )
+
+class BatchedTransposePlan(_ShapePlan):
+    """Shape-specialized in-place transpose applied across a batch axis.
+
+    Parameters mirror :class:`TransposePlan`; :meth:`execute` takes a flat
+    buffer of ``k * m * n`` elements or a ``(k, m*n)`` / ``(k, m, n)``
+    array and transposes every matrix in place (see
+    :meth:`TransposePlan.execute_batch`).
+    """
+
+    execute = _ShapePlan.execute_batch

@@ -16,7 +16,7 @@ Policy lives here; mechanism lives in the submodules:
 
 Resolution contract (:func:`kernel_for_plan`, the one resolver: plans
 resolve their own kernel, and the pass engine's in-RAM and streamed callers
-reach it through the plan cache's single-matrix plan,
+reach it through the plan cache's entry for the shape,
 :func:`repro.parallel.engine.native_kernel`):
 
 * ``REPRO_NATIVE=0`` disables the backend silently — no metric, no warning.
@@ -29,7 +29,8 @@ reach it through the plan cache's single-matrix plan,
   emits a one-time :class:`RuntimeWarning`; execution proceeds on numpy.
   This is never an error — a machine without a toolchain runs the full
   suite, just slower.
-* A successful compile increments ``native.compile`` and charges the
+* A compile that ran the compiler increments ``native.compile`` (loading
+  an artifact already on disk does not).  Every loaded kernel charges the
   artifact's on-disk size to the plan's slot in the plan cache (eviction
   then unlinks the ``.so`` via the plan's eviction hook).
 
@@ -211,7 +212,8 @@ def _build_kernel(plan, itemsize: int):
     except CompileError as exc:
         record_fallback(str(exc))
         return None, "fallback"
-    reg.inc("native.compile")
+    if kernel.compiled:  # not a load of an artifact already on disk
+        reg.inc("native.compile")
     return kernel, None
 
 

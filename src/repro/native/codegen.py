@@ -818,8 +818,8 @@ def split_units(source: str) -> tuple[str, str]:
 
 
 def _pass_layout(dec: Decomposition, algorithm: str) -> tuple[PassInfo, ...]:
-    """Pass order and chunk axes, mirroring ``TransposePlan._build_*`` and
-    the schedule names of :mod:`repro.parallel.cpu` one-to-one."""
+    """Pass order and chunk axes, mirroring ``TransposePlan._build_maps``
+    and the schedule names of :mod:`repro.parallel.cpu` one-to-one."""
     if algorithm == "c2r":
         passes = []
         if dec.c > 1:

@@ -293,10 +293,13 @@ def compile_spec(spec: KernelSpec) -> "NativeKernel":
     """Compile (or reuse) the artifact for ``spec`` and load it.
 
     Raises :class:`CompileError` when no toolchain is available or the
-    compile fails; callers translate that into the numpy fallback.
+    compile fails; callers translate that into the numpy fallback.  The
+    kernel's ``compiled`` is True only when this call ran the compiler,
+    not when it loaded an artifact already on disk.
     """
     path = _artifact_path(spec.source)
-    if not os.path.exists(path):
+    compiled = not os.path.exists(path)
+    if compiled:
         tc = toolchain_name()
         if tc is None:
             raise CompileError("no C compiler available")
@@ -306,7 +309,9 @@ def compile_spec(spec: KernelSpec) -> "NativeKernel":
             _compile_cffi(spec.source, path, cc)
         else:
             _compile_cc(spec.source, path, cc)
-    return NativeKernel(spec, path)
+    kernel = NativeKernel(spec, path)
+    kernel.compiled = compiled
+    return kernel
 
 
 class NativeKernel:
@@ -326,6 +331,8 @@ class NativeKernel:
         except OSError:
             self.artifact_bytes = 0
         self._released = False
+        #: whether :func:`compile_spec` ran the compiler for this load
+        self.compiled = False
         self._lock = threading.Lock()
         lib = ctypes.CDLL(path)
         self._run = lib.repro_run

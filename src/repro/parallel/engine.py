@@ -35,7 +35,7 @@ chunk body.
 
 The engine alone owns the ``pass.<name>`` span and the
 ``<scope>.pass.<name>`` timer (:func:`timed_pass`, which the plans' map and
-batched bodies call too), the sanitizer scope of every chunked pass, and
+native bodies call too), the sanitizer scope of every chunked pass, and
 the ``stream.band`` and ``worker.chunk`` spans.
 """
 
@@ -278,9 +278,6 @@ def run(schedule, source, *, scope: str, kernel=None, executor=None, **attrs) ->
         attrs.update(m=dec.m, n=dec.n, bytes=2 * source.nbytes)
         if kernel is not None:
             attrs["backend"] = "native"
-    # The one-band, one-chunk case (a plan's native execute) calls the
-    # chunk runner directly: no band loop, no pool, no sanitizer scope.
-    direct = executor is None and not source.streamed and not racecheck.sanitizer.enabled
     bands = 0
     for i, ps in enumerate(schedule.passes):
         idx = None
@@ -293,17 +290,10 @@ def run(schedule, source, *, scope: str, kernel=None, executor=None, **attrs) ->
                 )
             idx = i
         pass_attrs = dict(attrs, bands=len(ps.bands)) if tracing else attrs
-        if direct and len(ps.bands) == 1:
-            band = ps.bands[0]
-            timed_pass(
-                scope, ps.name, pass_attrs, _run_chunk, ps, dec, source.V,
-                source.addr, 0, scope, kernel, idx, None, band.start, band.stop,
-            )
-        else:
-            timed_pass(
-                scope, ps.name, pass_attrs, _run_pass, ps, source, dec, scope,
-                kernel, idx, executor,
-            )
+        timed_pass(
+            scope, ps.name, pass_attrs, _run_pass, ps, source, dec, scope,
+            kernel, idx, executor,
+        )
         bands += len(ps.bands)
     return bands
 

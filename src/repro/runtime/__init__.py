@@ -7,11 +7,11 @@ the two process-wide services that make the library behave like a server
 rather than a collection of kernels:
 
 ``repro.runtime.plan_cache``
-    A thread-safe LRU cache of :class:`~repro.core.plan.TransposePlan` /
-    :class:`~repro.core.batched.BatchedTransposePlan` objects keyed by
-    ``(kind, m, n, k, order, algorithm, variant, dtype)``, with a byte
-    budget over what plans hold (``O(mn)`` int32 maps once a numpy pass has
-    run, compiled ``.so`` files) and hit/miss/eviction stats.
+    A thread-safe LRU cache of :class:`~repro.core.plan.TransposePlan`
+    objects keyed by ``(m, n, order, algorithm, dtype)`` (one plan serves a
+    single matrix and batches of every size), with a byte budget over what
+    plans hold (``O(mn)`` int32 maps once a numpy pass has run, compiled
+    ``.so`` files) and hit/miss/eviction stats.
 
 ``repro.runtime.metrics``
     Per-pass timers, bytes-moved and elements-touched counters, and a JSON

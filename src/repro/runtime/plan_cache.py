@@ -7,14 +7,17 @@ batched FFT-style pipelines, attention-head reshapes) pays the planning tax
 on every call unless something amortizes it.  This module is that something:
 a process-wide LRU keyed by
 
-    ``(kind, m, n, k, order, algorithm, variant, dtype)``
+    ``(m, n, order, algorithm, dtype)``
 
-mapping to :class:`~repro.core.plan.TransposePlan` /
-:class:`~repro.core.batched.BatchedTransposePlan` objects.  A plan's
-identity never changes after construction, and its one piece of mutable
-state — the gather maps, built once on the first numpy execute under the
-plan's own lock — is safe to race on (see ``tests/test_concurrency.py``), so
-one instance may be executed from any number of threads concurrently.
+mapping to :class:`~repro.core.plan.TransposePlan` objects.  The passes
+depend on the shape only, so one plan serves single-matrix calls and
+batches of any size (a single matrix is a batch of one tile):
+:func:`get_single_plan` and :func:`get_batched_plan` return the same entry.
+A plan's identity never changes after construction, and its one piece of
+mutable state — the gather maps, built once on the first numpy execute
+under the plan's own lock — is safe to race on (see
+``tests/test_concurrency.py``), so one instance may be executed from any
+number of threads concurrently.
 
 The cache enforces a configurable **byte budget** (default 256 MiB, env
 ``REPRO_PLAN_CACHE_BYTES``) over the bytes each plan actually holds: a plan
@@ -85,10 +88,8 @@ def _event_log():
 def _key_attrs(key: "PlanKey") -> dict:
     """Span attributes identifying a cached plan in ``cache.*`` events."""
     return {
-        "kind": key.kind,
         "m": key.m,
         "n": key.n,
-        "k": key.k,
         "order": key.order,
         "algorithm": key.algorithm,
         "dtype": key.dtype,
@@ -99,21 +100,18 @@ def _key_attrs(key: "PlanKey") -> dict:
 class PlanKey:
     """The identity of a cached plan.
 
-    ``kind`` separates single-matrix from batched plans; ``k`` is the batch
-    count (``None`` for single plans).  ``dtype`` is part of the key even
-    though the int32 gather maps are dtype-independent — it keeps hit/miss
-    accounting meaningful per workload and costs nothing for the one or two
-    dtypes a real pipeline uses.  ``algorithm`` is stored resolved
-    (never ``"auto"``) so explicit and ``"auto"`` requests share entries.
+    There is no batch count: one plan serves every batch size.  ``dtype``
+    is part of the key even though the int32 gather maps are
+    dtype-independent — it keeps hit/miss accounting meaningful per
+    workload and costs nothing for the one or two dtypes a real pipeline
+    uses.  ``algorithm`` is stored resolved (never ``"auto"``) so explicit
+    and ``"auto"`` requests share entries.
     """
 
-    kind: str
     m: int
     n: int
-    k: int | None
     order: str
     algorithm: str
-    variant: str
     dtype: str
 
 
@@ -381,7 +379,8 @@ def charge(plan, delta: int) -> None:
 def get_single_plan(
     m: int, n: int, order: str, algorithm: str, dtype, *, cache: PlanCache | None = None
 ):
-    """A (possibly cached) :class:`TransposePlan` for one matrix shape.
+    """The (possibly cached) :class:`~repro.core.plan.TransposePlan` for one
+    ``(m, n, order, algorithm, dtype)``.
 
     ``algorithm`` may be ``"auto"``; it is resolved through
     :func:`~repro.core.transpose.choose_algorithm` before keying.
@@ -391,7 +390,7 @@ def get_single_plan(
 
     if algorithm == "auto":
         algorithm = choose_algorithm(m, n)
-    key = PlanKey("single", m, n, None, order, algorithm, "gather", str(dtype))
+    key = PlanKey(m, n, order, algorithm, str(dtype))
     target = cache if cache is not None else _GLOBAL
     return target.get_or_build(
         key,
@@ -400,26 +399,6 @@ def get_single_plan(
     )
 
 
-def get_batched_plan(
-    m: int,
-    n: int,
-    k: int,
-    order: str,
-    algorithm: str,
-    dtype,
-    *,
-    cache: PlanCache | None = None,
-):
-    """A (possibly cached) :class:`BatchedTransposePlan` for ``k`` matrices."""
-    from repro.core.batched import BatchedTransposePlan
-    from repro.core.transpose import choose_algorithm
-
-    if algorithm == "auto":
-        algorithm = choose_algorithm(m, n)
-    key = PlanKey("batched", m, n, int(k), order, algorithm, "gather", str(dtype))
-    target = cache if cache is not None else _GLOBAL
-    return target.get_or_build(
-        key,
-        lambda: BatchedTransposePlan(m, n, order, algorithm),
-        lambda plan: plan.scratch_bytes,
-    )
+#: The batched entry point's lookup: the same entry, which a batch runs
+#: through :meth:`~repro.core.plan.TransposePlan.execute_batch`.
+get_batched_plan = get_single_plan

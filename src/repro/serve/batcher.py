@@ -13,14 +13,13 @@ stream into those groups:
   carry several client-side-batched tiles), when its oldest request has
   waited ``max_wait_s`` (bounded added latency), or immediately once the
   queue closes (shutdown flushes, never drops);
-* a dispatched group executes through the process-wide plan cache —
-  ``>= 2`` tiles stage into one contiguous ``(tiles, m*n)`` buffer and
-  run ``batched_transpose_inplace``; a straggler of one falls back to the
-  cached singleton :class:`~repro.core.plan.TransposePlan`.
+* a dispatched group of any size, one tile included, stages into one
+  contiguous ``(tiles, m*n)`` buffer and runs ``batched_transpose_inplace``
+  through the shape's one cached plan.
 
 Request buffers are never mutated: results are produced in the staging
-buffer (or a singleton copy), so a transient execution failure can be
-retried by the worker with the inputs intact.
+buffer, so a transient execution failure can be retried by the worker with
+the inputs intact.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from time import monotonic, perf_counter
 import numpy as np
 
 from ..core.batched import batched_transpose_inplace, validate_batch_member
-from ..runtime import metrics, plan_cache
+from ..runtime import metrics
 from ..trace import spans
 from ..trace.events import event_log
 from ..trace.spans import TraceContext
@@ -298,7 +297,6 @@ class ShapeBatcher:
         if event_log.enabled:
             event_log.emit(
                 "dispatch", trace_id=trace_id,
-                mode="single" if tiles == 1 else "batch",
                 m=m, n=n, requests=k, tiles=tiles,
             )
         if tr.enabled:
@@ -309,20 +307,12 @@ class ShapeBatcher:
             trace_ids = ()
         t0 = perf_counter()
         with ctx_cm:
-            if tiles == 1:
-                with tr.span(
-                    "serve.execute.single", m=m, n=n, dtype=dtype_str,
-                    trace_ids=trace_ids,
-                ) if tr.enabled else _NULL_CM:
-                    self._execute_single(live[0], m, n, order, dtype)
-                reg.inc("serve.singleton_fallbacks")
-            else:
-                with tr.span(
-                    "serve.execute.batch", m=m, n=n, batch=tiles,
-                    dtype=dtype_str, requests=k, trace_ids=trace_ids,
-                ) if tr.enabled else _NULL_CM:
-                    self._execute_batch(live, m, n, order, dtype)
-                reg.inc("serve.batches")
+            with tr.span(
+                "serve.execute.batch", m=m, n=n, batch=tiles,
+                dtype=dtype_str, requests=k, trace_ids=trace_ids,
+            ) if tr.enabled else _NULL_CM:
+                self._execute_batch(live, m, n, order, dtype)
+            reg.inc("serve.batches")
         dt = perf_counter() - t0
         if reg.enabled:
             reg.observe("serve.execute", dt)
@@ -333,15 +323,6 @@ class ShapeBatcher:
                 reg.observe("serve.e2e", now - r.t_submit)
             reg.inc("serve.completed", k)
         return k
-
-    @staticmethod
-    def _execute_single(
-        r: Request, m: int, n: int, order: str, dtype: np.dtype
-    ) -> None:
-        out = np.array(r.buf, dtype=dtype).reshape(-1)
-        plan = plan_cache.get_single_plan(m, n, order, "auto", dtype)
-        plan.execute(out)
-        r.fulfill(out)
 
     @staticmethod
     def _execute_batch(

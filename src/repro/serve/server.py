@@ -390,8 +390,7 @@ class _Handler(BaseHTTPRequestHandler):
             buf = seg_view
         else:
             # Read the body straight into a fresh array: no intermediate
-            # bytes object, and the buffer is writeable for the singleton
-            # in-place path.
+            # bytes object.
             buf = np.empty(tiles * m * n, dtype=dtype)
             view = memoryview(buf).cast("B")
             got = 0

@@ -12,7 +12,7 @@ kind            emitted when
 ``reject``      admission failed (``reason``: full / closed / expired /
                 quota)
 ``coalesce``    the batcher formed a dispatchable same-shape group
-``dispatch``    a group entered execution (``mode``: batch/single/process)
+``dispatch``    a group entered execution
 ``expired``     a queued request missed its deadline at claim time
 ``retry``       a transient group failure triggered the retry-once path
 ``group_failure`` the retry also failed; the group's requests got the error

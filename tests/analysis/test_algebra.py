@@ -135,8 +135,8 @@ class TestOddAndPrimeShapes:
 
         real = TransposePlan._apply_step
 
-        def corrupted(V, kind, payload):
-            real(V, kind, payload)
+        def corrupted(V, idx):
+            real(V, idx)
             # poison one cell with a value outside the permutation domain:
             # every plan step is a permutation, so the poison survives to
             # the final buffer no matter how later steps shuffle it

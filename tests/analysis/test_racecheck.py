@@ -348,17 +348,20 @@ class TestExecutionHooks:
 
     def test_corrupted_plan_payload_is_caught(self):
         # Gather bijectivity is proven statically by the verifier; what the
-        # sanitizer owns at runtime is the write discipline.  Corrupt the
-        # rotation schedule so one column group is processed twice: the
-        # second visit reads elements its own pass already overwrote.
+        # sanitizer owns at runtime is that the maps which actually run stay
+        # inside the buffer.  Corrupt the rotation map so one element reads
+        # a row past the matrix.
         m, n = 12, 18  # gcd 6 > 1, so the plan starts with rotate_groups
         plan = TransposePlan(m, n, "C", "c2r")
         kind, payload = plan._steps[0]
         assert kind == "rotate_groups"
-        plan._steps[0] = (kind, list(payload) + list(payload[:1]))
+        bad = payload.copy()
+        bad[-1] = m * n + n - 1  # the last column, one row past the end
+        plan._steps[0] = (kind, bad)
         with pytest.raises(SanitizerError) as exc:
             plan.execute(np.arange(m * n, dtype=np.int64))
-        assert exc.value.kind in ("read-after-clobber", "double write")
+        assert exc.value.kind == "out-of-bounds read"
+        assert exc.value.pass_name == "plan.pre_rotate"
 
     def test_concurrent_plan_executions_serialize_not_crash(self):
         m, n = 24, 36

@@ -71,6 +71,15 @@ class TestBatched:
                     (np.arange(b * 35, (b + 1) * 35).reshape(5, 7)).T,
                 )
 
+    def test_numpy_maps_are_int32(self):
+        # one int32 map per pass: at most 1.5x the two int32 gather maps a
+        # single-matrix plan held when the batched plan kept int64 maps
+        m, n = 256, 384  # gcd 128: the rotation pass runs too
+        plan = BatchedTransposePlan(m, n)
+        plan.execute(np.zeros(2 * m * n, dtype=np.uint8), backend="numpy")
+        assert all(idx.dtype == np.int32 for _, idx in plan._steps)
+        assert 0 < plan.scratch_bytes <= 1.5 * 2 * 4 * m * n
+
     def test_validates_inputs(self):
         plan = BatchedTransposePlan(3, 4)
         with pytest.raises(ValueError):

@@ -49,6 +49,23 @@ def _clean_state():
     metrics.reset()
 
 
+@pytest.fixture
+def _unsanitized(monkeypatch):
+    """The shadow-memory sanitizer forces numpy (it must see every index),
+    so under ``REPRO_SANITIZE=1`` a test that asserts the compiled kernels
+    ran (a compile, a kernel call, an artifact) would see none.  Those
+    tests take this fixture through :data:`needs_native_run`; every other
+    test here runs sanitized under ``REPRO_SANITIZE=1``, and
+    :class:`TestSanitizedNative` turns the sanitizer on itself."""
+    from repro.analysis import racecheck
+
+    monkeypatch.setattr(racecheck.sanitizer, "enabled", False)
+
+
+#: marks a test that asserts native execution happened
+needs_native_run = pytest.mark.usefixtures("_unsanitized")
+
+
 def _counters() -> dict:
     return metrics.registry.snapshot()["counters"]
 
@@ -112,6 +129,7 @@ class TestDifferential:
         )
         np.testing.assert_array_equal(nat, _expected(proto, m, n, "C"))
 
+    @needs_native_run
     def test_auto_backend_selects_native_above_floor(self):
         m, n = 256, 384  # 98304 elements >= the 16384 default floor
         proto = np.arange(m * n, dtype=np.float64)
@@ -119,6 +137,7 @@ class TestDifferential:
         np.testing.assert_array_equal(out, _expected(proto, m, n, "C"))
         assert _counters().get("native.compile", 0) == 1
 
+    @needs_native_run
     def test_batched_native_matches_numpy(self):
         k, m, n = 3, 64, 48
         proto = np.arange(k * m * n, dtype=np.float64)
@@ -135,6 +154,7 @@ class TestDifferential:
             np.testing.assert_array_equal(nat, expected)
         assert _counters().get("native.compile", 0) == 2
 
+    @needs_native_run
     def test_parallel_native_matches_interpreter(self):
         m, n = 256, 384
         proto = np.arange(m * n, dtype=np.float64)
@@ -271,7 +291,12 @@ class TestColumnShuffle:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("alg", ALGORITHMS)
-    def test_threaded_transposer_matches_restricted(self, alg, threads):
+    @needs_native_run
+    def test_threaded_transposer_matches_restricted(
+        self, alg, threads, tmp_path, monkeypatch
+    ):
+        # an empty artifact directory, so the kernel compiles here
+        monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path))
         m, n = 1536, 1024  # 4 KiB row pitch, native-sized
         proto = np.arange(m * n, dtype=np.float32)
         buf = proto.copy()
@@ -373,6 +398,7 @@ class TestBandedEntryPoints:
 
 
 class TestArtifactAccounting:
+    @needs_native_run
     def test_so_bytes_charged_to_plan_cache_entry(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path))
         m, n = 256, 384
@@ -386,6 +412,24 @@ class TestArtifactAccounting:
         delta = cache.current_bytes - plan_only_bytes
         assert delta == artifacts[0].stat().st_size > 0
 
+    @needs_native_run
+    def test_plans_sharing_an_artifact_compile_once(self, tmp_path, monkeypatch):
+        # float32 and int32 plans of one shape, and the F-order plan of the
+        # swapped shape, are three plans over one decomposition: one .so
+        monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path))
+        m, n = 256, 384
+        for dtype, shape, order in (
+            (np.float32, (m, n), "C"),
+            (np.int32, (m, n), "C"),
+            (np.float32, (n, m), "F"),
+        ):
+            buf = np.arange(m * n).astype(dtype)
+            transpose_inplace(buf, *shape, order, backend="native")
+        assert len(plan_cache.get_plan_cache()) == 3
+        assert len(list(tmp_path.glob("repro_native_*.so"))) == 1
+        assert _counters().get("native.compile", 0) == 1
+
+    @needs_native_run
     def test_clear_unlinks_artifacts(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path))
         proto = np.arange(256 * 384, dtype=np.float64)
@@ -394,6 +438,7 @@ class TestArtifactAccounting:
         plan_cache.clear()
         assert not list(tmp_path.glob("*.so"))
 
+    @needs_native_run
     def test_eviction_under_byte_budget_unlinks_artifact(
         self, tmp_path, monkeypatch
     ):
@@ -413,6 +458,7 @@ class TestArtifactAccounting:
         plan_cache.clear()
         assert not list(tmp_path.glob("*.so"))
 
+    @needs_native_run
     def test_concurrent_first_compile_produces_one_artifact(
         self, tmp_path, monkeypatch
     ):
@@ -476,6 +522,7 @@ class TestPlanFootprint:
         return plan.scratch_bytes
 
     @requires_toolchain
+    @needs_native_run
     def test_parallel_round_trips_stay_cached_under_tight_budget(
         self, tmp_path, monkeypatch
     ):
@@ -546,73 +593,63 @@ class TestPlanFootprint:
 
 
 @requires_toolchain
+@needs_native_run
 class TestScratchResume:
-    def test_single_resumes_from_failing_pass(self, monkeypatch):
-        m, n = 256, 384
-        proto = np.arange(m * n, dtype=np.float64)
+    @staticmethod
+    def _fail_pass_at_tile(monkeypatch, kernel, bad_pass: int, tile: int) -> list:
+        """Make ``kernel.run_pass_batch`` run pass ``bad_pass`` natively on
+        the tiles before ``tile`` and then fail its scratch allocation
+        there (moving nothing); every other pass runs for real.  Returns
+        the log of every pass index the kernel was asked to run."""
+        real = kernel.run_pass_batch
+        calls: list = []
+
+        def failing(idx, addr, k):
+            calls.append(idx)
+            if idx != bad_pass:
+                return real(idx, addr, k)
+            real(idx, addr, tile)
+            raise NativeScratchError(idx, tile)
+
+        monkeypatch.setattr(kernel, "run_pass_batch", failing)
+        return calls
+
+    def _check_resume(self, monkeypatch, k: int) -> None:
+        """For both algorithms, pass 1 fails at the last tile: numpy redoes
+        it from there, the pass after it still calls the kernel, and one
+        fallback counts."""
+        m, n = 256, 384  # gcd 128: three passes
+        proto = np.arange(k * m * n, dtype=np.float64)
+        tiles = proto.reshape(k, m, n)
+        expected = np.ascontiguousarray(tiles.transpose(0, 2, 1)).reshape(-1)
         monkeypatch.setattr(native, "_warned_once", True)  # silence
         for alg in ALGORITHMS:
-            # compile
-            transpose_inplace(proto.copy(), m, n, algorithm=alg, backend="native")
-            plan = plan_cache.get_single_plan(
+            batched_transpose_inplace(
+                proto.copy(), m, n, algorithm=alg, backend="native"
+            )  # compile
+            plan = plan_cache.get_batched_plan(
                 m, n, "C", alg, np.dtype(np.float64)
             )
             kernel = native.kernel_for_plan(plan, 8)
-            assert kernel is not None and len(kernel.passes) >= 2
-            real_run_pass = kernel.run_pass
-
-            def failing_run_pass(idx, addr, lo, hi, real_run_pass=real_run_pass):
-                # pass 0 completes natively, pass 1 "fails" before moving data
-                if idx == 0:
-                    return real_run_pass(idx, addr, lo, hi)
-                raise NativeScratchError(idx)
-
-            def failing_run(addr, kernel=kernel, failing_run_pass=failing_run_pass):
-                failing_run_pass(0, addr, 0, kernel.passes[0].extent)
-                failing_run_pass(1, addr, 0, kernel.passes[1].extent)
-
-            # cover both execution branches (metrics on -> per-pass entry
-            # points, metrics off -> the one-shot driver)
-            monkeypatch.setattr(kernel, "run_pass", failing_run_pass)
-            monkeypatch.setattr(kernel, "run", failing_run)
+            assert kernel is not None and len(kernel.passes) == 3
+            calls = self._fail_pass_at_tile(monkeypatch, kernel, 1, k - 1)
             metrics.reset()
             buf = proto.copy()
-            transpose_inplace(buf, m, n, algorithm=alg, backend="native")
-            np.testing.assert_array_equal(buf, _expected(proto, m, n, "C"))
-            assert _counters().get("native.fallback", 0) >= 1, alg
+            if k == 1:
+                transpose_inplace(buf, m, n, algorithm=alg, backend="native")
+            else:
+                batched_transpose_inplace(
+                    buf, m, n, algorithm=alg, backend="native"
+                )
+            assert buf.tobytes() == expected.tobytes(), alg
+            assert calls == [0, 1, 2], "the pass after the failure stays native"
+            assert _counters().get("native.fallback", 0) == 1, alg
+
+    def test_single_resumes_from_failing_pass(self, monkeypatch):
+        self._check_resume(monkeypatch, 1)
 
     def test_batched_resumes_from_failing_tile(self, monkeypatch):
-        k, m, n = 3, 64, 48
-        proto = np.arange(k * m * n, dtype=np.float64)
-        batched_transpose_inplace(proto.copy(), m, n, backend="native")
-        plan = plan_cache.get_batched_plan(
-            m, n, k, "C", "auto", np.dtype(np.float64)
-        )
-        kernel = native.kernel_for_plan(plan, 8)
-        assert kernel is not None
-        real_run_pass = kernel.run_pass
-
-        def failing_run_pass_batch(idx, addr, nk):
-            # tile 0 finishes pass 0 natively; tile 1 fails before moving
-            # anything, so the numpy resume owns tiles [1:] for this pass
-            # and every later pass end to end.
-            assert idx == 0
-            real_run_pass(0, addr, 0, kernel.passes[0].extent)
-            raise NativeScratchError(0, 1)
-
-        def failing_run_batch(addr, nk):
-            failing_run_pass_batch(0, addr, nk)
-
-        monkeypatch.setattr(kernel, "run_pass_batch", failing_run_pass_batch)
-        monkeypatch.setattr(kernel, "run_batch", failing_run_batch)
-        monkeypatch.setattr(native, "_warned_once", True)
-        buf = proto.copy()
-        batched_transpose_inplace(buf, m, n, backend="native")
-        tiles = proto.copy().reshape(k, m, n)
-        expected = np.ascontiguousarray(tiles.transpose(0, 2, 1)).ravel()
-        np.testing.assert_array_equal(buf, expected)
-        assert _counters().get("native.fallback", 0) >= 1
-
+        self._check_resume(monkeypatch, 3)
 
     @staticmethod
     def _fail_one_chunk(monkeypatch, entry: str) -> list:
@@ -723,6 +760,76 @@ class TestSanitizedNative:
         assert _counters().get("native.fallback", 0) >= 1
         assert _counters().get("native.compile", 0) == 0
 
+    @staticmethod
+    def _redo_under_shadow(monkeypatch, alg: str, k: int, reported: int):
+        """Run every pass of a ``k``-tile plan through the plan's native
+        pass with a stand-in kernel that moves the tiles before the last
+        one and then fails its scratch allocation, reporting tile
+        ``reported``; numpy redoes the pass from there.  One shadow scope
+        per pass spans the whole batch, and every tile that either side
+        moves records its map reads and its writes, so the redo must read
+        and write exactly the tiles the kernel left.  Returns the buffer
+        and the expected transpose."""
+        from repro.analysis.racecheck import sanitizer
+        from repro.core.batched import BatchedTransposePlan
+
+        m, n = 12, 18  # gcd 6: three passes
+        mn = m * n
+        plan = BatchedTransposePlan(m, n, algorithm=alg)
+        steps = plan._steps
+        buf = np.arange(k * mn, dtype=np.float64)
+        expected = np.ascontiguousarray(
+            buf.reshape(k, m, n).transpose(0, 2, 1)
+        ).ravel()
+        V = buf.reshape(k, mn)
+        base = buf.ctypes.data
+        real_apply = plan._apply_step
+
+        def shadowed(tiles, idx):
+            first = (tiles.ctypes.data - base) // (mn * buf.itemsize)
+            for t in range(first, first + tiles.shape[0]):
+                sanitizer.record(
+                    reads=t * mn + idx.astype(np.int64),
+                    writes=t * mn + np.arange(mn),
+                    where=f"tile {t}",
+                )
+            real_apply(tiles, idx)
+
+        monkeypatch.setattr(plan, "_apply_step", shadowed)
+
+        class FailingKernel:
+            def run_pass_batch(self, i, addr, count):
+                shadowed(V[: k - 1], steps[i][1])  # the kernel's tiles
+                raise NativeScratchError(i, reported)
+
+        for i, p in enumerate(plan.schedule.passes):
+            with sanitizer.pass_scope(f"plan.{p.name}", k * mn):
+                plan._native_pass(FailingKernel(), i, p.name, V, base)
+        return buf, expected, len(steps)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_scratch_failure_redo_is_shadow_checked(self, monkeypatch, alg, k):
+        from repro.analysis.racecheck import sanitizer
+
+        before = sanitizer.stats()["passes_checked"]
+        buf, expected, passes = self._redo_under_shadow(
+            monkeypatch, alg, k, k - 1
+        )
+        assert buf.tobytes() == expected.tobytes()
+        assert sanitizer.stats()["passes_checked"] == before + passes
+        assert _counters().get("native.fallback", 0) == passes
+
+    def test_redo_from_a_tile_the_kernel_moved_is_caught(self, monkeypatch):
+        """A failure reported one tile early makes the redo gather a tile
+        the kernel already moved: the shadow sees it read what was
+        written."""
+        from repro.analysis.racecheck import SanitizerError
+
+        with pytest.raises(SanitizerError) as exc:
+            self._redo_under_shadow(monkeypatch, "c2r", 3, 1)
+        assert exc.value.kind in ("read-after-clobber", "double write")
+
     def test_batched_sanitizer_catches_out_of_range_gather(self):
         from repro.analysis.racecheck import SanitizerError
         from repro.core.batched import BatchedTransposePlan
@@ -731,7 +838,7 @@ class TestSanitizedNative:
         plan = BatchedTransposePlan(m, n)
         kind, idx = plan._steps[0]
         bad = idx.copy()
-        bad.flat[0] = (plan.dec.m if kind == "rows3" else plan.dec.n) + 3
+        bad[-1] = m * n + 3  # past the last tile's end
         plan._steps[0] = (kind, bad)
         with pytest.raises(SanitizerError) as exc:
             plan.execute(np.arange(k * m * n, dtype=np.int64))
@@ -862,6 +969,7 @@ class TestFallbackContract:
         assert _counters().get("native.fallback", 0) == 1
 
     @requires_toolchain
+    @needs_native_run
     def test_min_elems_floor_gates_auto_but_not_explicit(self):
         m, n = 32, 48  # 1536 elements, far below the 16384 floor
         proto = np.arange(m * n, dtype=np.float64)
@@ -873,6 +981,7 @@ class TestFallbackContract:
         np.testing.assert_array_equal(buf, _expected(proto, m, n, "C"))
 
     @requires_toolchain
+    @needs_native_run
     def test_min_elems_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_MIN_ELEMS", "100")
         m, n = 32, 48
@@ -906,6 +1015,7 @@ class TestFallbackContract:
 
 
 @requires_toolchain
+@needs_native_run
 class TestToolchains:
     def test_cffi_toolchain_compiles_and_matches(
         self, tmp_path, monkeypatch

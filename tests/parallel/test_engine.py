@@ -159,7 +159,7 @@ class TestPassNames:
         with ParallelTranspose(2) as pt:
             pt.c2r(np.arange(m * n, dtype=np.float64), m, n)
         timers = metrics.snapshot()["timers"]
-        for scope in ("plan", "batched", "parallel"):
+        for scope in ("plan", "parallel"):
             for name in racecheck.pass_order("c2r", 12):
                 assert f"{scope}.pass.{name}" in timers, (scope, name, sorted(timers))
-        assert not any(".pass.gather" in k or ".pass.rows3" in k for k in timers)
+        assert not any(".pass.gather" in k or k.startswith("batched.") for k in timers)

@@ -292,7 +292,9 @@ class TestEntryPointWiring:
         batched_transpose_inplace(np.arange(3 * 6 * 9, dtype=np.float64), 6, 9)
         snap = metrics.registry.snapshot()
         assert snap["counters"]["batched_transpose_inplace.calls"] == 1
-        assert any(k.startswith("batched.pass.") for k in snap["timers"])
+        # a batch runs the single-matrix plan's passes, timed as plan passes
+        assert any(k.startswith("plan.pass.") for k in snap["timers"])
+        assert not any(k.startswith("batched.") for k in snap["timers"])
 
     def test_parallel_records_per_pass(self):
         parallel_transpose_inplace(

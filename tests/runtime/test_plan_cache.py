@@ -34,16 +34,7 @@ def _resident_plan(m: int, n: int, cache: PlanCache):
 
 
 def _key(m: int, n: int, **kw) -> PlanKey:
-    defaults = dict(
-        kind="single",
-        m=m,
-        n=n,
-        k=None,
-        order="C",
-        algorithm="c2r",
-        variant="gather",
-        dtype="float64",
-    )
+    defaults = dict(m=m, n=n, order="C", algorithm="c2r", dtype="float64")
     defaults.update(kw)
     return PlanKey(**defaults)
 
@@ -169,11 +160,18 @@ class TestKeying:
         assert len(cache) == 4
         assert len(seen) == 4
 
-    def test_batched_keyed_by_batch_count(self):
-        cache = PlanCache()
-        plan_cache.get_batched_plan(8, 12, 4, "C", "auto", "float64", cache=cache)
-        plan_cache.get_batched_plan(8, 12, 8, "C", "auto", "float64", cache=cache)
-        assert len(cache) == 2
+    def test_one_entry_per_shape_for_every_batch_count(self):
+        # transpose_inplace and batched calls at any k share one plan
+        m, n = 8, 12
+        for k in (1, 2, 3, 8):
+            batched_transpose_inplace(np.zeros(k * m * n), m, n)
+            transpose_inplace(np.zeros(m * n), m, n)
+        cache = plan_cache.get_plan_cache()
+        assert len(cache) == 1
+        assert cache.stats()["misses"] == 1
+        assert plan_cache.get_batched_plan(
+            m, n, "C", "auto", "float64"
+        ) is plan_cache.get_single_plan(m, n, "C", "auto", "float64")
 
 
 class TestDifferential:
@@ -324,19 +322,20 @@ class TestConcurrency:
             size = m * n
         else:
             plan = plan_cache.get_batched_plan(
-                m, n, k, "C", "c2r", "float64", cache=cache
+                m, n, "C", "c2r", "float64", cache=cache
             )
             size = k * m * n
         other = _resident_plan(24, 36, cache)
         builds: list[object] = []
-        real_build = plan._build_c2r
+        real_build = plan._build_maps
 
         def counting_build(dec):
             builds.append(dec)
             sleep(0.05)  # hold the plan lock while the other threads arrive
             return real_build(dec)
 
-        monkeypatch.setattr(plan, "_build_c2r", counting_build)
+        monkeypatch.setattr(plan, "_build_maps", counting_build)
+        execute = plan.execute if kind == "single" else plan.execute_batch
         base = np.arange(size, dtype=np.float64)
         expected = base.copy()
         if kind == "single":
@@ -350,7 +349,7 @@ class TestConcurrency:
             try:
                 start.wait()
                 buf = base.copy()
-                plan.execute(buf, backend="numpy")
+                execute(buf, backend="numpy")
                 np.testing.assert_array_equal(buf, expected)
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)

@@ -77,6 +77,16 @@ class TestReportMath:
         assert r.efficiency == pytest.approx(0.6)
         assert r.batched_speedup == pytest.approx(3.0)
 
+    def test_efficiency_below_the_ceiling_is_against_the_offered_rate(self):
+        """A server that keeps up with load offered under the ceiling is
+        fully efficient; one that serves half of it is not."""
+        kept_up = self._report(offered_rate=900.0, achieved_rps=890.0,
+                               ceiling_rps=2700.0)
+        assert kept_up.efficiency == pytest.approx(890.0 / 900.0)
+        lagging = self._report(offered_rate=900.0, achieved_rps=450.0,
+                               ceiling_rps=2700.0)
+        assert lagging.efficiency == pytest.approx(0.5)
+
     def test_zero_references_do_not_divide_by_zero(self):
         r = self._report()
         assert r.efficiency == 0.0

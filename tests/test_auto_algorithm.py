@@ -49,12 +49,8 @@ def _view(m: int, n: int, order: str) -> tuple[int, int]:
     return (m, n) if order == "C" else (n, m)
 
 
-def _cached_algorithms(kind: str) -> set[str]:
-    return {
-        key.algorithm
-        for key in plan_cache.get_plan_cache()._plans
-        if key.kind == kind
-    }
+def _cached_algorithms() -> set[str]:
+    return {key.algorithm for key in plan_cache.get_plan_cache()._plans}
 
 
 def _parallel_calls() -> dict:
@@ -73,11 +69,9 @@ class TestAutoIsC2R:
         explicit = transpose_inplace(proto.copy(), m, n, order, algorithm="c2r")
         assert auto.tobytes() == explicit.tobytes()
         np.testing.assert_array_equal(auto, _expected(proto, m, n, order))
-        key = plan_cache.PlanKey(
-            "single", m, n, None, order, "c2r", "gather", str(DTYPE)
-        )
+        key = plan_cache.PlanKey(m, n, order, "c2r", str(DTYPE))
         assert key in plan_cache.get_plan_cache()
-        assert _cached_algorithms("single") == {"c2r"}
+        assert _cached_algorithms() == {"c2r"}
 
     def test_batched(self, m, n, order):
         k = 3
@@ -90,11 +84,9 @@ class TestAutoIsC2R:
         tiles = proto.reshape(k, m * n)
         for got, tile in zip(auto.reshape(k, m * n), tiles):
             np.testing.assert_array_equal(got, _expected(tile, m, n, order))
-        key = plan_cache.PlanKey(
-            "batched", m, n, k, order, "c2r", "gather", str(DTYPE)
-        )
+        key = plan_cache.PlanKey(m, n, order, "c2r", str(DTYPE))
         assert key in plan_cache.get_plan_cache()
-        assert _cached_algorithms("batched") == {"c2r"}
+        assert _cached_algorithms() == {"c2r"}
 
     def test_threads(self, m, n, order):
         proto = _proto(m, n)
@@ -107,11 +99,9 @@ class TestAutoIsC2R:
         assert _parallel_calls() == {"c2r": 2, "r2c": 0}
         if native.available():
             # the native chunks resolve their kernel through the c2r plan
-            key = plan_cache.PlanKey(
-                "single", vm, vn, None, "C", "c2r", "gather", str(DTYPE)
-            )
+            key = plan_cache.PlanKey(vm, vn, "C", "c2r", str(DTYPE))
             assert key in plan_cache.get_plan_cache()
-        assert _cached_algorithms("single") <= {"c2r"}
+        assert _cached_algorithms() <= {"c2r"}
 
     def test_streamed(self, tmp_path, m, n, order):
         proto = _proto(m, n)
