@@ -1,6 +1,6 @@
 """AST-based custom lint pass enforcing repo invariants over ``src/repro``.
 
-Eight rules, each born from a class of bug this codebase has actually hit
+Seven rules, each born from a class of bug this codebase has actually hit
 or explicitly defends against:
 
 ``raw-divmod`` (REPRO001)
@@ -40,12 +40,6 @@ or explicitly defends against:
     carry the failure reason into the ``native.fallback`` counter context
     or the error reply) or re-raise.  An unbound, non-re-raising broad
     handler silently drops the reason a kernel or worker fell over.
-
-``event-trace-id`` (REPRO007)
-    Every structured-event emission (``event_log.emit(...)``) must pass
-    ``trace_id`` as a keyword so each event joins a request's distributed
-    trace.  An emission without it produces an orphaned event that cannot
-    be correlated with the spans of the request that caused it.
 
 ``whole-file-memmap`` (REPRO008)
     ``np.memmap(...)`` is banned outside ``stream/``: a raw whole-file
@@ -89,7 +83,6 @@ RULES = {
     "lock-discipline": ("REPRO004", "shared runtime state mutated outside its lock"),
     "trace-granularity": ("REPRO005", "span/metric recording inside a per-element inner loop"),
     "exception-swallow": ("REPRO006", "broad except drops the failure reason in a fallback path"),
-    "event-trace-id": ("REPRO007", "structured event emitted without a trace_id keyword"),
     "whole-file-memmap": ("REPRO008", "unbounded np.memmap outside the streaming window"),
 }
 
@@ -139,10 +132,7 @@ MEMMAP_EXEMPT_PREFIX = "stream/"
 _CONTIGUITY_MARKERS = ("C_CONTIGUOUS", "F_CONTIGUOUS")
 #: Recording calls whose receivers are tracers/registries; flagged when the
 #: call sits at loop depth >= 2 (per-element granularity).
-_RECORDING_METHODS = {"span", "event", "emit", "observe", "inc", "record_call"}
-#: Receiver names treated as the structured event log for REPRO007
-#: (``event_log.emit(...)`` and lazily-bound aliases).
-_EVENT_LOG_NAMES = {"event_log", "ev", "_event_log"}
+_RECORDING_METHODS = {"span", "event", "observe", "inc", "record_call"}
 _MUTATING_METHODS = {
     "append", "extend", "insert", "remove", "pop", "popitem", "clear",
     "update", "add", "discard", "setdefault", "move_to_end",
@@ -341,16 +331,6 @@ class _Analyzer(ast.NodeVisitor):
                     f".{func.attr}() at loop depth {self._loop_depth}; "
                     "record once per pass, not per element",
                 )
-            # event-trace-id: an event-log emission that omits trace_id=
-            # produces an orphaned event no trace can claim.
-            if func.attr == "emit" and self._is_event_log_receiver(func.value):
-                if not any(kw.arg == "trace_id" for kw in node.keywords):
-                    self._emit(
-                        "event-trace-id", node,
-                        ".emit() without trace_id=; stamp every structured "
-                        "event with the active trace id "
-                        "(tracer.current_trace_id() when idle)",
-                    )
             if self.in_exec_module and func.attr == "ravel":
                 self._emit(
                     "implicit-copy", node,
@@ -374,19 +354,6 @@ class _Analyzer(ast.NodeVisitor):
             ):
                 self._check_lock_mutation(func.value, node, is_call=True)
         self.generic_visit(node)
-
-    # -- rule: event-trace-id ----------------------------------------------------
-
-    @staticmethod
-    def _is_event_log_receiver(expr: ast.AST) -> bool:
-        """True for ``event_log`` / ``ev`` names and ``_event_log()`` calls."""
-        if isinstance(expr, ast.Name):
-            return expr.id in _EVENT_LOG_NAMES
-        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
-            return expr.func.id in _EVENT_LOG_NAMES
-        if isinstance(expr, ast.Attribute):
-            return expr.attr in _EVENT_LOG_NAMES
-        return False
 
     # -- rule: exception-swallow -----------------------------------------------
 

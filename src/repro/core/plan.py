@@ -272,7 +272,7 @@ class _ShapePlan:
         engine = _engine()
         attrs = {
             "m": dec.m, "n": dec.n, "batch": V.shape[0],
-            "algorithm": self.algorithm,
+            "algorithm": self.algorithm, "bytes": 2 * buf.nbytes,
         }
         san = _sanitizer()
         if san.enabled:
@@ -283,7 +283,6 @@ class _ShapePlan:
                     "plan", p.name, attrs, self._pass_sanitized, V, p.name, idx, san
                 )
             return buf
-        attrs["bytes"] = 2 * buf.nbytes
         kernel = self._resolve_native(buf, backend)
         if kernel is not None:
             attrs["backend"] = "native"

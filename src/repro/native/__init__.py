@@ -3,7 +3,7 @@
 For an eligible plan this package generates C source specialized to the
 concrete ``(algorithm, m, n, itemsize)`` — gather tables, magic-division
 constants and loop extents baked in as literals — compiles it once with the
-system C compiler (or cffi), and exposes the resulting shared object as a
+system C compiler, and exposes the resulting shared object as a
 :class:`~repro.native.kernel.NativeKernel` whose entry points the plan
 executors call instead of the numpy gathers.
 
@@ -61,7 +61,6 @@ from .kernel import (
     compile_spec,
     compiler_available,
     find_compiler,
-    toolchain_name,
 )
 
 __all__ = [
@@ -78,7 +77,6 @@ __all__ = [
     "compile_spec",
     "compiler_available",
     "find_compiler",
-    "toolchain_name",
     "enabled",
     "min_elems",
     "available",
@@ -116,14 +114,14 @@ def min_elems() -> int:
 
 def available() -> bool:
     """True when this process can compile native kernels at all."""
-    return enabled() and toolchain_name() is not None
+    return enabled() and compiler_available()
 
 
 def unavailable_reason() -> str | None:
     """Why :func:`available` is False, or ``None`` when it is True."""
     if not enabled():
         return "disabled by REPRO_NATIVE=0"
-    if toolchain_name() is None:
+    if not compiler_available():
         return "no C compiler available"
     return None
 
@@ -134,18 +132,16 @@ def record_fallback(reason: str) -> None:
     Used when native execution was *expected* (compiler present or backend
     explicitly requested) but could not be delivered.  The warning fires
     once; the ``native.fallback`` counter increments on every occurrence so
-    CI can assert the fallback path actually ran.
+    CI can assert the fallback path actually ran, and while tracing a
+    ``native.fallback`` instant records the reason under the active
+    request's trace.
     """
     global _warned_once
     _metrics_registry().inc("native.fallback")
-    from ..trace.events import event_log
+    from ..trace.spans import tracer
 
-    if event_log.enabled:
-        from ..trace.spans import tracer
-
-        event_log.emit(
-            "fallback", trace_id=tracer.current_trace_id(), reason=reason
-        )
+    if tracer.enabled:
+        tracer.event("native.fallback", reason=reason)
     with _warn_lock:
         if _warned_once:
             return

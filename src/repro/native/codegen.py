@@ -2,10 +2,12 @@
 
 A cached :class:`~repro.core.plan.TransposePlan` executes three (or two)
 decomposition passes as numpy gathers off precomputed ``O(mn)`` index maps.
-That path is interpreter-bound: BENCH_ci.json puts it at ~20-36 ns/elem
-against a ~0.2-0.6 ns/elem memcpy ceiling.  This module closes the gap the
-way Section 4.4 of the paper does on the GPU — by *specializing the index
-arithmetic at compile time*.  For a concrete ``(dec, algorithm, itemsize)``
+That path is gather-bound: on a 2-vCPU Xeon host it takes ~8-13 ns/elem
+(median of 7 numpy executes of 1000x1200 f64, 2048x1536 f32 and 1200x1800
+f32) against a ~0.3-0.7 ns/elem ``np.copyto`` ceiling on the same
+buffers.  This module closes the gap the way Section 4.4 of the paper
+does on the GPU — by *specializing the index arithmetic at compile
+time*.  For a concrete ``(dec, algorithm, itemsize)``
 it emits the gather/rotation passes as flat C loops in which every ``//``
 and ``%`` by a decomposition constant is strength-reduced to the
 fixed-point-reciprocal multiply of :mod:`repro.strength.magic`, with the

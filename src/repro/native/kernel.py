@@ -3,20 +3,11 @@
 Toolchain discovery honors ``$CC`` exclusively when it is set (so CI's
 no-compiler leg can pin ``CC=/nonexistent`` and prove the fallback path),
 otherwise probes ``cc``/``gcc``/``clang`` on PATH via :func:`shutil.which`.
-Compilation itself has two interchangeable toolchains, selected by
-``REPRO_NATIVE_TOOLCHAIN``:
-
-``cc`` (default when a compiler binary is found)
-    The unit's two translation units (the passes, and the streamed band
-    copies) compile concurrently with ``cc -c -O2 -fsplit-loops
-    -fvect-cost-model=dynamic -fPIC`` (retried at plain ``-O2``, and
-    remembered, if the compiler fails on the two GCC passes) and link
-    into one shared object, loaded with :mod:`ctypes`.
-``cffi``
-    ``cffi.FFI().set_source(...).compile()`` drives the same system
-    compiler through distutils; the produced extension module is *also*
-    loaded with ctypes (we only need the exported C symbols, not a Python
-    module), so both toolchains share one calling convention.
+The unit's two translation units (the passes, and the streamed band
+copies) compile concurrently with ``cc -c -O2 -fsplit-loops
+-fvect-cost-model=dynamic -fPIC`` (retried at plain ``-O2``, and
+remembered, if the compiler fails on the two GCC passes) and link into one
+shared object, loaded with :mod:`ctypes`.
 
 Artifacts land in ``REPRO_NATIVE_DIR`` (or a per-process temp directory
 cleaned at exit) under a content hash of the generated source, so identical
@@ -61,13 +52,12 @@ __all__ = [
     "find_compiler",
     "compiler_available",
     "compile_spec",
-    "toolchain_name",
 ]
 
 #: probe order when $CC is unset
 _DEFAULT_COMPILERS = ("cc", "gcc", "clang")
 
-#: optimisation flags for both toolchains.  -O2 compiles a generated unit
+#: optimisation flags.  -O2 compiles a generated unit
 #: in about two thirds of -O3's time, but plain -O2 ran C2R's row shuffle
 #: (its table gathers) 10-40% slower; with these two of -O3's passes the
 #: passes of ``benchmarks/bench_orientation.py``'s shapes match -O3 but one
@@ -79,9 +69,9 @@ _PLAIN_OPT = ("-O2",)
 
 _lock = threading.Lock()
 _which_cache: dict[tuple[str | None, str | None], str | None] = {}
-#: (toolchain, compiler) pairs that failed with _OPT_FLAGS and then
-#: compiled at _PLAIN_OPT; they get _PLAIN_OPT from the start
-_plain_opt: set[tuple[str, str]] = set()
+#: compilers that failed with _OPT_FLAGS and then compiled at _PLAIN_OPT;
+#: they get _PLAIN_OPT from the start
+_plain_opt: set[str] = set()
 _workdir: str | None = None
 
 
@@ -138,30 +128,6 @@ def compiler_available() -> bool:
     return find_compiler() is not None
 
 
-def _cffi_available() -> bool:
-    try:
-        import cffi  # noqa: F401
-    except Exception:  # repro-lint: allow(exception-swallow) availability probe: any import failure just means "no cffi toolchain", there is no reason to preserve
-        return False
-    return True
-
-
-def toolchain_name() -> str | None:
-    """Which toolchain :func:`compile_spec` will use: ``cc``, ``cffi`` or
-    ``None`` when neither can work.  ``REPRO_NATIVE_TOOLCHAIN`` forces the
-    choice (``auto`` | ``cc`` | ``cffi``)."""
-    pref = os.environ.get("REPRO_NATIVE_TOOLCHAIN", "auto")
-    have_cc = compiler_available()
-    if pref == "cc":
-        return "cc" if have_cc else None
-    if pref == "cffi":
-        return "cffi" if (have_cc and _cffi_available()) else None
-    # auto: the direct invocation needs no third-party package, prefer it
-    if have_cc:
-        return "cc"
-    return None
-
-
 def workdir() -> str:
     """Artifact directory: ``REPRO_NATIVE_DIR`` or a per-process tempdir
     removed at interpreter exit."""
@@ -182,28 +148,24 @@ def _artifact_path(source: str) -> str:
     return os.path.join(workdir(), f"repro_native_{digest}.so")
 
 
-def _compile_at_opt(key: tuple[str, str], compile_at) -> None:
-    """Run ``compile_at(flags)`` with :data:`_OPT_FLAGS`.  A compiler that
-    fails there is retried once at :data:`_PLAIN_OPT`, and remembered when
-    that works: the GCC passes are unknown to some compilers, so the
-    choice follows what the compiler did, not what it is called."""
+def _compile_cc(source: str, out_path: str, cc: str) -> None:
+    """Compile ``source`` to ``out_path`` with :data:`_OPT_FLAGS`.  A
+    compiler that fails there is retried once at :data:`_PLAIN_OPT`, and
+    remembered when that works: the GCC passes are unknown to some
+    compilers, so the choice follows what the compiler did, not what it
+    is called."""
     with _lock:
-        plain = key in _plain_opt
+        plain = cc in _plain_opt
     if plain:
-        compile_at(_PLAIN_OPT)
+        _compile_cc_at(source, out_path, cc, _PLAIN_OPT)
         return
     try:
-        compile_at(_OPT_FLAGS)
+        _compile_cc_at(source, out_path, cc, _OPT_FLAGS)
     except CompileError:
-        compile_at(_PLAIN_OPT)  # a fault in the source fails here too
+        # a fault in the source fails here too
+        _compile_cc_at(source, out_path, cc, _PLAIN_OPT)
         with _lock:
-            _plain_opt.add(key)
-
-
-def _compile_cc(source: str, out_path: str, cc: str) -> None:
-    _compile_at_opt(
-        ("cc", cc), lambda flags: _compile_cc_at(source, out_path, cc, flags)
-    )
+            _plain_opt.add(cc)
 
 
 def _compile_cc_at(source: str, out_path: str, cc: str, flags) -> None:
@@ -262,37 +224,10 @@ def _compile_cc_at(source: str, out_path: str, cc: str, flags) -> None:
                 pass
 
 
-def _compile_cffi(source: str, out_path: str, cc: str) -> None:
-    _compile_at_opt(
-        ("cffi", cc), lambda flags: _compile_cffi_at(source, out_path, flags)
-    )
-
-
-def _compile_cffi_at(source: str, out_path: str, flags) -> None:
-    import cffi
-
-    dirpath = os.path.dirname(out_path)
-    build_dir = tempfile.mkdtemp(prefix="cffi-", dir=dirpath)
-    try:
-        ffi = cffi.FFI()
-        ffi.set_source(
-            "_repro_native_cffi",
-            source,
-            extra_compile_args=[*flags, "-fno-strict-aliasing"],
-        )
-        try:
-            lib_path = ffi.compile(tmpdir=build_dir)
-        except Exception as exc:  # distutils raises a zoo of types
-            raise CompileError(f"cffi compile failed: {exc}") from exc
-        os.replace(lib_path, out_path)
-    finally:
-        shutil.rmtree(build_dir, ignore_errors=True)
-
-
 def compile_spec(spec: KernelSpec) -> "NativeKernel":
     """Compile (or reuse) the artifact for ``spec`` and load it.
 
-    Raises :class:`CompileError` when no toolchain is available or the
+    Raises :class:`CompileError` when no compiler is available or the
     compile fails; callers translate that into the numpy fallback.  The
     kernel's ``compiled`` is True only when this call ran the compiler,
     not when it loaded an artifact already on disk.
@@ -300,15 +235,10 @@ def compile_spec(spec: KernelSpec) -> "NativeKernel":
     path = _artifact_path(spec.source)
     compiled = not os.path.exists(path)
     if compiled:
-        tc = toolchain_name()
-        if tc is None:
-            raise CompileError("no C compiler available")
         cc = find_compiler()
-        assert cc is not None
-        if tc == "cffi":
-            _compile_cffi(spec.source, path, cc)
-        else:
-            _compile_cc(spec.source, path, cc)
+        if cc is None:
+            raise CompileError("no C compiler available")
+        _compile_cc(spec.source, path, cc)
     kernel = NativeKernel(spec, path)
     kernel.compiled = compiled
     return kernel

@@ -49,7 +49,7 @@ from .. import native
 from ..analysis import racecheck
 from ..runtime import metrics, plan_cache
 from ..strength.reduced import ReducedEquations
-from ..trace import events, spans
+from ..trace import spans
 from . import cpu
 
 __all__ = [
@@ -327,19 +327,11 @@ def _run_bands(ps, source, dec, scope, kernel, idx, executor, san) -> None:
 
 def _run_band(ps, bi, band, source, dec, scope, kernel, idx, executor, san) -> None:
     """Load one streamed band, run its chunks and store it, inside a
-    ``stream.band`` span, with a progress event and a counter."""
+    ``stream.band`` span (the job's progress record), with a counter."""
     tr = spans.tracer
-    ev = events.event_log
     nbytes = racecheck.axis_rect(
         ps.axis, dec.m, dec.n, ps.total, band.start, band.stop
     ).area * source.itemsize
-    if ev.enabled:
-        ev.emit(
-            "stream",
-            trace_id=tr.current_trace_id() if tr.enabled else "",
-            stage=ps.name, band=bi, bands=len(ps.bands),
-            lo=band.start, hi=band.stop, bytes=nbytes,
-        )
     with tr.span(
         "stream.band", stage=ps.name, band=bi, bands=len(ps.bands),
         lo=band.start, hi=band.stop, bytes=2 * nbytes,

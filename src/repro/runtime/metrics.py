@@ -326,9 +326,8 @@ def reset() -> None:
 
 
 def snapshot() -> dict:
-    """Full runtime snapshot: registry metrics plus plan-cache statistics,
-    tracer ring-buffer health (``trace.dropped_spans`` and friends), and
-    event-log counters."""
+    """Full runtime snapshot: registry metrics plus plan-cache statistics
+    and tracer ring-buffer health (``trace.dropped_spans`` and friends)."""
     snap = registry.snapshot()
     # Imported here (not at module top) to keep this module dependency-free
     # for the core modules that import it during their own initialization.
@@ -336,7 +335,7 @@ def snapshot() -> dict:
 
     snap["plan_cache"] = plan_cache.get_plan_cache().stats()
 
-    # Both trace modules are stdlib-only, so these imports cannot cycle.
+    # The tracer is stdlib-only, so this import cannot cycle.
     from ..trace.spans import tracer
 
     snap["trace"] = {
@@ -346,9 +345,6 @@ def snapshot() -> dict:
         "buffered": len(tracer),
         "capacity": tracer.capacity,
     }
-    from ..trace.events import event_log
-
-    snap["events"] = event_log.stats()
     return snap
 
 

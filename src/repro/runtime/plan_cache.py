@@ -61,7 +61,6 @@ __all__ = [
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 _trace = None
-_events = None
 
 
 def _tracer():
@@ -73,16 +72,6 @@ def _tracer():
 
         _trace = _sp
     return _trace.tracer
-
-
-def _event_log():
-    """Lazily bind the structured event log (also stdlib-only)."""
-    global _events
-    if _events is None:
-        from repro.trace import events as _ev
-
-        _events = _ev
-    return _events.event_log
 
 
 def _key_attrs(key: "PlanKey") -> dict:
@@ -204,17 +193,11 @@ class PlanCache:
         if not evicted:
             return
         tr = _tracer()
-        ev = _event_log()
         for ekey, eplan, ebytes in evicted:
             if tr.enabled:
-                tr.event("cache.evict", bytes=ebytes, **_key_attrs(ekey))
-            if ev.enabled:
                 # Attributed to whichever request's plan build triggered
                 # the eviction ("" outside a traced request).
-                ev.emit(
-                    "evict", trace_id=tr.current_trace_id(),
-                    bytes=ebytes, **_key_attrs(ekey),
-                )
+                tr.event("cache.evict", bytes=ebytes, **_key_attrs(ekey))
             hook = getattr(eplan, "on_cache_evict", None)
             if hook is not None:
                 hook()

@@ -33,7 +33,6 @@ import numpy as np
 from ..core.batched import batched_transpose_inplace, validate_batch_member
 from ..runtime import metrics
 from ..trace import spans
-from ..trace.events import event_log
 from ..trace.spans import TraceContext
 from .queue import (
     CANCELLED,
@@ -52,6 +51,15 @@ BATCH_SIZE_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 #: reusable stateless no-op context manager for untraced paths
 _NULL_CM = nullcontext()
+
+
+def _request_event(r: Request, name: str, **attrs) -> None:
+    """Record instant ``name`` under request ``r``'s trace context, from a
+    thread that may be serving another request (callers guard with
+    ``if spans.tracer.enabled:``)."""
+    tr = spans.tracer
+    with tr.activate(TraceContext(r.trace_id, r.parent_span_id)):
+        tr.event(name, **attrs)
 
 
 class Group:
@@ -201,7 +209,13 @@ class ShapeBatcher:
                 self._add(r)
             group = self._pop_group(flush=self.queue.closed)
             if group is not None:
-                self._emit_coalesce(group)
+                if spans.tracer.enabled:
+                    m, n, _order, dtype = group.key
+                    _request_event(
+                        group.requests[0], "serve.coalesce", m=m, n=n,
+                        dtype=dtype, requests=len(group.requests),
+                        tiles=group.tiles,
+                    )
                 return group
             if self.queue.closed:
                 # Closed and no group: lanes are empty (a closed queue
@@ -223,17 +237,6 @@ class ShapeBatcher:
             if item is not None:
                 self._add(item)
 
-    @staticmethod
-    def _emit_coalesce(group: Group) -> None:
-        """Event-log the formed group under its lead request's trace."""
-        if event_log.enabled:
-            m, n, _order, dtype = group.key
-            event_log.emit(
-                "coalesce", trace_id=group.requests[0].trace_id,
-                m=m, n=n, dtype=dtype,
-                requests=len(group.requests), tiles=group.tiles,
-            )
-
     # -- execution -----------------------------------------------------------
 
     def execute_group(self, group: Group) -> int:
@@ -249,6 +252,7 @@ class ShapeBatcher:
         m, n, order, dtype_str = group.key
         dtype = np.dtype(dtype_str)
         reg = metrics.registry
+        tr = spans.tracer
         live: list[Request] = []
         for r in group.requests:
             if r.state in (DONE, FAILED, CANCELLED):
@@ -261,10 +265,8 @@ class ShapeBatcher:
                     f"request {r.id} missed its deadline while queued"
                 ))
                 reg.inc("serve.expired")
-                if event_log.enabled:
-                    event_log.emit(
-                        "expired", trace_id=r.trace_id, request=r.id,
-                    )
+                if tr.enabled:
+                    _request_event(r, "serve.expired", request=r.id)
                 continue
             if not r.claim():  # cancelled (or already terminal): skip
                 reg.inc("serve.skipped_cancelled")
@@ -276,10 +278,10 @@ class ShapeBatcher:
             except ValueError as exc:
                 r.fail(exc)
                 reg.inc("serve.rejected_invalid")
-                if event_log.enabled:
-                    event_log.emit(
-                        "reject", trace_id=r.trace_id, request=r.id,
-                        reason="invalid", error=str(exc),
+                if tr.enabled:
+                    _request_event(
+                        r, "serve.reject", request=r.id, reason="invalid",
+                        error=str(exc),
                     )
                 continue
             live.append(r)
@@ -288,17 +290,11 @@ class ShapeBatcher:
 
         k = len(live)
         tiles = sum(r.tiles for r in live)
-        tr = spans.tracer
         # The group executes under the *lead* (first-queued) request's trace
         # context so its spans parent under that request's serve.request
         # span; every coalesced request's id rides along in the span's
         # trace_ids attribute for per-request lookup (filter_trace).
         trace_id = live[0].trace_id
-        if event_log.enabled:
-            event_log.emit(
-                "dispatch", trace_id=trace_id,
-                m=m, n=n, requests=k, tiles=tiles,
-            )
         if tr.enabled:
             ctx_cm = tr.activate(TraceContext(trace_id, live[0].parent_span_id))
             trace_ids = [r.trace_id for r in live]
@@ -307,6 +303,8 @@ class ShapeBatcher:
             trace_ids = ()
         t0 = perf_counter()
         with ctx_cm:
+            if tr.enabled:
+                tr.event("serve.dispatch", m=m, n=n, requests=k, tiles=tiles)
             with tr.span(
                 "serve.execute.batch", m=m, n=n, batch=tiles,
                 dtype=dtype_str, requests=k, trace_ids=trace_ids,

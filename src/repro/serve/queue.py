@@ -175,7 +175,7 @@ class Request:
         #: queue depth observed at admission, *including this request*,
         #: recorded atomically inside RequestQueue.submit.  A post-submit
         #: re-read of ``queue.depth`` races with concurrent drains and
-        #: under-reports backpressure; event-log analysis uses this value.
+        #: under-reports backpressure; the ``serve.admit`` instant reports it.
         self.admit_depth = 0
         self.t_submit = 0.0
         self.t_claim = 0.0
@@ -320,7 +320,7 @@ class RequestQueue:
             self._items.append(request)
             # Recorded here, under the lock, so the value is exact even
             # when a consumer pops the request before the submitter's next
-            # statement runs (the admit-event race this field exists for).
+            # statement runs (the ``serve.admit`` race this field exists for).
             request.admit_depth = len(self._items)
             self.submitted += 1
             self._cv.notify()

@@ -38,11 +38,11 @@ Endpoints
     *server-local* raw binary file in place through the banded streaming
     executor (:mod:`repro.stream`) under a bounded resident window.
     Synchronous: the response is the executor's stats JSON.  Progress is
-    observable while it runs — the executor emits one ``stream`` event
-    per band into the structured event log, tagged with this request's
-    trace id, and a ``stream_file`` start/done/error envelope brackets
-    the run.  Errors: 400 (bad params), 404 (file missing), 409 (file
-    size does not match the declared shape), 500 (execution failure).
+    observable while it runs when tracing is on — the executor records
+    one ``stream.band`` span per band under this request's trace id, and
+    ``serve.stream_file`` start/done/error instants bracket the run.
+    Errors: 400 (bad params), 404 (file missing), 409 (file size does
+    not match the declared shape), 500 (execution failure).
 ``GET /healthz``
     JSON liveness snapshot (queue depth, workers, counters).
 ``GET /metrics``
@@ -75,7 +75,6 @@ import numpy as np
 from ..parallel import shm
 from ..runtime import metrics
 from ..trace import spans
-from ..trace.events import event_log
 from ..trace.export import to_prometheus
 from ..trace.spans import TraceContext, new_trace_id
 from .batcher import ShapeBatcher
@@ -237,13 +236,20 @@ class _Handler(BaseHTTPRequestHandler):
         raw_id = self.headers.get("X-Repro-Trace-Id", "")
         trace_id = raw_id if _TRACE_ID_RE.fullmatch(raw_id) else new_trace_id()
         self._trace_id = trace_id
-        if self.path == "/transpose-file":
-            self._handle_transpose_file(trace_id)
-            return
-        if self.path != "/transpose":
-            self._reject_unread_body(404, f"no such path: {self.path}")
-            return
+        # Every span and decision instant the handler records, early
+        # rejections included, carries this request's trace id.
+        tr = spans.tracer
+        with tr.activate(TraceContext(trace_id)) if tr.enabled else _NULL_CM:
+            if self.path == "/transpose-file":
+                self._handle_transpose_file(trace_id)
+            elif self.path == "/transpose":
+                self._handle_transpose(trace_id)
+            else:
+                self._reject_unread_body(404, f"no such path: {self.path}")
+
+    def _handle_transpose(self, trace_id: str) -> None:
         app = self.app
+        tr = spans.tracer
         try:
             m = int(self.headers.get("X-Repro-Rows", ""))
             n = int(self.headers.get("X-Repro-Cols", ""))
@@ -326,10 +332,8 @@ class _Handler(BaseHTTPRequestHandler):
                 # DeadlineExceededError taxonomy instead of enqueueing and
                 # burning the +1.0 s batcher slack on a doomed request.
                 metrics.registry.inc("serve.expired_at_admission")
-                if event_log.enabled:
-                    event_log.emit(
-                        "reject", trace_id=trace_id, reason="expired",
-                    )
+                if tr.enabled:
+                    tr.event("serve.reject", reason="expired")
                 self._reject_unread_body(
                     504,
                     str(DeadlineExceededError(
@@ -361,10 +365,10 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             except FileNotFoundError:
                 metrics.registry.inc("serve.segment_missing")
-                if event_log.enabled:
-                    event_log.emit(
-                        "reject", trace_id=trace_id,
-                        reason="segment-missing", segment=segment_name,
+                if tr.enabled:
+                    tr.event(
+                        "serve.reject", reason="segment-missing",
+                        segment=segment_name,
                     )
                 self._reply_error(
                     404,
@@ -375,10 +379,10 @@ class _Handler(BaseHTTPRequestHandler):
             except (TypeError, ValueError):
                 # the mapped segment is smaller than the declared shape
                 metrics.registry.inc("serve.segment_mismatch")
-                if event_log.enabled:
-                    event_log.emit(
-                        "reject", trace_id=trace_id,
-                        reason="segment-mismatch", segment=segment_name,
+                if tr.enabled:
+                    tr.event(
+                        "serve.reject", reason="segment-mismatch",
+                        segment=segment_name,
                     )
                 self._reply_error(
                     409,
@@ -409,27 +413,22 @@ class _Handler(BaseHTTPRequestHandler):
         # The serve.request span is the trace root: the queue/batcher/worker
         # spans all parent under it via the TraceContext the request
         # carries.
-        tr = spans.tracer
-        if tr.enabled:
-            ctx_cm = tr.activate(TraceContext(trace_id))
-            span_cm = tr.span(
-                "serve.request", request=request.id, m=m, n=n,
-                tiles=tiles, dtype=str(dtype),
-            )
-        else:
-            ctx_cm = span_cm = _NULL_CM
+        span_cm = tr.span(
+            "serve.request", request=request.id, m=m, n=n,
+            tiles=tiles, dtype=str(dtype),
+        ) if tr.enabled else _NULL_CM
         tenant = self.headers.get("X-Repro-Tenant", "")
-        with ctx_cm, span_cm as sp:
+        with span_cm as sp:
             if sp is not None:
                 request.parent_span_id = sp.span_id
             try:
                 admit_depth = app.submit(request, tenant=tenant)
             except QuotaExceededError as exc:
                 metrics.registry.inc("serve.rejected_quota")
-                if event_log.enabled:
-                    event_log.emit(
-                        "reject", trace_id=trace_id, reason="quota",
-                        request=request.id, tenant=tenant,
+                if tr.enabled:
+                    tr.event(
+                        "serve.reject", reason="quota", request=request.id,
+                        tenant=tenant,
                     )
                 self._reply_error(
                     429, str(exc),
@@ -439,11 +438,8 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             except QueueFullError as exc:
                 metrics.registry.inc("serve.rejected_full")
-                if event_log.enabled:
-                    event_log.emit(
-                        "reject", trace_id=trace_id, reason="full",
-                        request=request.id,
-                    )
+                if tr.enabled:
+                    tr.event("serve.reject", reason="full", request=request.id)
                 # Computed, not constant: the queue derived the backoff
                 # from its depth and drain rate when it rejected.
                 self._reply_error(
@@ -454,20 +450,19 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             except QueueClosedError as exc:
                 metrics.registry.inc("serve.rejected_closed")
-                if event_log.enabled:
-                    event_log.emit(
-                        "reject", trace_id=trace_id, reason="closed",
-                        request=request.id,
+                if tr.enabled:
+                    tr.event(
+                        "serve.reject", reason="closed", request=request.id
                     )
                 self._reply_error(503, str(exc))
                 return
-            if event_log.enabled:
+            if tr.enabled:
                 # admit_depth was observed under the queue's lock at
                 # admission; re-reading queue.depth here would race with
                 # concurrent worker drains and under-report.
-                event_log.emit(
-                    "admit", trace_id=trace_id, request=request.id,
-                    m=m, n=n, tiles=tiles, depth=admit_depth,
+                tr.event(
+                    "serve.admit", request=request.id, m=m, n=n,
+                    tiles=tiles, depth=admit_depth,
                 )
 
             try:
@@ -532,9 +527,10 @@ class _Handler(BaseHTTPRequestHandler):
         """Transpose a server-local file in place through the banded
         streaming executor, synchronously in this handler thread.
 
-        Long-running by design — progress is watched through the event
-        log (one ``stream`` event per band under this trace id) rather
-        than through the response, which arrives once with the stats.
+        Long-running by design — progress is watched through the trace
+        (one ``stream.band`` span per band under this request's trace id)
+        rather than through the response, which arrives once with the
+        stats.
         """
         import os
 
@@ -614,33 +610,30 @@ class _Handler(BaseHTTPRequestHandler):
             return
 
         tr = spans.tracer
-        ctx_cm = tr.activate(TraceContext(trace_id)) if tr.enabled else _NULL_CM
-        if event_log.enabled:
-            event_log.emit(
-                "stream_file", trace_id=trace_id, phase="start",
-                path=path, rows=rows, cols=cols, dtype=str(dtype),
+        if tr.enabled:
+            tr.event(
+                "serve.stream_file", phase="start", path=path, rows=rows,
+                cols=cols, dtype=str(dtype),
             )
         try:
-            with ctx_cm:
-                stats = transpose_file_inplace(
-                    path, rows, cols, dtype, order,
-                    algorithm=algorithm, window_bytes=window,
-                    n_threads=threads,
-                )
+            stats = transpose_file_inplace(
+                path, rows, cols, dtype, order,
+                algorithm=algorithm, window_bytes=window,
+                n_threads=threads,
+            )
         except Exception as exc:  # noqa: BLE001 — report execution errors
-            if event_log.enabled:
-                event_log.emit(
-                    "stream_file", trace_id=trace_id, phase="error",
-                    path=path, error=f"{type(exc).__name__}: {exc}",
+            if tr.enabled:
+                tr.event(
+                    "serve.stream_file", phase="error", path=path,
+                    error=f"{type(exc).__name__}: {exc}",
                 )
             self._reply_error(500, f"{type(exc).__name__}: {exc}")
             return
         metrics.registry.inc("serve.stream_file")
-        if event_log.enabled:
-            event_log.emit(
-                "stream_file", trace_id=trace_id, phase="done",
-                path=path, bands=stats["bands"],
-                seconds=round(stats["seconds"], 6),
+        if tr.enabled:
+            tr.event(
+                "serve.stream_file", phase="done", path=path,
+                bands=stats["bands"], seconds=round(stats["seconds"], 6),
             )
         stats["trace_id"] = trace_id
         body = json.dumps(stats, sort_keys=True).encode()
@@ -810,7 +803,7 @@ class TransposeServer:
     def statusz(self) -> dict:
         """One-page JSON operational status (the ``/statusz`` endpoint):
         queue + inflight state, worker health, live SLO judgment, plan-cache
-        occupancy, native/fallback counters, and trace/event-log health."""
+        occupancy, native/fallback counters, and trace health."""
         self._check_workers()
         with self._state_lock:
             accepted, responded = self.accepted, self.responded
@@ -844,7 +837,6 @@ class TransposeServer:
                 "dropped_spans": tr.dropped,
                 "buffered": len(tr),
             },
-            "events": event_log.stats(),
         }
 
     def render_metrics(self) -> str:

@@ -27,7 +27,6 @@ from contextlib import nullcontext
 
 from ..runtime import metrics
 from ..trace import spans
-from ..trace.events import event_log
 from .batcher import Group, ShapeBatcher
 
 __all__ = ["WorkerPool"]
@@ -152,21 +151,16 @@ class WorkerPool:
                         # unfulfilled and inputs untouched: retry is safe.
                         self.retries += 1
                         metrics.registry.inc("serve.retries")
-                        if event_log.enabled:
-                            event_log.emit(
-                                "retry",
-                                trace_id=group.requests[0].trace_id,
-                                m=m, n=n, attempt=attempt, error=repr(exc),
+                        if tr.enabled:
+                            tr.event(
+                                "serve.retry", m=m, n=n, attempt=attempt,
+                                error=repr(exc),
                             )
                         continue
                     self.group_failures += 1
                     metrics.registry.inc("serve.group_failures")
-                    if event_log.enabled:
-                        event_log.emit(
-                            "group_failure",
-                            trace_id=group.requests[0].trace_id,
-                            m=m, n=n, error=repr(exc),
-                        )
+                    if tr.enabled:
+                        tr.event("serve.group_failure", m=m, n=n, error=repr(exc))
                     group.fail_pending(exc)
                     return
                 self.groups_executed += 1

@@ -337,6 +337,19 @@ class ResidentWindow:
             self._mm._mmap, r0 * self._row_bytes, r1 * self._row_bytes
         )
 
+    def _check_size(self) -> None:
+        """Raise :class:`OSError` (``EFAULT``, as :meth:`load_rows` does)
+        when the file no longer holds the mapped bytes: touching a mapped
+        page past its end would raise ``SIGBUS`` and kill the process."""
+        actual = os.stat(self.path).st_size
+        if actual < self.nbytes:
+            raise OSError(
+                errno.EFAULT,
+                f"{self.path} shrank to {actual} bytes; the "
+                f"{self.rows}x{self.cols} {self.dtype} mapping needs "
+                f"{self.nbytes}",
+            )
+
     def _row_blocks(self, band_cols: int, copy, shares=None) -> None:
         """Run ``copy(i0, i1, worker)`` over row blocks covering every row.
 
@@ -420,7 +433,13 @@ class ResidentWindow:
         drives the mapped rows ``copy.rows["load"][w]``, calling
         ``copy("load", map_addr, band_addr, i0, i1, w)`` per row block, in
         place of the plain copy.  Either way a block reads only mapped
-        rows ``[i0, i1)`` and drops their pages."""
+        rows ``[i0, i1)`` and drops their pages.
+
+        Raises :class:`OSError` before touching the mapping when the file
+        has been truncated below the matrix size (checked once per call:
+        a file shrunk *during* the copy can still fault; the check closes
+        the case where it shrinks between bands)."""
+        self._check_size()
         width = c1 - c0
         need = self.rows * width
         if self._col_buf is None or self._col_buf.size < need:
@@ -448,7 +467,9 @@ class ResidentWindow:
         set never exceeds one I/O block (the dropped pages stay dirty in
         the page cache until kernel writeback or the closing ``flush()``).
         ``copy`` permutes on the way, as in :meth:`load_cols`: a block
-        writes only mapped rows ``[i0, i1)``."""
+        writes only mapped rows ``[i0, i1)``.  A truncated file raises
+        :class:`OSError` first, as in :meth:`load_cols`."""
+        self._check_size()
         width = c1 - c0
         bview = band.reshape(self.rows, width)
         view = self.view

@@ -3,9 +3,11 @@
 Where :mod:`repro.runtime.metrics` answers "how long do passes take on
 average", this subpackage answers "what happened *inside this transpose*":
 per-pass spans with wall time, thread id and attributes; parallel worker
-chunks on their own thread lanes; plan-cache hit/miss/evict events; and a
-bandwidth profiler that joins span durations with bytes moved to reproduce
-the paper's per-pass achieved-GB/s breakdown.
+chunks on their own thread lanes; zero-width instants for the decisions
+taken about a request (admission, coalescing, dispatch, retries, plan-cache
+hit/miss/evict, native fallback); and a bandwidth profiler that joins span
+durations with bytes moved to reproduce the paper's per-pass achieved-GB/s
+breakdown.
 
 ``repro.trace.spans``
     The process-wide :data:`~repro.trace.spans.tracer`: nestable spans in a
@@ -13,11 +15,6 @@ the paper's per-pass achieved-GB/s breakdown.
     starts it enabled, mirroring ``REPRO_SANITIZE``).  Distributed-tracing
     primitives live here too: :class:`~repro.trace.spans.TraceContext`
     activation, wire serialization and cross-process :meth:`splice`.
-
-``repro.trace.events``
-    The bounded structured event log (``REPRO_EVENTS=1``): trace_id-stamped
-    admission/reject/coalesce/dispatch/retry/evict/fallback events with an
-    optional JSONL sink.
 
 ``repro.trace.export``
     Chrome ``chrome://tracing`` / Perfetto JSON, Prometheus text format
@@ -37,7 +34,6 @@ import importlib
 
 __all__ = [
     "spans",
-    "events",
     "export",
     "profile",
     "Tracer",
@@ -46,8 +42,6 @@ __all__ = [
     "tracer",
     "traced",
     "new_trace_id",
-    "EventLog",
-    "event_log",
     "to_chrome_trace",
     "from_chrome_trace",
     "to_prometheus",
@@ -59,7 +53,7 @@ __all__ = [
     "profile_shapes",
 ]
 
-_SUBMODULES = ("spans", "events", "export", "profile")
+_SUBMODULES = ("spans", "export", "profile")
 
 _LAZY = {
     "Tracer": ("spans", "Tracer"),
@@ -68,8 +62,6 @@ _LAZY = {
     "tracer": ("spans", "tracer"),
     "traced": ("spans", "traced"),
     "new_trace_id": ("spans", "new_trace_id"),
-    "EventLog": ("events", "EventLog"),
-    "event_log": ("events", "event_log"),
     "to_chrome_trace": ("export", "to_chrome_trace"),
     "from_chrome_trace": ("export", "from_chrome_trace"),
     "to_prometheus": ("export", "to_prometheus"),

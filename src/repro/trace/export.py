@@ -305,20 +305,6 @@ def to_prometheus(snapshot: dict, *, prefix: str = "repro") -> str:
             lines.append(f"# TYPE {metric} {mtype}")
             lines.append(f"{metric} {value}")
 
-    events = snapshot.get("events")
-    if events:
-        for key, mtype in (("emitted", "counter"), ("dropped", "counter"),
-                           ("sink_errors", "counter"), ("enabled", "gauge"),
-                           ("buffered", "gauge")):
-            if key not in events:
-                continue
-            value = int(events[key]) if isinstance(events[key], bool) else events[key]
-            metric = f"{prefix}_events_{_prom_name(key)}"
-            if mtype == "counter":
-                metric += "_total"
-            lines.append(f"# TYPE {metric} {mtype}")
-            lines.append(f"{metric} {value}")
-
     return "\n".join(lines) + "\n"
 
 

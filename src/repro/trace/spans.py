@@ -36,8 +36,16 @@ prefix     meaning
 ``worker.*`` one parallel worker chunk (carries its rectangle)
 ``cache.*`` plan-cache events (hit / miss / evict), zero-width
 ``baseline.*`` one baseline-algorithm invocation
-``serve.*`` one serving-layer group execution (batch / single)
+``serve.*`` one serving-layer request, group or execution; zero-width
+           ``serve.*`` instants record the serving layer's decisions
+           (admit / reject / coalesce / dispatch / ...)
+``stream.*`` one streamed band (load, kernel, store)
+``native.fallback`` zero-width: native execution fell back to numpy
 ========== =====================================================
+
+Every instant records under the thread's active :class:`TraceContext`,
+so a decision taken for a request carries that request's ``trace_id``
+without being told it.
 
 Usage::
 

@@ -850,27 +850,15 @@ class TestSanitizedNative:
 # ---------------------------------------------------------------------------
 
 
-def _toolchains() -> list:
-    out = ["cc"]
-    try:
-        import cffi  # noqa: F401
-    except ImportError:
-        pass
-    else:
-        out.append("cffi")
-    return out
-
-
 @requires_toolchain
 class TestCompileFlags:
-    @pytest.mark.parametrize("toolchain", _toolchains())
     def test_compiler_rejecting_gcc_passes_gets_plain_o2(
-        self, toolchain, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch
     ):
         """A compiler that fails on ``-fsplit-loops`` is retried at plain
-        ``-O2``, once: the next unit goes straight to plain ``-O2``.  The
-        ``cc`` toolchain compiles each unit as two translation units (the
-        passes and the band copies), ``cffi`` as one."""
+        ``-O2``, once: the next unit goes straight to plain ``-O2``.  Each
+        unit compiles as two translation units (the passes and the band
+        copies)."""
         import stat
 
         from repro.core.indexing import Decomposition
@@ -892,7 +880,6 @@ class TestCompileFlags:
         )
         fake.chmod(fake.stat().st_mode | stat.S_IXUSR)
         monkeypatch.setenv("CC", str(fake))
-        monkeypatch.setenv("REPRO_NATIVE_TOOLCHAIN", toolchain)
         monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path / "so"))
         monkeypatch.setattr(K, "_plain_opt", set())
 
@@ -913,9 +900,8 @@ class TestCompileFlags:
             for i, p in enumerate(kern.passes):
                 kern.run_pass(i, buf.ctypes.data, 0, p.extent)
             assert buf.tobytes() == _restricted(proto, m, n, "c2r").tobytes()
-            units = 2 if toolchain == "cc" else 1
-            assert o2_calls() == (units, units * (k + 1)), log.read_text()
-        assert K._plain_opt == {(toolchain, str(fake))}
+            assert o2_calls() == (2, 2 * (k + 1)), log.read_text()
+        assert K._plain_opt == {str(fake)}
 
 
 # ---------------------------------------------------------------------------
@@ -1017,23 +1003,6 @@ class TestFallbackContract:
 @requires_toolchain
 @needs_native_run
 class TestToolchains:
-    def test_cffi_toolchain_compiles_and_matches(
-        self, tmp_path, monkeypatch
-    ):
-        pytest.importorskip("cffi")
-        monkeypatch.setenv("REPRO_NATIVE_TOOLCHAIN", "cffi")
-        monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path))
-        from repro.native.kernel import toolchain_name
-
-        assert toolchain_name() == "cffi"
-        m, n = 256, 384
-        proto = np.arange(m * n, dtype=np.float64)
-        buf = proto.copy()
-        transpose_inplace(buf, m, n, backend="native")
-        np.testing.assert_array_equal(buf, _expected(proto, m, n, "C"))
-        assert len(list(tmp_path.glob("repro_native_*.so"))) == 1
-        assert _counters().get("native.compile", 0) == 1
-
     def test_profile_reports_native_backend(self):
         from repro.trace.profile import profile_shape
 

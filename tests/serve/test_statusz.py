@@ -1,4 +1,5 @@
-"""/statusz endpoint, trace-id minting/echo, and event-log integration."""
+"""/statusz endpoint, trace-id minting/echo, and decision instants in the
+trace."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.serve import ServeConfig, TransposeServer
-from repro.trace import events, spans
+from repro.trace import spans
 
 
 @pytest.fixture
@@ -74,7 +75,8 @@ class TestStatusz:
         assert {"calls", "fallback", "compile", "unsupported"} \
             <= set(doc["native"])
         assert "dropped_spans" in doc["trace"]
-        assert "emitted" in doc["events"]
+        assert {"enabled", "recorded", "buffered"} <= set(doc["trace"])
+        assert "events" not in doc
 
     def test_slo_objectives_follow_config(self):
         srv = TransposeServer(ServeConfig(
@@ -166,20 +168,21 @@ class TestThreadModePropagation:
         assert {r.tid for r in execute + passes} == {grp.tid}
 
 
-class TestEventLogIntegration:
-    def test_admission_emits_trace_stamped_events(self, server):
-        events.event_log.reset()
-        events.enable()
+class TestDecisionInstants:
+    def test_admission_records_trace_stamped_instants(self, server):
+        spans.tracer.reset()
+        spans.enable()
         try:
             _post(server, _body(8, 6),
                   _headers(8, 6, **{"X-Repro-Trace-Id": "ev-1"}))
-            recs = events.event_log.drain()
+            recs = [r for r in spans.tracer.drain() if r.is_event]
         finally:
-            events.disable()
-        kinds = {r["kind"] for r in recs if r["trace_id"] == "ev-1"}
-        assert "admit" in kinds
-        assert "coalesce" in kinds
-        assert "dispatch" in kinds
-        admit = next(r for r in recs if r["kind"] == "admit"
-                     and r["trace_id"] == "ev-1")
-        assert "depth" in admit
+            spans.disable()
+            spans.tracer.reset()
+        kinds = {r.name for r in recs if r.trace_id == "ev-1"}
+        assert "serve.admit" in kinds
+        assert "serve.coalesce" in kinds
+        assert "serve.dispatch" in kinds
+        admit = next(r for r in recs if r.name == "serve.admit"
+                     and r.trace_id == "ev-1")
+        assert "depth" in admit.attrs

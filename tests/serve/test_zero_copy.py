@@ -11,7 +11,7 @@ import pytest
 
 from repro.parallel import shm
 from repro.serve import ServeConfig, TransposeServer
-from repro.trace.events import event_log
+from repro.trace import spans
 
 
 @pytest.fixture
@@ -102,22 +102,28 @@ class TestSegmentIngress:
         )
         assert status == 400
 
-    def test_reject_reasons_reach_event_log(self, server):
-        event_log.enabled = True
+    def test_reject_reasons_reach_the_trace(self, server):
+        spans.tracer.reset()
+        spans.enable()
         try:
-            _segment_post(server, "repro_definitely_absent", 4, 4)
+            _segment_post(server, "repro_definitely_absent", 4, 4,
+                          **{"X-Repro-Trace-Id": "seg-missing"})
             small = shm.SharedArray((4,), np.float64)
             try:
-                _segment_post(server, small.name, 64, 64)
+                _segment_post(server, small.name, 64, 64,
+                              **{"X-Repro-Trace-Id": "seg-small"})
             finally:
                 small.destroy()
             reasons = {
-                ev.get("reason") for ev in event_log.snapshot()
-                if ev["kind"] == "reject"
+                (ev.trace_id, ev.attrs.get("reason"))
+                for ev in spans.tracer.snapshot()
+                if ev.is_event and ev.name == "serve.reject"
             }
-            assert {"segment-missing", "segment-mismatch"} <= reasons
+            assert {("seg-missing", "segment-missing"),
+                    ("seg-small", "segment-mismatch")} <= reasons
         finally:
-            event_log.enabled = False
+            spans.disable()
+            spans.tracer.reset()
 
     def test_no_segments_leaked_after_drain(self):
         srv = TransposeServer(ServeConfig(port=0, workers=1)).start()
@@ -154,27 +160,31 @@ class TestTransposeFileEndpoint:
         got = np.fromfile(path, dtype=np.int64).reshape(n, m)
         np.testing.assert_array_equal(got, A.T)
 
-    def test_band_progress_lands_in_event_log(self, server, tmp_path):
+    def test_band_progress_lands_in_the_trace(self, server, tmp_path):
         m, n = 40, 30
         A = np.arange(m * n, dtype=np.float64).reshape(m, n)
         path = tmp_path / "ev.bin"
         A.tofile(path)
-        event_log.enabled = True
+        spans.tracer.reset()
+        spans.enable()
         try:
             status, body, _ = self._post_file(server, {
                 "path": str(path), "rows": m, "cols": n,
                 "window_bytes": "16k",
             })
             assert status == 200
-            trace_id = json.loads(body)["trace_id"]
-            evs = event_log.snapshot()
-            phases = [ev["phase"] for ev in evs
-                      if ev["kind"] == "stream_file"
-                      and ev["trace_id"] == trace_id]
+            stats = json.loads(body)
+            trace_id = stats["trace_id"]
+            recs = spans.tracer.snapshot()
+            phases = [r.attrs["phase"] for r in recs
+                      if r.is_event and r.name == "serve.stream_file"
+                      and r.trace_id == trace_id]
             assert phases == ["start", "done"]
-            assert any(ev["kind"] == "stream" for ev in evs)
+            bands = [r for r in recs if r.name == "stream.band"]
+            assert bands and all(r.trace_id == trace_id for r in bands)
         finally:
-            event_log.enabled = False
+            spans.disable()
+            spans.tracer.reset()
 
     def test_missing_file_404(self, server, tmp_path):
         status, _, _ = self._post_file(server, {

@@ -1,6 +1,7 @@
 """ResidentWindow: byte parsing, band load/store round trips, row bands in
 place, the one column buffer, threaded column copies, accounting, the
-flush/close lifecycle, and the row-band populate's failure and fallback."""
+flush/close lifecycle, the row-band populate's failure and fallback, and
+column bands over a truncated file."""
 
 from __future__ import annotations
 
@@ -191,6 +192,58 @@ with ParallelExecutor(n_threads) as ex:
     band[:] = band[:, ::-1]
     print("returned")
 """
+
+
+#: Truncates the file under an open two-worker window, then runs one
+#: column-band copy (``load`` or ``store``) over rows past the new end, or
+#: ``transpose_file_inplace`` on the truncated file.  Prints "raised
+#: <exception type> <errno>" when the call raises; touching the lost pages
+#: would kill the child with SIGBUS instead.
+_TRUNCATE_COLS_CHILD = r"""
+import os, sys
+import numpy as np
+
+sys.path.insert(0, sys.argv[1])
+path, op = sys.argv[2], sys.argv[3]
+from repro.parallel.executor import ParallelExecutor
+from repro.stream import transpose_file_inplace
+from repro.stream.window import ResidentWindow
+
+rows, cols = 64, 1024  # 4 KiB rows of float32
+np.arange(rows * cols, dtype=np.float32).tofile(path)
+with ParallelExecutor(2) as ex:
+    w = ResidentWindow(path, rows, cols, np.float32, executor=ex)
+    os.truncate(path, 40 * cols * 4)
+    try:
+        if op == "load":
+            w.load_cols(0, 256)
+        elif op == "store":
+            w.store_cols(0, 256, np.zeros((rows, 256), dtype=np.float32))
+        else:
+            transpose_file_inplace(path, rows, cols, np.float32, n_threads=2)
+    except (OSError, ValueError) as exc:
+        print("raised", type(exc).__name__, getattr(exc, "errno", None))
+        sys.exit(0)
+    print("returned")
+"""
+
+
+class TestTruncatedColumnBands:
+    @pytest.mark.parametrize("op", ["load", "store", "transpose"])
+    def test_truncated_file_raises_instead_of_faulting(self, tmp_path, op):
+        src_dir = str(Path(__file__).resolve().parents[2] / "src")
+        script = tmp_path / "truncate_cols_child.py"
+        script.write_text(_TRUNCATE_COLS_CHILD)
+        out = subprocess.run(
+            [sys.executable, str(script), src_dir, str(tmp_path / "t.bin"),
+             op],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, (out.returncode, out.stderr[-2000:])
+        if op == "transpose":
+            assert out.stdout.split()[0] == "raised", out.stdout
+        else:
+            assert out.stdout.split() == ["raised", "OSError", str(errno.EFAULT)]
 
 
 class TestPopulate:

@@ -91,6 +91,21 @@ class TestProfileShape:
             assert p.gbps > 0
             assert p.memcpy_frac > 0
 
+    def test_sanitized_plan_passes_carry_their_bytes(self):
+        """Sanitized plan passes are profiled like plain ones."""
+        from repro.analysis import racecheck
+
+        was = racecheck.sanitizer.enabled
+        racecheck.enable()
+        try:
+            prof = profile_shape(64, 96, repeats=1, backend="numpy")
+        finally:
+            racecheck.sanitizer.enabled = was
+        assert [p.name for p in prof.passes] == [
+            "pass.pre_rotate", "pass.row_shuffle", "pass.column_shuffle",
+        ]
+        assert all(p.bytes == 2 * 64 * 96 * 8 for p in prof.passes)
+
     def test_parallel_profile_traces_worker_passes(self):
         prof = profile_shape(64, 96, repeats=1, threads=2)
         assert prof.threads == 2
