@@ -16,7 +16,10 @@ What the model checks on every memory operation:
   fault — this is what catches "skipped a stripe" scheduling bugs.
 - **Granularity**: each allocation is accessed at one element size, and
   accesses must be aligned to it; a mutated base offset that shears an
-  element boundary faults instead of silently reinterpreting bytes.
+  element boundary faults instead of silently reinterpreting bytes.  A
+  *carved* block (:meth:`CInterp.new_scratch`, the kernels' scratch) holds
+  buffers of several element sizes: each store sets the size of the bytes
+  it covers, and a load must match the size last stored at its address.
 - **Overlap**: ``memcpy`` with overlapping ranges is a fault (``memmove``
   is exempt, matching C).
 - **Leaks**: scratch allocated during a call must be freed before it
@@ -146,7 +149,7 @@ def _ival(x) -> int:
 class MemObject:
     """One allocation: a run of bytes accessed at a fixed granularity."""
 
-    __slots__ = ("tag", "nbytes", "slot_size", "cells", "freed", "track")
+    __slots__ = ("tag", "nbytes", "slot_size", "cells", "freed", "track", "carved")
 
     def __init__(self, tag: str, nbytes: int, *, slot_size=None, track=False):
         self.tag = tag
@@ -155,6 +158,10 @@ class MemObject:
         self.cells: dict[int, object] = {}
         self.freed = False
         self.track = track
+        #: a carved block: byte offset -> size of the element stored there
+        #: (``cells`` is then keyed by byte offset, and ``slot_size`` is 0,
+        #: which sends every access down the checked slow path)
+        self.carved: dict[int, int] | None = None
 
 
 class Pointer:
@@ -442,6 +449,8 @@ class CInterp:
         self._budget = budget
         self._live_allocs: dict[int, MemObject] = {}
         self._alloc_seq = 0
+        #: ``malloc`` and ``free`` calls interpreted so far
+        self.heap_calls = 0
         self.reads: set[int] = set()
         self.writes: set[int] = set()
         tokens, self.macros = preprocess(source)
@@ -465,7 +474,48 @@ class CInterp:
             raise ValueError(f"unknown init {init!r}")
         return buf
 
+    def new_scratch(self, nbytes: int, *, tag: str = "scratch") -> CBuffer:
+        """An undefined, untracked carved block of ``nbytes`` bytes (see
+        the module notes): the scratch a kernel carves into buffers of
+        different element sizes."""
+        obj = MemObject(tag, nbytes, slot_size=0)
+        obj.carved = {}
+        return CBuffer(obj, 1)
+
+    def _read_carved(self, obj: MemObject, off: int, esize: int):
+        if obj.carved.get(off) != esize:
+            self._fault(
+                "undef-read",
+                f"load of {esize}B at byte {off} of {obj.tag}, never "
+                f"stored at that size",
+            )
+        return obj.cells[off]
+
+    def _write_carved(self, obj: MemObject, off: int, esize: int, value) -> None:
+        carved = obj.carved
+        if carved.get(off) != esize:
+            if off % esize:
+                self._fault(
+                    "misaligned", f"store of {esize}B at byte {off} of {obj.tag}"
+                )
+            # stores are aligned to their size: drop the elements of other
+            # sizes this one overlaps (they start inside it, or contain it)
+            for width in (1, 2, 4, 8, 16):
+                if width == esize:
+                    continue
+                starts = (
+                    range(off, off + esize, width) if width < esize
+                    else (off - off % width,)
+                )
+                for o in starts:
+                    if carved.get(o) == width:
+                        del carved[o]
+                        del obj.cells[o]
+            carved[off] = esize
+        obj.cells[off] = value
+
     def _malloc(self, size) -> Pointer:
+        self.heap_calls += 1
         nbytes = _ival(size)
         if nbytes < 0:
             self._fault("oob", f"malloc of negative size {nbytes}")
@@ -475,6 +525,7 @@ class CInterp:
         return Pointer(obj, 0, 1)
 
     def _free(self, ptr) -> None:
+        self.heap_calls += 1
         if ptr.__class__ is not Pointer:
             if ptr == 0:  # free(NULL) is a no-op in C
                 return
@@ -507,6 +558,8 @@ class CInterp:
             )
         ss = obj.slot_size
         if ss is None or ss != esize or off % ss:
+            if obj.carved is not None:
+                return self._read_carved(obj, off, esize)
             if ss is None:
                 self._fault("undef-read", f"load from unwritten {obj.tag}")
             self._fault(
@@ -545,6 +598,9 @@ class CInterp:
         if ss is None:
             ss = obj.slot_size = esize
         if ss != esize or off % ss:
+            if obj.carved is not None:
+                self._write_carved(obj, off, esize, value)
+                return
             self._fault(
                 "misaligned",
                 f"store of {esize}B at byte {off} to {obj.tag} accessed "
@@ -574,7 +630,10 @@ class CInterp:
                     f"{what} {mode} range [{off}, {off + n}) outside "
                     f"{obj.tag} [0, {obj.nbytes})",
                 )
-        ss = sobj.slot_size
+        if sobj.carved is not None:
+            ss = sobj.carved.get(soff)
+        else:
+            ss = sobj.slot_size
         if ss is None:
             self._fault("undef-read", f"{what} from unwritten {sobj.tag}")
         if soff % ss or n % ss:
@@ -583,9 +642,9 @@ class CInterp:
                 f"{what} of {n}B at byte {soff} shears {sobj.tag}'s "
                 f"{ss}B elements",
             )
-        if dobj.slot_size is None:
+        if dobj.carved is None and dobj.slot_size is None:
             dobj.slot_size = ss
-        if dobj.slot_size != ss or doff % ss:
+        if dobj.carved is None and (dobj.slot_size != ss or doff % ss):
             self._fault(
                 "misaligned",
                 f"{what} of {ss}B elements at byte {doff} into {dobj.tag} "
@@ -603,6 +662,24 @@ class CInterp:
                 f"{doff + n}) of {sobj.tag} overlap",
             )
         count = n // ss
+        if sobj.carved is not None or dobj.carved is not None:
+            # element by element through the checked paths
+            if sobj.carved is not None:
+                vals = [
+                    self._read_carved(sobj, soff + k * ss, ss)
+                    for k in range(count)
+                ]
+            else:
+                src = Pointer(sobj, soff, ss)
+                vals = [self._read_elem(src, k) for k in range(count)]
+            if dobj.carved is not None:
+                for k, v in enumerate(vals):
+                    self._write_carved(dobj, doff + k * ss, ss, v)
+            else:
+                dst = Pointer(dobj, doff, ss)
+                for k, v in enumerate(vals):
+                    self._write_elem(dst, k, v)
+            return
         si = soff // ss
         di = doff // ss
         scells = sobj.cells

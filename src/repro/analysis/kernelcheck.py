@@ -10,11 +10,11 @@ that the C does what the algebra says:
 
 ``parse`` / ``symbols`` / ``layout``
     The unit fits the checked C subset and exports every entry point the
-    runtime binds (``repro_run``, ``repro_run_batch``, per-pass symbols
-    and their ``_batch`` wrappers).
+    runtime binds (``repro_run``, ``repro_run_batch``,
+    ``repro_scratch_bytes``, per-pass symbols and their ``_batch``
+    wrappers).
 ``plan-constants``
-    The inlined ``M/N/A/B/C`` and ``NPASSES`` literals match the
-    decomposition.
+    The inlined ``M/N/A/B/C`` literals match the decomposition.
 ``fastdiv-*``
     Each ``DIV_X``/``MOD_X`` macro is the canonical fixed-point-reciprocal
     form, its divisor literal matches the decomposition constant, and the
@@ -27,9 +27,12 @@ that the C does what the algebra says:
     macro text that the pass bodies expand agrees with the extraction.
 ``pass*-exec`` / ``pass*-semantics``
     Running each pass over its full extent on an identity-initialised
-    buffer faults nowhere (bounds, liveness, definedness, leaks — see
+    buffer faults nowhere (bounds, liveness, definedness — see
     ``cinterp``) and lands exactly the permutation the corresponding
-    Eq. 23-36 plan step derives.
+    Eq. 23-36 plan step derives.  Every call here and below runs with a
+    fresh undefined scratch block of exactly ``repro_scratch_bytes()``
+    bytes, so a pass that overruns its scratch, or reads scratch it never
+    wrote, faults.
 ``pass*-chunks-t<k>``
     Re-running the pass chunk-by-chunk over the ``balanced_chunks``
     schedule (the geometry ``ParallelTranspose`` dispatches) writes
@@ -47,10 +50,12 @@ that the C does what the algebra says:
     elements no earlier block wrote, each holding an element of its own
     rows; a store must read nothing in the matrix and write exactly its
     own mapped rows of the band's columns, disjoint from every other
-    block.  The load buffers start undefined and are sized to the band
-    (the ring to :func:`~repro.native.codegen.ring_elems`), so a skipped
-    element reads as undefined and any escaping address faults, and the
-    stored bands compose to the pass's permutation.
+    block.  The load buffers start undefined and are sized to the band,
+    so a skipped element reads as undefined and any escaping address
+    faults, and the stored bands compose to the pass's permutation.
+``pass*-batch``
+    The pass's ``_batch`` wrapper applies it to each of ``k`` consecutive
+    tiles independently.
 ``plan-composition`` / ``algebra-equivalence``
     ``repro_run`` equals the composition of the verified passes, and that
     composition equals the closed-form transposition map
@@ -60,6 +65,10 @@ that the C does what the algebra says:
 ``batch-run``
     ``repro_run_batch`` applies the same permutation independently to
     each of ``k`` consecutive tiles.
+``no-heap``
+    Interpreting every pass, ``_batch`` wrapper, band copy and driver
+    above made no ``malloc`` or ``free`` call: all scratch is the caller's,
+    allocated before the first pass, so no entry point can fail midway.
 
 Element values are provenance tokens, so "the buffer after the run" *is*
 the gather map the C computed; every comparison above is exact, not
@@ -84,7 +93,6 @@ from ..native.codegen import (
     generate_source,
     ineligible_reason,
     pass_symbol,
-    ring_elems,
 )
 from ..parallel.partition import balanced_chunks
 from ..strength.magic import compute_magic
@@ -410,13 +418,12 @@ def _outside(elems: set[int], r0: int, r1: int, c0: int, c1: int, n: int):
     return int(bad.min()) if bad.size else None
 
 
-def _check_copies(interp, pinfo, dec, state, expected, checks, tag) -> bool:
+def _check_copies(interp, pinfo, dec, state, expected, checks, tag, scratch) -> bool:
     """The ``load`` and ``store`` certificates of one column-facing pass;
     returns True when either failed."""
     m, n = dec.m, dec.n
     unit = dec.b if pinfo.axis == "groups" else 1
     blocks = _copy_blocks(m)
-    nring = ring_elems(interp.itemsize)
     work = state.copy().reshape(m, n)
     fails = {"load": None, "store": None}
     for bnd in balanced_chunks(pinfo.extent, min(3, pinfo.extent)):
@@ -428,7 +435,6 @@ def _check_copies(interp, pinfo, dec, state, expected, checks, tag) -> bool:
         row_of[work.ravel()] = np.arange(m * n) // n
         mapped = _seeded_buffer(interp, work.ravel())
         band = interp.new_buffer(m * width, init="undef", track=False, tag="band")
-        ring = interp.new_buffer(nring, init="undef", track=False, tag="ring")
         cells = band.obj.cells
         for phase in COPY_PHASES:
             sym = copy_symbol(pinfo.kind, phase)
@@ -437,12 +443,9 @@ def _check_copies(interp, pinfo, dec, state, expected, checks, tag) -> bool:
                 what = f"{where} rows [{r0}, {r1})"
                 before = dict(cells)
                 try:
-                    rc = interp.call(sym, mapped, band, bnd.start, bnd.stop, r0, r1, ring)
+                    interp.call(sym, mapped, band, bnd.start, bnd.stop, r0, r1, scratch())
                 except CInterpError as exc:
                     fails[phase] = f"{what}: {exc}"
-                    break
-                if rc != 0:
-                    fails[phase] = f"{what} returned {rc}"
                     break
                 if phase == "load":
                     e = _outside(interp.reads, r0, r1, c0, c1, n)
@@ -506,6 +509,27 @@ def _check_copies(interp, pinfo, dec, state, expected, checks, tag) -> bool:
     return False
 
 
+def _check_tiles(interp, sym, state, expected, tiles, scratch, budget) -> str | None:
+    """Run the batch entry point ``sym`` over ``tiles`` consecutive copies
+    of ``state`` (each tile's tokens offset by its base); ``None`` when
+    every tile lands ``expected``, else the first failure."""
+    mn = state.size
+    buf = _seeded_buffer(
+        interp, np.concatenate([state + t * mn for t in range(tiles)])
+    )
+    try:
+        interp.call(sym, buf, tiles, scratch, budget=budget * tiles)
+    except CInterpError as exc:
+        return str(exc)
+    got = np.asarray(buf.values(), dtype=np.int64)
+    want = np.concatenate([expected + t * mn for t in range(tiles)])
+    bad = np.nonzero(got != want)[0]
+    if bad.size:
+        e = int(bad[0])
+        return f"tile {e // mn} element {e % mn}: {got[e]} != {want[e]}"
+    return None
+
+
 def verify_kernel(
     m: int,
     n: int,
@@ -550,7 +574,7 @@ def verify_kernel(
             return report
         checks.append(Check("parse", True))
 
-        needed = {"repro_run", "repro_run_batch"}
+        needed = {"repro_run", "repro_run_batch", "repro_scratch_bytes"}
         for p in spec.passes:
             needed.add(pass_symbol(p.kind))
             needed.add(pass_symbol(p.kind) + "_batch")
@@ -593,11 +617,6 @@ def verify_kernel(
             if mo is None or int(mo.group(2)) != want:
                 const_fail = f"#define {cname} != {want}"
                 break
-        npasses = interp.macros.get("NPASSES")
-        if const_fail is None and (
-            npasses is None or npasses.body != [str(len(spec.passes))]
-        ):
-            const_fail = f"NPASSES != {len(spec.passes)}"
         checks.append(Check("plan-constants", const_fail is None,
                             const_fail or ""))
 
@@ -608,6 +627,20 @@ def verify_kernel(
         except CInterpError:
             probe_interp = None
         _check_fastdiv(checks, interp.macros, dec, probe_interp)
+
+        try:
+            nbytes = interp.call("repro_scratch_bytes")
+        except CInterpError as exc:
+            checks.append(Check("scratch-size", False, str(exc)))
+            return report
+
+        def scratch():
+            """A fresh undefined block of one worker's scratch."""
+            return interp.new_scratch(nbytes)
+
+        if check_batch is None:
+            check_batch = mn <= BATCH_ELEMS_CAP
+        check_batch = check_batch and batch_tiles > 1
 
         # -- per-pass execution, semantics, and chunk schedule ------------
         state = np.arange(mn, dtype=np.int64)
@@ -621,12 +654,9 @@ def verify_kernel(
 
             buf = _seeded_buffer(interp, state)
             try:
-                rc = interp.call(sym, buf, 0, pinfo.extent)
+                interp.call(sym, buf, 0, pinfo.extent, scratch())
             except CInterpError as exc:
                 checks.append(Check(f"{tag}-exec", False, str(exc)))
-                return report
-            if rc != 0:
-                checks.append(Check(f"{tag}-exec", False, f"returned {rc}"))
                 return report
             full_writes = set(interp.writes)
             escape = _contained(
@@ -658,12 +688,9 @@ def verify_kernel(
                 union: set[int] = set()
                 for ch in balanced_chunks(pinfo.extent, t):
                     try:
-                        rc = interp.call(sym, buf, ch.start, ch.stop)
+                        interp.call(sym, buf, ch.start, ch.stop, scratch())
                     except CInterpError as exc:
                         fail = f"chunk [{ch.start}, {ch.stop}): {exc}"
-                        break
-                    if rc != 0:
-                        fail = f"chunk [{ch.start}, {ch.stop}) returned {rc}"
                         break
                     w = interp.writes
                     clash = seen & w
@@ -702,25 +729,39 @@ def verify_kernel(
                     return report
 
             if copy_symbol(pinfo.kind, "load") is not None:
-                fail = _check_copies(interp, pinfo, dec, state, expected, checks, tag)
+                fail = _check_copies(
+                    interp, pinfo, dec, state, expected, checks, tag, scratch
+                )
                 if fail:
+                    return report
+
+            if check_batch:
+                fail = _check_tiles(
+                    interp, f"{sym}_batch", state, expected, batch_tiles,
+                    scratch(), budget,
+                )
+                checks.append(Check(
+                    f"{tag}-batch", fail is None,
+                    fail or f"{batch_tiles} tiles, per-tile map verified",
+                ))
+                if fail is not None:
                     return report
             state = expected
 
         # -- whole-plan drivers -------------------------------------------
         buf = interp.new_buffer(mn)
         try:
-            rc = interp.call("repro_run", buf)
+            interp.call("repro_run", buf, scratch())
         except CInterpError as exc:
             checks.append(Check("plan-composition", False, str(exc)))
             return report
         got = np.asarray(buf.values(), dtype=np.int64)
-        ok = rc == 0 and np.array_equal(got, state)
+        ok = np.array_equal(got, state)
         checks.append(
             Check(
                 "plan-composition",
                 ok,
-                "" if ok else f"repro_run rc={rc} or != composed passes",
+                "" if ok else "repro_run != composed passes",
             )
         )
         if not ok:
@@ -751,38 +792,26 @@ def verify_kernel(
             return report
 
         # -- batched driver -----------------------------------------------
-        if check_batch is None:
-            check_batch = mn <= BATCH_ELEMS_CAP
-        if check_batch and batch_tiles > 1:
-            buf = interp.new_buffer(batch_tiles * mn)
-            fail = None
-            try:
-                rc = interp.call(
-                    "repro_run_batch", buf, batch_tiles,
-                    budget=budget * batch_tiles,
-                )
-            except CInterpError as exc:
-                fail = str(exc)
-            if fail is None and rc != 0:
-                fail = f"returned {rc}"
-            if fail is None:
-                got = np.asarray(buf.values(), dtype=np.int64)
-                want = np.concatenate(
-                    [state + t * mn for t in range(batch_tiles)]
-                )
-                bad = np.nonzero(got != want)[0]
-                if bad.size:
-                    e = int(bad[0])
-                    fail = (
-                        f"tile {e // mn} element {e % mn}: "
-                        f"{int(got[e])} != {int(want[e])}"
-                    )
+        if check_batch:
+            fail = _check_tiles(
+                interp, "repro_run_batch", np.arange(mn, dtype=np.int64),
+                state, batch_tiles, scratch(), budget,
+            )
             checks.append(
                 Check(
                     "batch-run", fail is None,
                     fail or f"{batch_tiles} tiles, per-tile map verified",
                 )
             )
+            if fail is not None:
+                return report
+
+        calls = interp.heap_calls
+        checks.append(Check(
+            "no-heap", calls == 0,
+            f"{calls} malloc/free calls" if calls else
+            "no entry point allocates: all scratch is the caller's",
+        ))
     finally:
         report.seconds = perf_counter() - start
     return report

@@ -89,7 +89,7 @@ def _swap_pass_order(source: str) -> str | None:
     lines = source.split("\n")
     idx = [
         i for i, line in enumerate(lines)
-        if line.startswith("  if (repro_pass_")
+        if line.startswith("  repro_pass_")
     ]
     if len(idx) < 2:
         return None
@@ -101,7 +101,7 @@ def _swap_pass_order(source: str) -> str | None:
 def _shorten_driver_extent(source: str) -> str | None:
     """``repro_run``'s first pass call loses the last unit of its extent."""
     return _sub_first(
-        r"(\(bufc, 0, INT64_C\()(\d+)(\)\)\) return 1;)",
+        r"(  repro_pass_\w+\(bufc, 0, INT64_C\()(\d+)(\), scratch\);)",
         _bump(2, -1),
         source,
     )
@@ -216,10 +216,10 @@ FAULT_CLASSES: tuple[FaultClass, ...] = (
     ),
     FaultClass(
         "scratch-undersize",
-        "row-shuffle scratch allocated one element short",
+        "the exported scratch size is one element short",
         lambda src: _sub_first(
-            r"tmp = \(elem_t \*\) malloc\(\(size_t\)N \* sizeof\(elem_t\)\);",
-            "tmp = (elem_t *) malloc((size_t)(N - 1) * sizeof(elem_t));",
+            r"\n  return bytes;\n",
+            "\n  return bytes - (int64_t)sizeof(elem_t);\n",
             src,
         ),
     ),

@@ -247,18 +247,6 @@ class _ShapePlan:
                 )
             self._apply_step(V, idx)
 
-    def _native_pass(self, kernel, i: int, name: str, V: np.ndarray, addr: int) -> None:
-        """Kernel pass ``i`` over every tile in one call.  A scratch
-        allocation that fails at tile ``t`` moved nothing there, so numpy
-        redoes the pass from tile ``t``; later passes stay native."""
-        try:
-            kernel.run_pass_batch(i, addr, V.shape[0])
-        except MemoryError as exc:
-            _native().record_fallback(
-                f"scratch allocation failed in plan pass {name}"
-            )
-            self._apply_step(V[getattr(exc, "tile", 0):], self._steps[i][1])
-
     def _run(self, buf: np.ndarray, V: np.ndarray, backend: str | None) -> np.ndarray:
         """Every pass over the ``(k, m*n)`` tile view ``V`` of ``buf``.
 
@@ -287,9 +275,14 @@ class _ShapePlan:
         if kernel is not None:
             attrs["backend"] = "native"
             addr = buf.ctypes.data
+            # the call's one allocation, before any element moves; the
+            # tiles of a batch run one after another through its one slot
+            scratch = kernel.alloc_scratch()
+            slot = scratch.ctypes.data
             for i, p in enumerate(passes):
                 engine.timed_pass(
-                    "plan", p.name, attrs, self._native_pass, kernel, i, p.name, V, addr
+                    "plan", p.name, attrs, kernel.run_pass_batch, i, addr,
+                    V.shape[0], slot,
                 )
         else:
             for p, (_, idx) in zip(passes, self._steps):
@@ -377,8 +370,9 @@ class TransposePlan(_ShapePlan):
         compiled native kernel when one is (or can be made) available and
         the buffer is large enough, ``"native"`` insists on it (falling back
         to numpy with a warning when impossible), ``"numpy"`` forces the
-        numpy gathers.  A native pass whose scratch allocation fails is
-        redone by numpy; the passes after it stay native.
+        numpy gathers.  A native execute allocates its kernel scratch once,
+        before the first pass; a :class:`MemoryError` from that allocation
+        propagates with ``buf`` untouched.
         """
         if backend not in _BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")

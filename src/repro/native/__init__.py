@@ -57,7 +57,6 @@ from .codegen import (
 from .kernel import (
     CompileError,
     NativeKernel,
-    NativeScratchError,
     compile_spec,
     compiler_available,
     find_compiler,
@@ -73,7 +72,6 @@ __all__ = [
     "pass_symbol",
     "CompileError",
     "NativeKernel",
-    "NativeScratchError",
     "compile_spec",
     "compiler_available",
     "find_compiler",

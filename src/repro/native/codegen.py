@@ -15,33 +15,36 @@ fixed-point-reciprocal multiply of :mod:`repro.strength.magic`, with the
 
 The generated translation unit exports, with C linkage:
 
-``int repro_pass_<k>(char *buf, int64_t lo, int64_t hi)``
+``void repro_pass_<k>(char *buf, int64_t lo, int64_t hi, char *scratch)``
     Pass ``k`` over the half-open range ``[lo, hi)`` of its parallel axis
     (column groups for rotations, rows for the row shuffle, columns for the
     column shuffle) — the same chunk geometry
     :mod:`repro.parallel.cpu` schedules, so the thread backend can drive a
-    compiled kernel directly.  Returns 0, or 1 if scratch allocation failed
-    *before any element moved* (the caller falls back to numpy).
-``int repro_pass_<k>_batch(char *buf, int64_t k)``
+    compiled kernel directly.
+``void repro_pass_<k>_batch(char *buf, int64_t k, char *scratch)``
     The same pass applied to ``k`` consecutive ``m x n`` tiles.
-``int repro_pass_<k>_load(char *map, char *band, int64_t lo, int64_t hi,
-int64_t r0, int64_t r1, char *ring)`` / ``..._store(...)``
+``void repro_pass_<k>_load(char *map, char *band, int64_t lo, int64_t hi,
+int64_t r0, int64_t r1, char *scratch)`` / ``..._store(...)``
     For the column-facing passes (rotation, column shuffle): the band
     copies of the out-of-core executor.  A load copies band ``[lo, hi)``
     (global column groups or columns) of mapped rows ``[r0, r1)`` from the
     full matrix ``map`` into ``band`` (all ``m`` rows at the band's own
     width), a store copies it back, and each applies its half of the
-    pass on the way (see :func:`_copy_passes`).  ``ring`` is one worker's
-    :func:`ring_elems`-element scratch, allocated by the caller, so a copy
-    never fails.  The row shuffle needs none: a row band keeps the full
-    row stride, so the executor hands ``repro_pass_gather_cols`` a shifted
-    base pointer.
-``int repro_run(char *buf)`` / ``int repro_run_batch(char *buf, int64_t k)``
+    pass on the way (see :func:`_copy_passes`), through a ``RING x SKW``
+    ring at the start of ``scratch``.  The row shuffle needs none: a row
+    band keeps the full row stride, so the executor hands
+    ``repro_pass_gather_cols`` a shifted base pointer.
+``void repro_run(char *buf, char *scratch)`` / ``void repro_run_batch(char *buf, int64_t k, char *scratch)``
     All passes in plan order over one tile / ``k`` tiles.
+``int64_t repro_scratch_bytes(void)``
+    One worker's scratch: the largest of every pass's at full extent and
+    the band copies' ring, sized by the macros beside the code that carves
+    it up.
 
-Every pass allocates its scratch up front and returns 1 without touching
-the matrix when the allocation fails, so a nonzero return never leaves a
-half-permuted buffer.
+``scratch`` is one worker's block of ``repro_scratch_bytes()`` bytes,
+allocated by the caller before the first pass runs.  No entry point
+allocates, so none can fail once it has started: a failed allocation
+happens in the caller while every buffer is still as it was.
 
 The unit is one logical translation unit (what the verifier interprets),
 marked so that :func:`split_units` can cut it into two that compile
@@ -74,7 +77,6 @@ __all__ = [
     "copy_symbol",
     "COPY_PHASES",
     "split_units",
-    "ring_elems",
     "SUPPORTED_ITEMSIZES",
     "MAX_AB",
 ]
@@ -172,7 +174,11 @@ def _rotate_pass(dec: Decomposition, itemsize: int, *, inverse: bool) -> str:
         # of scratch and row-level memcpys (each segment is b contiguous
         # elements at row stride rs).
         body = """
-static int rotate_group(elem_t *g0, int64_t k, elem_t *tmp, int64_t rs) {
+/* group g < C saves min(k, M - k) <= min(C - 1, M / 2) row segments */
+#define ROT_SAVED (C - 1 < M / 2 ? C - 1 : M / 2)
+#define ROT_SCRATCH (ROT_SAVED * B * (int64_t)sizeof(elem_t))
+
+static void rotate_group(elem_t *g0, int64_t k, elem_t *tmp, int64_t rs) {
   int64_t i;
   if (k <= M - k) {
     for (i = 0; i < k; ++i)
@@ -190,17 +196,13 @@ static int rotate_group(elem_t *g0, int64_t k, elem_t *tmp, int64_t rs) {
     for (i = 0; i < r; ++i)
       memcpy(g0 + i * rs, tmp + i * B, (size_t)B * sizeof(elem_t));
   }
-  return 0;
 }
 """
         return body + f"""
-int repro_pass_rotate(char *bufc, int64_t glo, int64_t ghi) {{
+void repro_pass_rotate(char *bufc, int64_t glo, int64_t ghi, char *scratch) {{
   elem_t *V = (elem_t *) bufc;
-  elem_t *tmp;
+  elem_t *tmp = (elem_t *) scratch;  /* ROT_SAVED row segments */
   int64_t g;
-  if (glo >= ghi) return 0;
-  tmp = (elem_t *) malloc((size_t)(M / 2 + 1) * (size_t)B * sizeof(elem_t));
-  if (tmp == NULL) return 1;
   for (g = glo; g < ghi; ++g) {{
     int64_t k = MOD_M(g);
     if (k == 0) continue;
@@ -208,8 +210,6 @@ int repro_pass_rotate(char *bufc, int64_t glo, int64_t ghi) {{
     if (k == 0 || k == M) continue;
     rotate_group(V + g * B, k, tmp, N);
   }}
-  free(tmp);
-  return 0;
 }}
 """
     # Narrow groups (b * itemsize below a cache line): a per-group
@@ -224,9 +224,9 @@ int repro_pass_rotate(char *bufc, int64_t glo, int64_t ghi) {{
     # into scratch with row-contiguous copies (prefetcher-friendly,
     # bandwidth-bound) so the strided gather walks cache-resident
     # scratch and the permuted rows stream straight back to the array.
-    gblk = max(
-        1,
-        min(64, _COL_BLOCK_SCRATCH // max(dec.m * itemsize, 1)) // dec.b,
+    gblk = min(
+        dec.c,
+        max(1, min(64, _COL_BLOCK_SCRATCH // max(dec.m * itemsize, 1)) // dec.b),
     )
     if inverse:
         s_init = "int64_t s = i - k0; if (s < 0) s += M;"
@@ -240,14 +240,12 @@ int repro_pass_rotate(char *bufc, int64_t glo, int64_t ghi) {{
         s_reset = "s = 0;"
     return f"""
 #define GBLK {gblk}
+#define ROT_SCRATCH (M * GBLK * B * (int64_t)sizeof(elem_t))
 
-int repro_pass_rotate(char *bufc, int64_t glo, int64_t ghi) {{
+void repro_pass_rotate(char *bufc, int64_t glo, int64_t ghi, char *scratch) {{
   elem_t *V = (elem_t *) bufc;
-  elem_t *stage;
+  elem_t *stage = (elem_t *) scratch;  /* M rows of GBLK groups */
   int64_t g0, i;
-  if (glo >= ghi) return 0;
-  stage = (elem_t *) malloc((size_t)M * GBLK * B * sizeof(elem_t));
-  if (stage == NULL) return 1;
   for (g0 = glo; g0 < ghi; g0 += GBLK) {{
     int64_t gw = (g0 + GBLK <= ghi) ? GBLK : (ghi - g0);
     int64_t wcols = gw * B;
@@ -277,8 +275,6 @@ int repro_pass_rotate(char *bufc, int64_t glo, int64_t ghi) {{
       }}
     }}
   }}
-  free(stage);
-  return 0;
 }}
 """
 
@@ -398,25 +394,22 @@ static void repro_gcoff(elem_t *dst, const elem_t *row, const int32_t *T,
     repro_gcoff(tmp + jsplit, row, T + jsplit, off2, N - jsplit);"""
     return f"""
 {helper}
-int repro_pass_gather_cols(char *bufc, int64_t lo, int64_t hi) {{
+/* the scratch row, then the lookup table */
+#define COLS_TABLE_OFF SCRATCH_ALIGN(N * (int64_t)sizeof(elem_t))
+#define COLS_SCRATCH (COLS_TABLE_OFF + N * (int64_t)sizeof(int32_t))
+
+void repro_pass_gather_cols(char *bufc, int64_t lo, int64_t hi, char *scratch) {{
   elem_t *V = (elem_t *) bufc;
-  elem_t *tmp;
-  int32_t *T;
+  elem_t *tmp = (elem_t *) scratch;
+  int32_t *T = (int32_t *)(scratch + COLS_TABLE_OFF);
   int64_t i;
-  if (lo >= hi) return 0;
-  tmp = (elem_t *) malloc((size_t)N * sizeof(elem_t));
-  if (tmp == NULL) return 1;
-  T = (int32_t *) malloc((size_t)N * sizeof(int32_t));
-  if (T == NULL) {{ free(tmp); return 1; }}
+  if (lo >= hi) return;
 {build_table}
   for (i = lo; i < hi; ++i) {{
     elem_t *row = V + i * N;
 {inner}
     memcpy(row, tmp, (size_t)N * sizeof(elem_t));
   }}
-  free(T);
-  free(tmp);
-  return 0;
 }}
 """
 
@@ -572,20 +565,20 @@ static void repro_permute_rows(elem_t *X, int64_t rs, int64_t wc,
   }}
 }}
 
-int repro_pass_gather_rows(char *bufc, int64_t lo, int64_t hi) {{
+/* the ring, the saved rows and a sub-row as wide as the whole matrix,
+   then the visited bitmap */
+#define ROWS_SEEN_OFF SCRATCH_ALIGN(((RING + SAVEROWS) * SKW + N) * (int64_t)sizeof(elem_t))
+#define ROWS_SCRATCH (ROWS_SEEN_OFF + (M + 63) / 64 * (int64_t)sizeof(uint64_t))
+
+void repro_pass_gather_rows(char *bufc, int64_t lo, int64_t hi, char *scratch) {{
   elem_t *V = (elem_t *) bufc;
-  elem_t *X, *ring, *save, *tmp;
-  uint64_t *seen;
+  elem_t *ring = (elem_t *) scratch;
+  elem_t *save = ring + RING * SKW;
+  elem_t *tmp = save + SAVEROWS * SKW;
+  uint64_t *seen = (uint64_t *)(scratch + ROWS_SEEN_OFF);
+  elem_t *X = V + lo;
   int64_t rs = N, j0, w, s, sg;
-  if (lo >= hi) return 0;
-  /* one block holds the ring, the saved rows and the scratch sub-row */
-  ring = (elem_t *) malloc((size_t)((RING + SAVEROWS) * SKW + (hi - lo)) * sizeof(elem_t));
-  if (ring == NULL) return 1;
-  seen = (uint64_t *) malloc((size_t)((M + 63) / 64) * sizeof(uint64_t));
-  if (seen == NULL) {{ free(ring); return 1; }}
-  save = ring + RING * SKW;
-  tmp = save + SAVEROWS * SKW;
-  X = V + lo;{perm_before}
+  if (lo >= hi) return;{perm_before}
   for (j0 = lo; j0 < hi; j0 += w) {{
     elem_t *Xs = X + (j0 - lo);
     s = MOD_M(j0);
@@ -596,9 +589,6 @@ int repro_pass_gather_rows(char *bufc, int64_t lo, int64_t hi) {{
     repro_skew(sg > 0 ? Xs : Xs + (M - 1) * rs, sg * rs, w,
                ({rising}) ? s : M - s, sg, ring, save);
   }}{perm_after}
-  free(seen);
-  free(ring);
-  return 0;
 }}
 """
 
@@ -607,6 +597,14 @@ _PASS_SYMBOLS = {
     "rotate_groups": "repro_pass_rotate",
     "gather_cols": "repro_pass_gather_cols",
     "gather_rows": "repro_pass_gather_rows",
+}
+
+#: the macro holding each pass's scratch bytes at full extent, defined
+#: beside the carving it sizes
+_SCRATCH_MACROS = {
+    "rotate_groups": "ROT_SCRATCH",
+    "gather_cols": "COLS_SCRATCH",
+    "gather_rows": "ROWS_SCRATCH",
 }
 
 #: the band copy phases; a row band is permuted in the mapped pages
@@ -627,12 +625,6 @@ def copy_symbol(kind: str, phase: str) -> str | None:
     return f"{_PASS_SYMBOLS[kind]}_{phase}"
 
 
-def ring_elems(itemsize: int) -> int:
-    """Elements of one worker's band-copy scratch ring (``RING x SKW``)."""
-    skw = _skw(itemsize)
-    return 2 * skw * skw
-
-
 def _copy_passes(dec: Decomposition, itemsize: int, algorithm: str, kinds) -> str:
     """Band copies of the column-facing passes: the streamed executor's
     load (mapping -> band buffer) and store (band buffer -> mapping), with
@@ -640,7 +632,7 @@ def _copy_passes(dec: Decomposition, itemsize: int, algorithm: str, kinds) -> st
     operation is a per-column rotation or one static permutation of whole
     sub-rows, and either can run while the data moves).
 
-    ``repro_pass_<k>_load(map, band, lo, hi, r0, r1, ring)`` and ``_store``
+    ``repro_pass_<k>_load(map, band, lo, hi, r0, r1, scratch)`` and ``_store``
     copy band ``[lo, hi)`` (global column groups or columns) of mapped rows
     ``[r0, r1)`` only: a load reads exactly those mapped rows, a store
     writes exactly them, and the band buffer (``m`` rows of the band's
@@ -770,17 +762,17 @@ static void repro_skew_band(elem_t *V, elem_t *W, int64_t lo, int64_t hi,
 }}
 """]
     head = """(char *mapc, char *bandc, int64_t lo, int64_t hi,
-    int64_t r0, int64_t r1, char *ringc) {
+    int64_t r0, int64_t r1, char *scratch) {
   elem_t *V = (elem_t *) mapc;
   elem_t *W = (elem_t *) bandc;
-  elem_t *ring = (elem_t *) ringc;
+  elem_t *ring = (elem_t *) scratch;
   """
     if "gather_rows" in kinds:
         skew = "repro_skew_band(V, W, lo, hi, 1, r0, r1, %d, ring);"
         rows = "repro_rows_band(V, W, lo, hi - lo, r0, r1, 1, %d);"
         load, store = (skew % 1, rows % 0) if c2r else (rows % 1, skew % 0)
-        parts.append(f"int repro_pass_gather_rows_load{head}{load}\n  return 0;\n}}\n")
-        parts.append(f"int repro_pass_gather_rows_store{head}{store}\n  return 0;\n}}\n")
+        parts.append(f"void repro_pass_gather_rows_load{head}{load}\n}}\n")
+        parts.append(f"void repro_pass_gather_rows_store{head}{store}\n}}\n")
     if "rotate_groups" in kinds:
         if dec.b * itemsize >= 64:
             # wide groups: each group's row segment is a cache line or more
@@ -797,8 +789,8 @@ static void repro_skew_band(elem_t *V, elem_t *W, int64_t lo, int64_t hi,
         else:
             load = "repro_skew_band(V, W, lo, hi, B, r0, r1, 1, ring);"
         store = "repro_rows_band(V, W, lo * B, (hi - lo) * B, r0, r1, 0, 0);"
-        parts.append(f"int repro_pass_rotate_load{head}{load}\n  return 0;\n}}\n")
-        parts.append(f"int repro_pass_rotate_store{head}{store}\n  return 0;\n}}\n")
+        parts.append(f"void repro_pass_rotate_load{head}{load}\n}}\n")
+        parts.append(f"void repro_pass_rotate_store{head}{store}\n}}\n")
     return "\n".join(parts)
 
 
@@ -860,7 +852,6 @@ def generate_source(
         f"(a={dec.a} b={dec.b} c={dec.c}) itemsize={itemsize}",
         " */",
         "#include <stdint.h>",
-        "#include <stdlib.h>",
         "#include <string.h>",
         "",
         "typedef struct { uint64_t lo; uint64_t hi; } repro_elem16_t;",
@@ -873,6 +864,10 @@ def generate_source(
         f"#define C INT64_C({dec.c})",
         "",
         _magic_macros(dec),
+        "",
+        "/* scratch offsets round up to 8 bytes: every carved buffer is",
+        "   aligned for int32_t and uint64_t */",
+        "#define SCRATCH_ALIGN(x) (((x) + 7) / 8 * 8)",
     ]
     parts += [_ring_section(dec, itemsize, algorithm), _SHARED_END]
     emitted: set[str] = set()
@@ -888,47 +883,44 @@ def generate_source(
             parts.append(_gather_rows_pass(dec, itemsize, algorithm=algorithm))
     parts += [_COPIES_BEGIN, _copy_passes(dec, itemsize, algorithm, emitted), _COPIES_END]
 
-    # Whole-plan drivers: all passes over their full extents, one tile or k
-    # consecutive tiles.  Failure returns are *positional* so the caller can
-    # resume with numpy exactly where the kernel stopped: repro_run returns
-    # ``pass_index + 1``, the batch drivers ``tile * NPASSES + pass_index + 1``
-    # (a nonzero return always means "this pass on this tile moved nothing").
-    # Per-pass batch wrappers let the instrumented executors time each pass
-    # across the whole batch; they return ``tile + 1`` on failure.
-    npasses = len(passes)
+    # Whole-plan drivers (all passes over their full extents, one tile or
+    # k consecutive tiles), per-pass batch wrappers that let the plans time
+    # each pass across the whole batch, and one worker's scratch size.
     calls = "\n".join(
-        f"  if ({pass_symbol(p.kind)}(bufc, 0, INT64_C({p.extent}))) "
-        f"return {i + 1};"
-        for i, p in enumerate(passes)
+        f"  {pass_symbol(p.kind)}(bufc, 0, INT64_C({p.extent}), scratch);"
+        for p in passes
+    )
+    sizes = "\n".join(
+        f"  if ({_SCRATCH_MACROS[kind]} > bytes) bytes = {_SCRATCH_MACROS[kind]};"
+        for kind in sorted(emitted)
     )
     parts.append(f"""
-#define NPASSES {npasses}
-
-int repro_run(char *bufc) {{
+void repro_run(char *bufc, char *scratch) {{
 {calls}
-  return 0;
 }}
 
-int repro_run_batch(char *bufc, int64_t k) {{
+void repro_run_batch(char *bufc, int64_t k, char *scratch) {{
   int64_t t;
-  for (t = 0; t < k; ++t) {{
-    int rc = repro_run(bufc + t * (M * N * (int64_t)sizeof(elem_t)));
-    if (rc) return (int)(t * NPASSES) + rc;
-  }}
-  return 0;
+  for (t = 0; t < k; ++t)
+    repro_run(bufc + t * (M * N * (int64_t)sizeof(elem_t)), scratch);
+}}
+
+/* One worker's scratch: the largest pass's at full extent, or the
+   band-copy ring. */
+int64_t repro_scratch_bytes(void) {{
+  int64_t bytes = RING * SKW * (int64_t)sizeof(elem_t);
+{sizes}
+  return bytes;
 }}
 """)
     for kind in emitted:
         sym = pass_symbol(kind)
         extent = next(p.extent for p in passes if p.kind == kind)
         parts.append(f"""
-int {sym}_batch(char *bufc, int64_t k) {{
+void {sym}_batch(char *bufc, int64_t k, char *scratch) {{
   int64_t t;
-  for (t = 0; t < k; ++t) {{
-    if ({sym}(bufc + t * (M * N * (int64_t)sizeof(elem_t)),
-              0, INT64_C({extent}))) return (int)(t + 1);
-  }}
-  return 0;
+  for (t = 0; t < k; ++t)
+    {sym}(bufc + t * (M * N * (int64_t)sizeof(elem_t)), 0, INT64_C({extent}), scratch);
 }}
 """)
     return KernelSpec(

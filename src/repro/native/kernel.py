@@ -41,14 +41,12 @@ from .codegen import (
     KernelSpec,
     copy_symbol,
     pass_symbol,
-    ring_elems,
     split_units,
 )
 
 __all__ = [
     "NativeKernel",
     "CompileError",
-    "NativeScratchError",
     "find_compiler",
     "compiler_available",
     "compile_spec",
@@ -77,24 +75,6 @@ _workdir: str | None = None
 
 class CompileError(RuntimeError):
     """A toolchain was present but failed to produce a loadable object."""
-
-
-class NativeScratchError(MemoryError):
-    """Scratch ``malloc`` failed inside a generated pass.
-
-    A pass that cannot allocate its staging buffer returns before moving a
-    single element, so the failure position is exact: every pass before
-    ``pass_index`` (and every tile before ``tile``) completed, nothing at or
-    after it ran.  The numpy fallback resumes from exactly there.
-    """
-
-    def __init__(self, pass_index: int, tile: int = 0):
-        super().__init__(
-            "native kernel scratch allocation failed "
-            f"(pass {pass_index}, tile {tile})"
-        )
-        self.pass_index = pass_index
-        self.tile = tile
 
 
 def find_compiler() -> str | None:
@@ -249,8 +229,11 @@ class NativeKernel:
 
     All entry points take the raw buffer address (ctypes releases the GIL
     for the duration of the call, so the thread backend gets true
-    parallelism out of per-pass range calls) and return 0 on success or 1
-    when scratch allocation failed before any element moved.
+    parallelism out of per-pass range calls) and one worker's scratch, of
+    :attr:`scratch_bytes` bytes.  None of them allocates, so none can fail:
+    the caller makes the one allocation (:meth:`alloc_scratch`) before the
+    first element moves.  A caller that passes no scratch gets a block
+    allocated for that one call.
     """
 
     def __init__(self, spec: KernelSpec, path: str):
@@ -265,40 +248,35 @@ class NativeKernel:
         self.compiled = False
         self._lock = threading.Lock()
         lib = ctypes.CDLL(path)
-        self._run = lib.repro_run
-        self._run.argtypes = [ctypes.c_void_p]
-        self._run.restype = ctypes.c_int
-        self._run_batch = lib.repro_run_batch
-        self._run_batch.argtypes = [ctypes.c_void_p, ctypes.c_int64]
-        self._run_batch.restype = ctypes.c_int
+        ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+
+        def bind(sym: str, *argtypes):
+            fn = getattr(lib, sym)
+            fn.argtypes = list(argtypes)
+            fn.restype = None
+            return fn
+
+        self._run = bind("repro_run", ptr, ptr)
+        self._run_batch = bind("repro_run_batch", ptr, i64, ptr)
         self._pass_fns = []
         self._pass_batch_fns = []
         self._copy_fns = []
         for p in spec.passes:
-            fn = getattr(lib, pass_symbol(p.kind))
-            fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
-            fn.restype = ctypes.c_int
-            self._pass_fns.append(fn)
-            bfn = getattr(lib, pass_symbol(p.kind) + "_batch")
-            bfn.argtypes = [ctypes.c_void_p, ctypes.c_int64]
-            bfn.restype = ctypes.c_int
-            self._pass_batch_fns.append(bfn)
+            sym = pass_symbol(p.kind)
+            self._pass_fns.append(bind(sym, ptr, i64, i64, ptr))
+            self._pass_batch_fns.append(bind(sym + "_batch", ptr, i64, ptr))
             copies = {}
             for phase in COPY_PHASES:
-                sym = copy_symbol(p.kind, phase)
-                if sym is None:
+                csym = copy_symbol(p.kind, phase)
+                if csym is None:
                     break
-                cfn = getattr(lib, sym)
-                cfn.argtypes = [
-                    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-                    ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                    ctypes.c_void_p,
-                ]
-                cfn.restype = ctypes.c_int
-                copies[phase] = cfn
+                copies[phase] = bind(csym, ptr, ptr, i64, i64, i64, i64, ptr)
             self._copy_fns.append(copies)
-        #: bytes of one worker's band-copy scratch ring
-        self.ring_bytes = ring_elems(spec.itemsize) * spec.itemsize
+        size = lib.repro_scratch_bytes
+        size.argtypes = []
+        size.restype = i64
+        #: bytes of one worker's scratch: the largest pass's, or a band copy's
+        self.scratch_bytes = size()
         self._lib = lib  # keep the CDLL (and its mapping) alive
 
     @property
@@ -307,40 +285,47 @@ class NativeKernel:
 
     # -- execution ---------------------------------------------------------
 
-    def run(self, addr: int) -> None:
+    def alloc_scratch(self, slots: int = 1) -> np.ndarray:
+        """One block of ``slots`` workers' scratch; worker ``w`` uses the
+        :attr:`scratch_bytes` bytes at ``w * scratch_bytes``.  The only
+        allocation a native call makes, so a :class:`MemoryError` here
+        leaves every buffer as it was."""
+        return np.empty(slots * self.scratch_bytes, dtype=np.uint8)
+
+    def _slot(self, scratch: int | None):
+        """``(keepalive, address)`` of the scratch a call runs with."""
+        if scratch is not None:
+            return None, scratch
+        own = self.alloc_scratch()
+        return own, own.ctypes.data
+
+    def run(self, addr: int, scratch: int | None = None) -> None:
         """All passes over one ``m x n`` tile at buffer address ``addr``."""
-        rc = self._run(addr)
-        if rc != 0:
-            raise NativeScratchError(rc - 1)
+        _keep, slot = self._slot(scratch)
+        self._run(addr, slot)
 
-    def run_batch(self, addr: int, k: int) -> None:
+    def run_batch(self, addr: int, k: int, scratch: int | None = None) -> None:
         """All passes over ``k`` consecutive tiles."""
-        rc = self._run_batch(addr, k)
-        if rc != 0:
-            npasses = len(self._pass_fns)
-            gpi = rc - 1
-            raise NativeScratchError(gpi % npasses, gpi // npasses)
+        _keep, slot = self._slot(scratch)
+        self._run_batch(addr, k, slot)
 
-    def run_pass(self, idx: int, addr: int, lo: int, hi: int) -> None:
+    def run_pass(
+        self, idx: int, addr: int, lo: int, hi: int, scratch: int | None = None
+    ) -> None:
         """Pass ``idx`` over ``[lo, hi)`` of its parallel axis."""
-        if self._pass_fns[idx](addr, lo, hi) != 0:
-            raise NativeScratchError(idx)
+        _keep, slot = self._slot(scratch)
+        self._pass_fns[idx](addr, lo, hi, slot)
 
-    def run_pass_batch(self, idx: int, addr: int, k: int) -> None:
+    def run_pass_batch(
+        self, idx: int, addr: int, k: int, scratch: int | None = None
+    ) -> None:
         """Pass ``idx`` over the full axis of ``k`` consecutive tiles."""
-        rc = self._pass_batch_fns[idx](addr, k)
-        if rc != 0:
-            raise NativeScratchError(idx, rc - 1)
-
-    def copy_scratch(self, idx: int, workers: int) -> np.ndarray:
-        """The scratch of both copy phases of one band of pass ``idx``:
-        one ring per worker.  Allocated before the band loads, so a failed
-        allocation (:class:`MemoryError`) has moved nothing."""
-        return np.empty(max(1, workers) * self.ring_bytes, dtype=np.uint8)
+        _keep, slot = self._slot(scratch)
+        self._pass_batch_fns[idx](addr, k, slot)
 
     def run_pass_banded(
         self, idx: int, phase: str, map_addr: int, band_addr: int,
-        lo: int, hi: int, r0: int, r1: int, ring_addr: int,
+        lo: int, hi: int, r0: int, r1: int, scratch: int | None = None,
     ) -> None:
         """One worker's share of a band copy of pass ``idx``.
 
@@ -349,8 +334,8 @@ class NativeKernel:
         ``map_addr`` is the full ``m x n`` matrix, ``band_addr`` the buffer
         holding band ``[lo, hi)`` (global column groups or columns) of
         every row at the band's own width, ``[r0, r1)`` the mapped rows
-        this call reads (load) or writes (store), and ``ring_addr`` this
-        worker's ring of :meth:`copy_scratch`.
+        this call reads (load) or writes (store), and ``scratch`` this
+        worker's scratch, whose first bytes the copy uses as its ring.
         """
         fn = self._copy_fns[idx].get(phase)
         if fn is None:
@@ -358,8 +343,8 @@ class NativeKernel:
                 f"pass {idx} ({self.spec.passes[idx].kind}) has no banded "
                 f"entry point for {phase!r}; a row band is permuted in place"
             )
-        if fn(map_addr, band_addr, lo, hi, r0, r1, ring_addr) != 0:
-            raise NativeScratchError(idx)
+        _keep, slot = self._slot(scratch)
+        fn(map_addr, band_addr, lo, hi, r0, r1, slot)
 
     # -- lifecycle ---------------------------------------------------------
 

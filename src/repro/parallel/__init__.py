@@ -16,7 +16,6 @@ lengths thwart parallelization.
   serving layer's zero-copy ingress (docs/PARALLEL.md).
 """
 
-from .cache_aware import CacheAwareParallelTranspose
 from .cpu import ParallelTranspose, parallel_transpose_inplace
 from .executor import ParallelExecutor, PassExecutionError, default_worker_count
 from .partition import balanced_chunks
@@ -25,7 +24,6 @@ __all__ = [
     "ParallelExecutor",
     "ParallelTranspose",
     "PassExecutionError",
-    "CacheAwareParallelTranspose",
     "balanced_chunks",
     "default_worker_count",
     "parallel_transpose_inplace",

@@ -23,15 +23,16 @@ its mapped columns and writes only the buffer, its store the reverse.
 
 Each chunk runs the compiled kernel when one is given: ``run_pass`` on a
 full-stride buffer (the in-RAM matrix, or a row band through a base shifted
-back by its first row).  Otherwise, and for a native chunk whose scratch
-allocation failed (it moved nothing), the numpy chunk body
-(:func:`repro.parallel.cpu.chunk_kernel`) runs that exact chunk.  A
-streamed column or rotation band with a kernel runs no chunks: its load
-and store are the kernel's band copies (``run_pass_banded``), which apply
-the pass on the way, over the mapped rows the proven schedule's copy
-footprints give each worker.  A band whose copy scratch cannot be
-allocated, or whose load fails, reruns as a plain copy plus the numpy
-chunk body.
+back by its first row).  Otherwise the numpy chunk body
+(:func:`repro.parallel.cpu.chunk_kernel`) runs it.  A streamed column or
+rotation band with a kernel runs no chunks: its load and store are the
+kernel's band copies (``run_pass_banded``), which apply the pass on the
+way, over the mapped rows the proven schedule's copy footprints give each
+worker.  The kernel's scratch is allocated once per :func:`run`, one slot
+per worker, before the first pass: worker ``w`` (a chunk's position in the
+band's ``balanced_chunks``, or a band copy's ``worker``) runs in slot
+``w``.  No kernel call allocates, so a :class:`MemoryError` can only come
+from that one allocation, with the buffer or file untouched.
 
 The engine alone owns the ``pass.<name>`` span and the
 ``<scope>.pass.<name>`` timer (:func:`timed_pass`, which the plans' map and
@@ -51,6 +52,7 @@ from ..runtime import metrics, plan_cache
 from ..strength.reduced import ReducedEquations
 from ..trace import spans
 from . import cpu
+from .partition import balanced_chunks
 
 __all__ = [
     "BandedScheduleError",
@@ -178,57 +180,39 @@ class WindowBands:
             self.window.store_cols(*self._cols(axis, dec, band), B, copy)
 
 
+class _NativePass:
+    """Kernel pass ``idx`` and the base address of the call's scratch, whose
+    slot ``w`` (``kernel.scratch_bytes`` bytes) is worker ``w``'s."""
+
+    __slots__ = ("kernel", "idx", "base")
+
+    def __init__(self, kernel, idx: int, base: int):
+        self.kernel, self.idx, self.base = kernel, idx, base
+
+    def slot(self, worker: int) -> int:
+        return self.base + worker * self.kernel.scratch_bytes
+
+
 class _BandCopy:
     """One streamed column or rotation band's load and store through the
-    kernel's copies of pass ``idx``, which apply the pass on the way.  The
+    kernel's copies of its pass, which apply the pass on the way.  The
     workers' mapped rows are the proven schedule's copy footprints
-    (``rows[phase][w]``); each worker copies through its own ring of the
-    band's scratch, allocated before the load.  A load that fails moved
-    nothing in the mapping: it sets ``failed`` and the band reruns plain."""
+    (``rows[phase][w]``); worker ``w`` copies through its scratch slot."""
 
-    def __init__(self, kernel, idx: int, band: slice, copies, scratch):
-        self._run = kernel.run_pass_banded
-        self._idx = idx
+    def __init__(self, nat: _NativePass, band: slice, copies):
+        self._nat = nat
         self._lo, self._hi = band.start, band.stop
         self.rows = {
             phase: tuple(f.rows for f in copies if f.phase == phase)
             for phase in ("load", "store")
         }
-        self._scratch = scratch  # keeps the rings alive
-        self._ring = scratch.ctypes.data
-        self._ring_bytes = kernel.ring_bytes
-        self.failed = False
 
     def __call__(self, phase, map_addr, band_addr, i0, i1, worker) -> None:
-        if self.failed:
-            return
-        try:
-            self._run(
-                self._idx, phase, map_addr, band_addr, self._lo, self._hi,
-                i0, i1, self._ring + worker * self._ring_bytes,
-            )
-        except MemoryError:
-            if phase != "load":
-                raise
-            self.failed = True
-
-
-def _band_copy(ps, bi, band, scope, kernel, idx, executor):
-    """The band copy of a streamed column or rotation band, or ``None``
-    when the band runs as a plain copy plus chunks: a row band, no kernel,
-    or a failed scratch allocation (recorded as a native fallback)."""
-    if idx is None or not ps.copies:
-        return None
-    try:
-        scratch = kernel.copy_scratch(
-            idx, 1 if executor is None else executor.n_threads
+        nat = self._nat
+        nat.kernel.run_pass_banded(
+            nat.idx, phase, map_addr, band_addr, self._lo, self._hi, i0, i1,
+            nat.slot(worker),
         )
-    except MemoryError:
-        native.record_fallback(
-            f"band copy scratch allocation failed in {scope} pass {ps.name}"
-        )
-        return None
-    return _BandCopy(kernel, idx, band, ps.copies[bi], scratch)
 
 
 # -- execution -------------------------------------------------------------------
@@ -278,9 +262,13 @@ def run(schedule, source, *, scope: str, kernel=None, executor=None, **attrs) ->
         attrs.update(m=dec.m, n=dec.n, bytes=2 * source.nbytes)
         if kernel is not None:
             attrs["backend"] = "native"
+    scratch = None
+    if kernel is not None:
+        # the call's one allocation, before any element moves
+        scratch = kernel.alloc_scratch(threads)
     bands = 0
     for i, ps in enumerate(schedule.passes):
-        idx = None
+        nat = None
         if kernel is not None:
             # codegen emits the passes in pass_order, one to one
             if kernel.passes[i].parallel_name != ps.name:
@@ -288,46 +276,45 @@ def run(schedule, source, *, scope: str, kernel=None, executor=None, **attrs) ->
                     f"kernel pass {i} is {kernel.passes[i].parallel_name!r}, "
                     f"schedule pass {i} is {ps.name!r}"
                 )
-            idx = i
+            nat = _NativePass(kernel, i, scratch.ctypes.data)
         pass_attrs = dict(attrs, bands=len(ps.bands)) if tracing else attrs
         timed_pass(
             scope, ps.name, pass_attrs, _run_pass, ps, source, dec, scope,
-            kernel, idx, executor,
+            nat, executor,
         )
         bands += len(ps.bands)
     return bands
 
 
-def _run_pass(ps, source, dec, scope, kernel, idx, executor) -> None:
+def _run_pass(ps, source, dec, scope, nat, executor) -> None:
     """One pass band by band, inside a shadow-memory scope when the
     sanitizer is enabled (zero-shift rotation groups are skipped, so
     rotation coverage is at-most-once)."""
     san = racecheck.sanitizer
     if not san.enabled:
-        _run_bands(ps, source, dec, scope, kernel, idx, executor, None)
+        _run_bands(ps, source, dec, nat, executor, None)
         return
     with san.pass_scope(
         f"{scope}.{ps.name}", dec.m * dec.n, full_coverage=ps.axis != "colgroups"
     ):
-        _run_bands(ps, source, dec, scope, kernel, idx, executor, san)
+        _run_bands(ps, source, dec, nat, executor, san)
 
 
-def _run_bands(ps, source, dec, scope, kernel, idx, executor, san) -> None:
+def _run_bands(ps, source, dec, nat, executor, san) -> None:
     """Every band of one pass over ``source``, in schedule order."""
     if not source.streamed:
         for band in ps.bands:  # in RAM, a band is a view of the whole matrix
-            _run_chunks(
-                ps, band, source.V, source.addr, 0, dec, scope, kernel, idx,
-                executor, san,
-            )
+            _run_chunks(ps, band, source.V, source.addr, 0, dec, nat, executor, san)
         return
     for bi, band in enumerate(ps.bands):
-        _run_band(ps, bi, band, source, dec, scope, kernel, idx, executor, san)
+        _run_band(ps, bi, band, source, dec, nat, executor, san)
 
 
-def _run_band(ps, bi, band, source, dec, scope, kernel, idx, executor, san) -> None:
+def _run_band(ps, bi, band, source, dec, nat, executor, san) -> None:
     """Load one streamed band, run its chunks and store it, inside a
-    ``stream.band`` span (the job's progress record), with a counter."""
+    ``stream.band`` span (the job's progress record), with a counter.  A
+    column or rotation band with a kernel runs its band copy instead of
+    chunks."""
     tr = spans.tracer
     nbytes = racecheck.axis_rect(
         ps.axis, dec.m, dec.n, ps.total, band.start, band.stop
@@ -336,19 +323,16 @@ def _run_band(ps, bi, band, source, dec, scope, kernel, idx, executor, san) -> N
         "stream.band", stage=ps.name, band=bi, bands=len(ps.bands),
         lo=band.start, hi=band.stop, bytes=2 * nbytes,
     ) if tr.enabled else _NULL_CM:
-        copy = _band_copy(ps, bi, band, scope, kernel, idx, executor)
+        copy = None
+        if nat is not None and ps.copies:
+            copy = _BandCopy(nat, band, ps.copies[bi])
         B = source.load(ps.axis, dec, band, copy)
-        if copy is not None and copy.failed:
-            native.record_fallback(f"band load failed in {scope} pass {ps.name}")
-            copy = None
-            B = source.load(ps.axis, dec, band)
         if copy is None:
-            # a row band in the mapped pages, or a column band run plain:
-            # only a full-stride row band can take the kernel
-            rows = ps.axis == "rows"
+            # a row band in the mapped pages, or a column band without a
+            # kernel: only a full-stride row band can take the kernel
             _run_chunks(
-                ps, band, B, B.ctypes.data, band.start, dec, scope,
-                kernel if rows else None, idx if rows else None, executor, san,
+                ps, band, B, B.ctypes.data, band.start, dec,
+                nat if ps.axis == "rows" else None, executor, san,
             )
         source.store(ps.axis, dec, band, B, copy)
     reg = metrics.registry
@@ -356,49 +340,50 @@ def _run_band(ps, bi, band, source, dec, scope, kernel, idx, executor, san) -> N
         reg.inc("stream.bands")
 
 
-def _run_chunks(ps, band, B, addr, origin, dec, scope, kernel, idx, executor, san) -> None:
+def _run_chunks(ps, band, B, addr, origin, dec, nat, executor, san) -> None:
     """The chunks of ``band`` on buffer ``B`` at address ``addr``, whose
     first row, column or group is global index ``origin``: the band's one
     chunk by a direct call, or the pool's chunks with one ``worker.chunk``
-    span each (carrying the rectangle it owns)."""
+    span each (carrying the rectangle it owns).  Chunk ``w`` of the
+    band's ``balanced_chunks`` runs in scratch slot ``w``."""
     if executor is None:
-        _run_chunk(ps, dec, B, addr, origin, scope, kernel, idx, san, band.start, band.stop)
+        _run_chunk(ps, dec, B, addr, origin, nat, san, band.start, band.stop, 0)
         return
     tr = spans.tracer
     axis_rect = racecheck.axis_rect
+    total = band.stop - band.start
+    worker = {
+        ch.start: w
+        for w, ch in enumerate(balanced_chunks(total, executor.n_threads))
+    } if nat is not None else None
 
     def body(local: slice) -> None:
         lo, hi = band.start + local.start, band.start + local.stop
+        w = 0 if worker is None else worker[local.start]
         if not tr.enabled:
-            _run_chunk(ps, dec, B, addr, origin, scope, kernel, idx, san, lo, hi)
+            _run_chunk(ps, dec, B, addr, origin, nat, san, lo, hi, w)
             return
         r = axis_rect(ps.axis, dec.m, dec.n, ps.total, lo, hi)
         with tr.span(
             "worker.chunk", stage=ps.name, r0=r.r0, r1=r.r1, c0=r.c0, c1=r.c1,
             bytes=2 * r.area * B.itemsize,
         ):
-            _run_chunk(ps, dec, B, addr, origin, scope, kernel, idx, san, lo, hi)
+            _run_chunk(ps, dec, B, addr, origin, nat, san, lo, hi, w)
 
-    executor.parallel_for(band.stop - band.start, body, name=ps.name)
+    executor.parallel_for(total, body, name=ps.name)
 
 
-def _run_chunk(ps, dec, B, addr, origin, scope, kernel, idx, san, lo, hi) -> None:
+def _run_chunk(ps, dec, B, addr, origin, nat, san, lo, hi, worker) -> None:
     """The global chunk ``[lo, hi)`` of pass ``ps`` on buffer ``B`` (at
-    ``addr``; its first row, column or group is ``origin``): through kernel
-    pass ``idx`` when one is given (``B`` then has the full row stride),
-    else — or when the native chunk's scratch allocation failed, which
-    moved nothing — through the numpy chunk body."""
-    if idx is not None:
-        try:
-            # full row stride: the in-RAM matrix (origin 0) or a row band,
-            # addressed through a base shifted back to global row 0
-            shift = origin * dec.n * B.itemsize if ps.axis == "rows" else 0
-            kernel.run_pass(idx, addr - shift, lo, hi)
-            return
-        except MemoryError:
-            native.record_fallback(
-                f"scratch allocation failed in {scope} pass {ps.name}"
-            )
+    ``addr``; its first row, column or group is ``origin``): through the
+    kernel pass in ``worker``'s scratch slot when ``nat`` is given (``B``
+    then has the full row stride), else through the numpy chunk body."""
+    if nat is not None:
+        # full row stride: the in-RAM matrix (origin 0) or a row band,
+        # addressed through a base shifted back to global row 0
+        shift = origin * dec.n * B.itemsize if ps.axis == "rows" else 0
+        nat.kernel.run_pass(nat.idx, addr - shift, lo, hi, nat.slot(worker))
+        return
     red = _reduced(dec)
     chunk = slice(lo, hi)
     if san is not None:

@@ -3,7 +3,7 @@
 Differential correctness against the numpy executors over a
 dtype x order x shape lattice, plan-cache byte accounting of the ``.so``
 artifacts (including eviction unlinking them), concurrent first-compile,
-the scratch-failure resume contract, and every leg of the fallback
+the all-or-nothing scratch allocation, and every leg of the fallback
 resolution contract (``REPRO_NATIVE=0``, no compiler, min-elems floor,
 explicit backend requests).
 
@@ -24,7 +24,7 @@ from repro.core.c2r import c2r_transpose
 from repro.core.plan import TransposePlan
 from repro.core.r2c import r2c_transpose
 from repro.core.transpose import transpose_inplace
-from repro.native.kernel import NativeKernel, NativeScratchError
+from repro.native.kernel import NativeKernel
 from repro.parallel import ParallelTranspose
 from repro.runtime import metrics, plan_cache
 from repro.stream import transpose_file_inplace
@@ -201,7 +201,7 @@ def _run_band_copies(kernel, dec, V: np.ndarray, bands: int, workers: int) -> No
     from repro.parallel.partition import balanced_chunks
 
     m = dec.m
-    ring = kernel.copy_scratch(0, 1)
+    scratch = kernel.alloc_scratch()
     blocks = [
         (share.start + b.start, share.start + b.stop)
         for share in balanced_chunks(m, workers)
@@ -218,7 +218,7 @@ def _run_band_copies(kernel, dec, V: np.ndarray, bands: int, workers: int) -> No
                 for r0, r1 in blocks:
                     kernel.run_pass_banded(
                         i, phase, V.ctypes.data, B.ctypes.data,
-                        bnd.start, bnd.stop, r0, r1, ring.ctypes.data,
+                        bnd.start, bnd.stop, r0, r1, scratch.ctypes.data,
                     )
 
 
@@ -304,50 +304,6 @@ class TestColumnShuffle:
             getattr(pt, alg)(buf, m, n)
         assert buf.tobytes() == _restricted(proto, m, n, alg).tobytes()
         assert _counters().get("native.compile", 0) == 1
-
-    @pytest.mark.parametrize("alg", ALGORITHMS)
-    def test_failed_allocation_returns_1_untouched(self, alg, tmp_path, monkeypatch):
-        """Either of the pass's two scratch allocations may fail; the pass
-        must return 1 with every byte of the matrix as it was."""
-        import ctypes
-        import dataclasses
-
-        from repro.core.indexing import Decomposition
-        from repro.native.codegen import _SHARED_END, generate_source
-        from repro.native.kernel import compile_spec
-
-        monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path))
-        m, n = 200, 300
-        spec = generate_source(Decomposition.of(m, n), alg, 4)
-        # after the shared prelude: only the passes' translation unit
-        # (the band copies allocate nothing) defines the counter
-        shim = (
-            f"{_SHARED_END}\n"
-            "int repro_test_mallocs = -1;\n"
-            "static void *repro_test_malloc(size_t n) {\n"
-            "  if (repro_test_mallocs == 0) return NULL;\n"
-            "  if (repro_test_mallocs > 0) --repro_test_mallocs;\n"
-            "  return malloc(n);\n"
-            "}\n"
-            "#define malloc(n) repro_test_malloc(n)\n"
-        )
-        source = spec.source.replace(f"{_SHARED_END}\n", shim, 1)
-        assert source != spec.source
-        kernel = compile_spec(dataclasses.replace(spec, source=source))
-        budget = ctypes.c_int.in_dll(kernel._lib, "repro_test_mallocs")
-        idx = next(
-            i for i, p in enumerate(kernel.passes) if p.kind == "gather_rows"
-        )
-        proto = np.arange(m * n, dtype=np.float32)
-        for granted in range(2):
-            budget.value = granted
-            buf = proto.copy()
-            assert kernel._pass_fns[idx](buf.ctypes.data, 0, n) == 1, granted
-            assert buf.tobytes() == proto.tobytes(), granted
-        budget.value = -1
-        buf = proto.copy()
-        assert kernel._pass_fns[idx](buf.ctypes.data, 0, n) == 0
-        assert buf.tobytes() != proto.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -588,126 +544,75 @@ class TestPlanFootprint:
 
 
 # ---------------------------------------------------------------------------
-# scratch-failure resume
+# one scratch allocation per call, before any element moves
 # ---------------------------------------------------------------------------
+
+
+def _scratch_case(case: str, tmp_path):
+    """``(run, contents)`` for one native entry point over a fresh input:
+    ``run()`` transposes it, ``contents()`` is its bytes now."""
+    m, n = 256, 384  # gcd 128: all three passes run natively
+    if case == "stream":
+        # 150k native-sized elements through a 64 KiB window: many bands
+        m, n = 300, 500
+        path = tmp_path / "m.bin"
+        np.arange(m * n, dtype=np.float32).tofile(path)
+        return (
+            lambda: transpose_file_inplace(
+                path, m, n, np.float32, window_bytes=64 * 1024, n_threads=2
+            ),
+            path.read_bytes,
+        )
+    k = 3 if case == "batched" else 1
+    buf = np.arange(k * m * n, dtype=np.float64)
+    if case == "batched":
+        def run():
+            batched_transpose_inplace(buf, m, n, backend="native")
+    elif case == "parallel":
+        def run():
+            with ParallelTranspose(2) as pt:
+                pt.c2r(buf, m, n)
+    else:
+        def run():
+            transpose_inplace(buf, m, n, algorithm=case, backend="native")
+    return run, buf.tobytes
+
+
+_SCRATCH_CASES = ["c2r", "r2c", "batched", "parallel", "stream"]
 
 
 @requires_toolchain
 @needs_native_run
-class TestScratchResume:
-    @staticmethod
-    def _fail_pass_at_tile(monkeypatch, kernel, bad_pass: int, tile: int) -> list:
-        """Make ``kernel.run_pass_batch`` run pass ``bad_pass`` natively on
-        the tiles before ``tile`` and then fail its scratch allocation
-        there (moving nothing); every other pass runs for real.  Returns
-        the log of every pass index the kernel was asked to run."""
-        real = kernel.run_pass_batch
-        calls: list = []
-
-        def failing(idx, addr, k):
-            calls.append(idx)
-            if idx != bad_pass:
-                return real(idx, addr, k)
-            real(idx, addr, tile)
-            raise NativeScratchError(idx, tile)
-
-        monkeypatch.setattr(kernel, "run_pass_batch", failing)
-        return calls
-
-    def _check_resume(self, monkeypatch, k: int) -> None:
-        """For both algorithms, pass 1 fails at the last tile: numpy redoes
-        it from there, the pass after it still calls the kernel, and one
-        fallback counts."""
-        m, n = 256, 384  # gcd 128: three passes
-        proto = np.arange(k * m * n, dtype=np.float64)
-        tiles = proto.reshape(k, m, n)
-        expected = np.ascontiguousarray(tiles.transpose(0, 2, 1)).reshape(-1)
-        monkeypatch.setattr(native, "_warned_once", True)  # silence
-        for alg in ALGORITHMS:
-            batched_transpose_inplace(
-                proto.copy(), m, n, algorithm=alg, backend="native"
-            )  # compile
-            plan = plan_cache.get_batched_plan(
-                m, n, "C", alg, np.dtype(np.float64)
-            )
-            kernel = native.kernel_for_plan(plan, 8)
-            assert kernel is not None and len(kernel.passes) == 3
-            calls = self._fail_pass_at_tile(monkeypatch, kernel, 1, k - 1)
-            metrics.reset()
-            buf = proto.copy()
-            if k == 1:
-                transpose_inplace(buf, m, n, algorithm=alg, backend="native")
-            else:
-                batched_transpose_inplace(
-                    buf, m, n, algorithm=alg, backend="native"
-                )
-            assert buf.tobytes() == expected.tobytes(), alg
-            assert calls == [0, 1, 2], "the pass after the failure stays native"
-            assert _counters().get("native.fallback", 0) == 1, alg
-
-    def test_single_resumes_from_failing_pass(self, monkeypatch):
-        self._check_resume(monkeypatch, 1)
-
-    def test_batched_resumes_from_failing_tile(self, monkeypatch):
-        self._check_resume(monkeypatch, 3)
+class TestScratchAllocation:
+    """Every native call allocates its kernels' scratch once, before the
+    first pass, and no kernel entry point allocates: a failed allocation
+    raises :class:`MemoryError` with the input exactly as it was, and is
+    not a native fallback (nothing is redone on numpy)."""
 
     @staticmethod
-    def _fail_one_chunk(monkeypatch, entry: str) -> list:
-        """Make the first ``NativeKernel.<entry>`` call fail its scratch
-        allocation (before moving data); returns the log of every call."""
-        real = getattr(NativeKernel, entry)
-        lock = threading.Lock()
+    def _fail_allocation(monkeypatch) -> list:
         calls: list = []
 
-        def failing(self, *args):
-            with lock:
-                calls.append(args)
-                first = len(calls) == 1
-            if first:
-                raise MemoryError("injected scratch failure")
-            return real(self, *args)
+        def failing(self, slots=1):
+            calls.append(slots)
+            raise MemoryError("injected scratch allocation failure")
 
-        monkeypatch.setattr(NativeKernel, entry, failing)
-        monkeypatch.setattr(native, "_warned_once", True)  # silence
+        monkeypatch.setattr(NativeKernel, "alloc_scratch", failing)
         return calls
 
-    @pytest.mark.parametrize("alg", ALGORITHMS)
-    def test_parallel_chunk_falls_back_to_numpy(self, monkeypatch, alg):
-        m, n = 256, 384  # gcd 128: all three passes run natively
-        proto = np.arange(m * n, dtype=np.float64)
-        calls = self._fail_one_chunk(monkeypatch, "run_pass")
-        buf = proto.copy()
-        with ParallelTranspose(2) as pt:
-            if alg == "c2r":
-                pt.c2r(buf, m, n)
-            else:
-                pt.r2c(buf, n, m)
-        np.testing.assert_array_equal(buf, _expected(proto, m, n, "C"))
-        assert len(calls) > 1, "the other chunks must still run natively"
-        assert _counters().get("native.fallback", 0) == 1
-
-    @pytest.mark.parametrize("entry", ["run_pass", "run_pass_banded"])
-    @pytest.mark.parametrize("alg", ALGORITHMS)
-    def test_stream_chunk_falls_back_to_numpy(
-        self, tmp_path, monkeypatch, alg, entry
+    @pytest.mark.parametrize("case", _SCRATCH_CASES)
+    def test_failed_allocation_raises_with_input_untouched(
+        self, case, tmp_path, monkeypatch
     ):
-        # 150k elements (native-sized, gcd 100) through a 64 KiB window:
-        # row passes call run_pass, column/rotation passes run_pass_banded
-        m, n = 300, 500
-        A = np.arange(m * n, dtype=np.float32).reshape(m, n)
-        path = tmp_path / "m.bin"
-        A.tofile(path)
-        calls = self._fail_one_chunk(monkeypatch, entry)
-        stats = transpose_file_inplace(
-            path, m, n, np.float32, algorithm=alg,
-            window_bytes=64 * 1024, n_threads=2,
-        )
-        assert stats["bands"] > stats["passes"]
-        np.testing.assert_array_equal(
-            np.fromfile(path, np.float32).reshape(n, m), A.T
-        )
-        assert len(calls) > 1, "the other chunks must still run natively"
-        assert _counters().get("native.fallback", 0) == 1
+        run, contents = _scratch_case(case, tmp_path)
+        before = contents()
+        fallbacks = _counters().get("native.fallback", 0)
+        calls = self._fail_allocation(monkeypatch)
+        with pytest.raises(MemoryError, match="injected"):
+            run()
+        assert calls == [2 if case in ("parallel", "stream") else 1]
+        assert contents() == before
+        assert _counters().get("native.fallback", 0) == fallbacks
 
 
 # ---------------------------------------------------------------------------
@@ -759,76 +664,6 @@ class TestSanitizedNative:
         assert sanitizer.stats()["passes_checked"] > before
         assert _counters().get("native.fallback", 0) >= 1
         assert _counters().get("native.compile", 0) == 0
-
-    @staticmethod
-    def _redo_under_shadow(monkeypatch, alg: str, k: int, reported: int):
-        """Run every pass of a ``k``-tile plan through the plan's native
-        pass with a stand-in kernel that moves the tiles before the last
-        one and then fails its scratch allocation, reporting tile
-        ``reported``; numpy redoes the pass from there.  One shadow scope
-        per pass spans the whole batch, and every tile that either side
-        moves records its map reads and its writes, so the redo must read
-        and write exactly the tiles the kernel left.  Returns the buffer
-        and the expected transpose."""
-        from repro.analysis.racecheck import sanitizer
-        from repro.core.batched import BatchedTransposePlan
-
-        m, n = 12, 18  # gcd 6: three passes
-        mn = m * n
-        plan = BatchedTransposePlan(m, n, algorithm=alg)
-        steps = plan._steps
-        buf = np.arange(k * mn, dtype=np.float64)
-        expected = np.ascontiguousarray(
-            buf.reshape(k, m, n).transpose(0, 2, 1)
-        ).ravel()
-        V = buf.reshape(k, mn)
-        base = buf.ctypes.data
-        real_apply = plan._apply_step
-
-        def shadowed(tiles, idx):
-            first = (tiles.ctypes.data - base) // (mn * buf.itemsize)
-            for t in range(first, first + tiles.shape[0]):
-                sanitizer.record(
-                    reads=t * mn + idx.astype(np.int64),
-                    writes=t * mn + np.arange(mn),
-                    where=f"tile {t}",
-                )
-            real_apply(tiles, idx)
-
-        monkeypatch.setattr(plan, "_apply_step", shadowed)
-
-        class FailingKernel:
-            def run_pass_batch(self, i, addr, count):
-                shadowed(V[: k - 1], steps[i][1])  # the kernel's tiles
-                raise NativeScratchError(i, reported)
-
-        for i, p in enumerate(plan.schedule.passes):
-            with sanitizer.pass_scope(f"plan.{p.name}", k * mn):
-                plan._native_pass(FailingKernel(), i, p.name, V, base)
-        return buf, expected, len(steps)
-
-    @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("alg", ALGORITHMS)
-    def test_scratch_failure_redo_is_shadow_checked(self, monkeypatch, alg, k):
-        from repro.analysis.racecheck import sanitizer
-
-        before = sanitizer.stats()["passes_checked"]
-        buf, expected, passes = self._redo_under_shadow(
-            monkeypatch, alg, k, k - 1
-        )
-        assert buf.tobytes() == expected.tobytes()
-        assert sanitizer.stats()["passes_checked"] == before + passes
-        assert _counters().get("native.fallback", 0) == passes
-
-    def test_redo_from_a_tile_the_kernel_moved_is_caught(self, monkeypatch):
-        """A failure reported one tile early makes the redo gather a tile
-        the kernel already moved: the shadow sees it read what was
-        written."""
-        from repro.analysis.racecheck import SanitizerError
-
-        with pytest.raises(SanitizerError) as exc:
-            self._redo_under_shadow(monkeypatch, "c2r", 3, 1)
-        assert exc.value.kind in ("read-after-clobber", "double write")
 
     def test_batched_sanitizer_catches_out_of_range_gather(self):
         from repro.analysis.racecheck import SanitizerError

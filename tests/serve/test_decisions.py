@@ -9,7 +9,7 @@ from __future__ import annotations
 import http.client
 import json
 import threading
-from time import monotonic, sleep
+from time import monotonic
 
 import numpy as np
 import pytest
@@ -71,18 +71,6 @@ def _instants(name, trace_id=None):
     ]
 
 
-def _request_span(trace_id):
-    """The request's ``serve.request`` span.  The handler closes it after
-    the reply is written, so the client can read the reply first: poll."""
-    t_end = monotonic() + 10
-    while True:
-        for r in spans.tracer.snapshot():
-            if r.name == "serve.request" and r.trace_id == trace_id:
-                return r
-        assert monotonic() < t_end, f"no serve.request span for {trace_id}"
-        sleep(0.01)
-
-
 def _http_only(srv):
     """Serve HTTP without starting the worker pool: nothing drains."""
     srv._serve_thread = threading.Thread(
@@ -105,17 +93,17 @@ def _req(m=6, n=4, seed=0, **kw):
 
 class TestServedRequest:
     def test_request_tree_shows_admit_coalesce_and_dispatch(
-        self, server, traced
+        self, server, traced, request_span
     ):
         status, _ = _post(server, _body(8, 6), _headers(8, 6, "tree-1"))
         assert status == 200
-        _request_span("tree-1")
+        request_span("tree-1")
         tree = to_request_tree(traced.snapshot(), "tree-1")
         for name in ("serve.admit", "serve.coalesce", "serve.dispatch"):
             assert f"* {name}" in tree, tree
         assert "serve.request" in tree
 
-    def test_each_decision_is_recorded_once(self, server, traced):
+    def test_each_decision_is_recorded_once(self, server, traced, request_span):
         status, _ = _post(server, _body(8, 6), _headers(8, 6, "once-1"))
         assert status == 200
         for name in ("serve.admit", "serve.coalesce", "serve.dispatch"):
@@ -123,7 +111,7 @@ class TestServedRequest:
         admit = _instants("serve.admit", "once-1")[0]
         assert admit.attrs["depth"] >= 1
         assert (admit.attrs["m"], admit.attrs["n"]) == (8, 6)
-        assert admit.parent_id == _request_span("once-1").span_id
+        assert admit.parent_id == request_span("once-1").span_id
         dispatch = _instants("serve.dispatch", "once-1")[0]
         assert dispatch.attrs["requests"] == 1
 

@@ -139,7 +139,9 @@ class TestTraceIdHeader:
 
 
 class TestThreadModePropagation:
-    def test_request_spans_share_trace_id_across_server_threads(self, server):
+    def test_request_spans_share_trace_id_across_server_threads(
+        self, server, request_span
+    ):
         spans.tracer.reset()
         spans.enable()
         try:
@@ -148,6 +150,8 @@ class TestThreadModePropagation:
                 _headers(8, 6, **{"X-Repro-Trace-Id": "prop-1"}),
             )
             assert status == 200
+            # serve.request closes after the reply is written: wait for it
+            request_span("prop-1")
             recs = [r for r in spans.tracer.snapshot()
                     if r.trace_id == "prop-1"]
         finally:

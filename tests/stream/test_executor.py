@@ -272,51 +272,6 @@ class TestValidationAndFailure:
             with pytest.raises(RuntimeError, match="injected pass failure"):
                 ex.transpose_file(path, m, n, np.float64)
 
-    @pytest.mark.skipif(
-        not _native_compiler() or _sanitized(),
-        reason="needs the compiled band copies",
-    )
-    @pytest.mark.parametrize("algorithm", ["c2r", "r2c"])
-    @pytest.mark.parametrize("axis", ["groups", "cols"])
-    def test_failed_copy_scratch_reruns_the_band_plain(
-        self, tmp_path, monkeypatch, axis, algorithm
-    ):
-        """A band whose copy scratch cannot be allocated moves nothing: it
-        reruns as a plain copy plus the numpy chunk body, recorded as a
-        native fallback, and the file still matches ``np.transpose``."""
-        from repro import native
-        from repro.native.kernel import NativeKernel
-        from repro.runtime import metrics
-
-        m, n = 300, 500  # native-sized, gcd 100: a rotation pass runs
-        A = np.random.default_rng(3).standard_normal((m, n)).astype(np.float32)
-        path = _write(tmp_path, A)
-        real = NativeKernel.copy_scratch
-        calls: list[int] = []
-        failed: list[int] = []
-
-        def failing(self, idx, workers):
-            calls.append(idx)
-            # the first rotation band, or the first column band
-            if self.passes[idx].axis == axis and not failed:
-                failed.append(idx)
-                raise MemoryError("injected copy scratch failure")
-            return real(self, idx, workers)
-
-        monkeypatch.setattr(NativeKernel, "copy_scratch", failing)
-        monkeypatch.setattr(native, "_warned_once", True)  # silence
-        metrics.reset()
-        stats = transpose_file_inplace(
-            path, m, n, np.float32, algorithm=algorithm,
-            window_bytes=64 * 1024, n_threads=2,
-        )
-        assert stats["bands"] > stats["passes"]
-        want = np.ascontiguousarray(A.T).tobytes()
-        assert np.fromfile(path, dtype=np.float32).tobytes() == want
-        assert failed, f"no {axis} band ran"
-        assert len(calls) > 1, "the other bands must still copy natively"
-        assert metrics.snapshot()["counters"].get("native.fallback") == 1
-
     def test_proof_memo_covers_repeat_runs(self, tmp_path):
         before = len(engine._PROVEN)
         for _ in range(2):
