@@ -271,6 +271,10 @@ def preprocess(source: str) -> tuple[list[str], dict[str, MacroDef]]:
             ["(", "(", "uint64_t", ")", "(", "x", ")", ")"],
             "#define UINT64_C(x) ((uint64_t)(x))",
         ),
+        # an attribute is advice to the compiler only: it expands to nothing
+        "__attribute__": MacroDef(
+            "__attribute__", ["x"], [], "#define __attribute__(x)"
+        ),
     }
     code_lines = []
     for line in text.splitlines():
@@ -386,7 +390,9 @@ _BASE_SIZES = {
 }
 
 _UNSIGNED_TYPES = {"uint8_t", "uint16_t", "uint32_t", "uint64_t", "size_t"}
-_QUALIFIERS = {"const", "static", "signed", "unsigned", "volatile", "register"}
+_QUALIFIERS = {
+    "const", "static", "inline", "signed", "unsigned", "volatile", "register"
+}
 
 
 def _wrap_signed(v: int, bits: int) -> int:

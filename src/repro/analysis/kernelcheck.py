@@ -111,9 +111,11 @@ __all__ = [
 #: the non-square 500x1000), odd/prime and degenerate shapes, small
 #: shapes covering every element width the codegen supports, 48x100
 #: 16-byte, whose column shuffle runs full 32-column skew stripes (m > 32)
-#: under bands and chunks that start off the stripe grid, and the coprime
+#: under bands and chunks that start off the stripe grid, the coprime
 #: 40x57, whose C2R row shuffle takes the c = 1 form on rows longer than
-#: a skew stripe.
+#: a skew stripe, and 100x100 f64, whose narrow-group rotation (b = 1)
+#: runs two ring stripes: the direct view at s = 0 and the row-reversed
+#: one at s = 64.
 DEFAULT_CONFIGS: tuple[tuple[int, int, str, int], ...] = (
     (256, 384, "C", 8),
     (256, 384, "F", 8),
@@ -130,6 +132,7 @@ DEFAULT_CONFIGS: tuple[tuple[int, int, str, int], ...] = (
     (6, 4, "C", 4),
     (48, 100, "C", 16),
     (40, 57, "C", 4),
+    (100, 100, "C", 8),
 )
 
 #: largest operand range checked exhaustively for fastdiv exactness;

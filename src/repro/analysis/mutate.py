@@ -11,7 +11,8 @@ the clean kernels pass.
 
 Each fault class is a textual transform over the generated C.  A class
 that finds no anchor in a particular kernel variant (e.g. the wide-rotate
-copy fault in a narrow-rotate kernel) is *skipped* for that config, but
+copy fault in a kernel whose groups rotate through the skew ring) is
+*skipped* for that config, but
 the harness fails unless at least :data:`MIN_CLASSES` distinct classes
 were actually applied somewhere and every applied mutant was killed.
 
@@ -48,8 +49,8 @@ __all__ = [
 MIN_CLASSES = 8
 
 #: (m, n, order, algorithm, itemsize) kernel variants to mutate: both
-#: algorithms, and both rotate code paths (narrow-group staged gather at
-#: b*itemsize < 64, wide-group memcpy/memmove rotation at >= 64).
+#: algorithms, and both rotate code paths (narrow groups through the skew
+#: ring at b*itemsize < 64, wide-group memcpy/memmove rotation at >= 64).
 MUTATION_CONFIGS: tuple[tuple[int, int, str, str, int], ...] = (
     (12, 18, "C", "c2r", 8),
     (12, 18, "C", "r2c", 8),
@@ -191,7 +192,8 @@ FAULT_CLASSES: tuple[FaultClass, ...] = (
     ),
     FaultClass(
         "swapped-loop-bounds",
-        "rotation group loop bounds swapped (runs zero iterations)",
+        "rotation group loop or ring stripe loop bounds swapped (runs "
+        "zero iterations)",
         lambda src: (
             _sub_first(
                 r"\(g = glo; g < ghi; \+\+g\)",
@@ -199,8 +201,8 @@ FAULT_CLASSES: tuple[FaultClass, ...] = (
                 src,
             )
             or _sub_first(
-                r"\(g0 = glo; g0 < ghi; g0 \+= GBLK\)",
-                "(g0 = ghi; g0 < glo; g0 += GBLK)",
+                r"\(j0 = lo; j0 < hi; j0 \+= w\)",
+                "(j0 = hi; j0 < lo; j0 += w)",
                 src,
             )
         ),

@@ -30,8 +30,8 @@ int64_t r0, int64_t r1, char *scratch)`` / ``..._store(...)``
     (global column groups or columns) of mapped rows ``[r0, r1)`` from the
     full matrix ``map`` into ``band`` (all ``m`` rows at the band's own
     width), a store copies it back, and each applies its half of the
-    pass on the way (see :func:`_copy_passes`), through a ``RING x SKW``
-    ring at the start of ``scratch``.  The row shuffle needs none: a row
+    pass on the way (see :func:`_copy_passes`), through the skew ring at
+    the start of ``scratch``.  The row shuffle needs none: a row
     band keeps the full row stride, so the executor hands
     ``repro_pass_gather_cols`` a shifted base pointer.
 ``void repro_run(char *buf, char *scratch)`` / ``void repro_run_batch(char *buf, int64_t k, char *scratch)``
@@ -50,6 +50,13 @@ The unit is one logical translation unit (what the verifier interprets),
 marked so that :func:`split_units` can cut it into two that compile
 concurrently: the passes and drivers, and the band copies, each with the
 shared prelude of types, constants, reciprocals and the skew ring.
+
+Every rotation whose amount rises by one per unit (Section 4.2, Eqs.
+32-33) walks that one ring: the column shuffle's skew in units of one
+column and the rotation of Eq. 23 / Eq. 36 in units of one ``b``-element
+group, in place (``repro_skew``) and in the band copies
+(``repro_skew_band``).  Groups of a cache line or more rotate by
+whole-segment copies instead.
 
 Eligibility
 -----------
@@ -97,9 +104,13 @@ _ELEM_TYPES = {
     16: "repro_elem16_t",
 }
 
-#: scratch ceiling for the narrow-group rotation's staged block (bytes);
-#: the block shrinks for tall matrices so it stays cache-resident
-_COL_BLOCK_SCRATCH = 1 << 19
+
+def _wide_groups(dec: Decomposition, itemsize: int) -> bool:
+    """Whether a column group's row segment is a cache line or more: such
+    a group rotates by whole-segment copies, since its segment can be
+    wider than a 512-byte ring stripe; narrower groups go through the
+    skew ring in units of one group."""
+    return dec.b * itemsize >= 64
 
 
 @dataclass(frozen=True)
@@ -161,19 +172,184 @@ def _magic_macros(dec: Decomposition) -> str:
     return "\n".join(lines)
 
 
+def _skw(itemsize: int) -> int:
+    """Columns of one skew stripe: 512 bytes, at most 128 elements."""
+    return min(128, 512 // itemsize)
+
+
+def _gskw(dec: Decomposition, itemsize: int) -> int:
+    """Groups of one narrow-group stripe: 512 bytes of whole groups, at
+    most ``SKW`` of them (the ring holds ``2 * SKW`` rows)."""
+    return max(1, min(_skw(itemsize), 512 // (dec.b * itemsize)))
+
+
+#: per algorithm, the ring's direction, written once for every ring walk
+#: (DSTEP, GSTEP, NEAR, RING_SLOT, RING_RUN below): a diagonal climbs one
+#: ring row per unit for C2R and descends for R2C, and NEAR is the view
+#: (1 direct, -1 row-reversed) on which a rotation's offsets rise
+_RING_DIRECTION = {
+    "c2r": ("SKW + 1", "GSKW * B + B", 1, "(first) + (t)", "RING - (slot)"),
+    "r2c": ("1 - SKW", "B - GSKW * B", -1, "(first) + RING - (t)", "(slot) + 1"),
+}
+
+
+def _ring_section(dec: Decomposition, itemsize: int, algorithm: str) -> str:
+    """The skew ring: its constants, the diagonal copies and the in-place
+    ring rotation ``repro_skew``, shared by the column shuffle (units of
+    one column), the narrow-group rotation (units of one group) and the
+    band copies.  A stripe of ``STRIPE(U)`` units (at most 512 bytes and
+    at most ``SKW`` units) passes through a ``RING``-row ring of
+    ``U * STRIPE(U)`` elements a row, whose diagonal climbs one ring row
+    per unit for C2R and descends for R2C."""
+    skw = _skw(itemsize)
+    gskw = _gskw(dec, itemsize)
+    ring = 2 * skw
+    m = dec.m
+    saverows = max(1, min(m, (m + skw) // 2))
+    ringw = skw if _wide_groups(dec, itemsize) else max(skw, gskw * dec.b)
+    dstep, gstep, near, slot, run = _RING_DIRECTION[algorithm]
+    loads = "\n".join(f"    elem_t v{k} = p[{k} * DSTEP];" for k in range(8))
+    stores = "\n".join(f"    o[{k}] = v{k};" for k in range(8))
+    return f"""
+#define SKW INT64_C({skw})
+#define GSKW INT64_C({gskw})
+#define RINGW INT64_C({ringw})
+#define RING INT64_C({ring})
+#define RMASK INT64_C({ring - 1})
+#define RBIAS INT64_C({ring * (-(-2 * m // ring))})
+#define SAVEROWS INT64_C({saverows})
+#define PFSTEP INT64_C({max(1, 64 // itemsize)})
+/* units of a stripe of units of U elements (U is 1 or B): one ring row */
+#define STRIPE(U) ((U) == 1 ? SKW : GSKW)
+#define DSTEP ({dstep})
+#define GSTEP ({gstep})
+#define NEAR INT64_C({near})
+#define RING_SLOT(first, t) (({slot}) & RMASK)
+#define RING_RUN(slot) ({run})
+
+/* o[t] = p[t * DSTEP] for t < len: eight loads, then eight stores (a
+   plain strided loop is SLP-vectorised through the stack). */
+static void repro_diag(elem_t *o, const elem_t *p, int64_t len) {{
+  while (len >= 8) {{
+{loads}
+{stores}
+    o += 8;
+    p += 8 * DSTEP;
+    len -= 8;
+  }}
+  while (len > 0) {{
+    o[0] = p[0];
+    o += 1;
+    p += DSTEP;
+    len -= 1;
+  }}
+}}
+
+/* Unit-wise diagonal copy: len units of U elements (U is 1 or B), unit k
+   at p + k * (DSTEP or GSTEP), the ring diagonal's step. */
+static void repro_diag_units(elem_t *o, const elem_t *p, int64_t len,
+                             int64_t U) {{
+  int64_t k;
+  if (U == 1) {{
+    repro_diag(o, p, len);
+    return;
+  }}
+  for (k = 0; k < len; ++k)
+    memcpy(o + k * B, p + k * GSTEP, (size_t)B * sizeof(elem_t));
+}}
+
+/* Rotate unit j of [lo, hi) (units of U elements, U is 1 or B) by j mod M
+   rows in place: up for C2R (out[i] = in[i + j]), down for R2C.  The
+   units run in stripes of at most STRIPE(U), cut where the rotation
+   amount would reach M; then every offset has one sign either on the
+   stripe or on its row-reversed view (rs < 0), and the side that saves
+   fewer rows (at most (M + STRIPE(U)) / 2) is taken.  On the view at X,
+   out[x][t] = in[(x + o_t) mod M] with o_t = d + t when the offsets rise
+   (sg == NEAR), else d - t; every o_t >= 0, so the outputs ascend and
+   only rows [0, omax) wrap.  They are saved first.  The segments stream
+   through the ring 16 output rows at a time (virtual row v, v >= M
+   reading saved row v - M, sits in slot (sg * v + RBIAS) & RMASK), each
+   output row is one diagonal of it, and the segments 8 rows ahead are
+   prefetched.  Inlined, so U is a constant in each caller: out of line,
+   the column shuffle ran up to 12% slower. */
+static inline __attribute__((always_inline)) void
+repro_skew(elem_t *V, int64_t lo, int64_t hi, int64_t U, elem_t *ring,
+           elem_t *save) {{
+  int64_t rw = STRIPE(U) * U, j0, w, s, sg, rs, d, omax, nv, we;
+  int64_t i, x, xe, k, t, first, slot, run;
+  size_t bytes;
+  elem_t *X;
+  for (j0 = lo; j0 < hi; j0 += w) {{
+    s = MOD_M(j0);
+    w = hi - j0;
+    if (w > STRIPE(U)) w = STRIPE(U);
+    if (w > M - s) w = M - s;  /* the rotation amount stays below M */
+    sg = (s + w - 1 <= M - s) ? NEAR : -NEAR;
+    rs = sg * N;
+    X = V + j0 * U + (sg > 0 ? 0 : (M - 1) * N);
+    d = (sg == NEAR) ? s : M - s;
+    omax = (sg == NEAR) ? d + w - 1 : d;
+    nv = omax - w + 1;
+    we = w * U;
+    bytes = (size_t)we * sizeof(elem_t);
+    for (i = 0; i < omax; ++i)
+      memcpy(save + i * rw, X + i * rs, bytes);
+    for (x = 0; x < M; x = xe) {{
+      xe = x + 16;
+      if (xe > M) xe = M;
+      for (; nv < xe + omax; ++nv) {{
+        const elem_t *src = (nv < M) ? X + nv * rs : save + (nv - M) * rw;
+        if (nv + 8 < M)
+          for (k = 0; k < we; k += PFSTEP) __builtin_prefetch(X + (nv + 8) * rs + k, 0, 3);
+        memcpy(ring + ((sg * nv + RBIAS) & RMASK) * rw, src, bytes);
+      }}
+      for (i = x; i < xe; ++i) {{
+        elem_t *o = X + i * rs;
+        if (i + 8 < M)
+          for (k = 0; k < we; k += PFSTEP) __builtin_prefetch(o + 8 * rs + k, 1, 3);
+        first = (sg * (i + d) + RBIAS) & RMASK;
+        for (t = 0; t < w; t += run) {{  /* at most two runs: the ring wraps once */
+          slot = RING_SLOT(first, t);
+          run = RING_RUN(slot);
+          if (run > w - t) run = w - t;
+          repro_diag_units(o + t * U, ring + slot * rw + t * U, run, U);
+        }}
+      }}
+    }}
+  }}
+}}
+"""
+
+
 def _rotate_pass(dec: Decomposition, itemsize: int, *, inverse: bool) -> str:
     """Group rotation (Eq. 23 / Eq. 36): column group ``g`` rotates by
-    ``g mod m`` rows — downward for C2R's pre-rotation, upward for R2C's
-    post-rotation.  Both reduce to one left-rotation of the group's ``m``
-    row segments."""
+    ``g mod m`` rows — up for C2R's pre-rotation, down for R2C's
+    post-rotation, the column shuffle's skew in units of one group.
+
+    Narrow groups (a segment below a cache line) run through the ring's
+    ``repro_skew`` with ``U = B``.  Wide groups rotate their ``m`` row
+    segments one group at a time with whole-segment copies."""
+    if not _wide_groups(dec, itemsize):
+        # Narrow groups: the skew of the column shuffle, in units of one
+        # group; only groups g < C exist, so at most C - 1 rows wrap
+        gskw = _gskw(dec, itemsize)
+        saved = max(1, min(dec.c - 1, (dec.m + gskw) // 2))
+        return f"""
+/* the ring and the saved rows */
+#define ROT_SCRATCH ((RING + INT64_C({saved})) * RINGW * (int64_t)sizeof(elem_t))
+
+void repro_pass_rotate(char *bufc, int64_t glo, int64_t ghi, char *scratch) {{
+  elem_t *ring = (elem_t *) scratch;
+  repro_skew((elem_t *) bufc, glo, ghi, B, ring, ring + RING * RINGW);
+}}
+"""
+    # Wide groups: rotate the m row segments with min(k, m-k) segments
+    # of scratch and row-level memcpys (each segment is b contiguous
+    # elements at row stride rs).
     # np.roll(V, -k): out[i] = in[(i+k) % m]  -> left-rotate by k (c2r pre)
     # np.roll(V, +k): out[i] = in[(i-k) % m]  -> left-rotate by m-k (r2c post)
     keff = "(INT64_C(%d) - k)" % dec.m if inverse else "k"
-    if dec.b * itemsize >= 64:
-        # Wide groups: rotate the m row segments with min(k, m-k) segments
-        # of scratch and row-level memcpys (each segment is b contiguous
-        # elements at row stride rs).
-        body = """
+    return """
 /* group g < C saves min(k, M - k) <= min(C - 1, M / 2) row segments */
 #define ROT_SAVED (C - 1 < M / 2 ? C - 1 : M / 2)
 #define ROT_SCRATCH (ROT_SAVED * B * (int64_t)sizeof(elem_t))
@@ -197,8 +373,7 @@ static void rotate_group(elem_t *g0, int64_t k, elem_t *tmp, int64_t rs) {
       memcpy(g0 + i * rs, tmp + i * B, (size_t)B * sizeof(elem_t));
   }
 }
-"""
-        return body + f"""
+""" + f"""
 void repro_pass_rotate(char *bufc, int64_t glo, int64_t ghi, char *scratch) {{
   elem_t *V = (elem_t *) bufc;
   elem_t *tmp = (elem_t *) scratch;  /* ROT_SAVED row segments */
@@ -209,71 +384,6 @@ void repro_pass_rotate(char *bufc, int64_t glo, int64_t ghi, char *scratch) {{
     k = {keff};
     if (k == 0 || k == M) continue;
     rotate_group(V + g * B, k, tmp, N);
-  }}
-}}
-"""
-    # Narrow groups (b * itemsize below a cache line): a per-group
-    # column walk would stride by the full row (4 KiB for 512 f64
-    # columns — one TLB miss and one cache-set conflict per element).
-    # Instead, treat the whole pass as the gather it is — in source-row
-    # space it is *regular*: group g reads row (i + g) mod m (C2R) or
-    # (i - g) mod m (R2C), so along a block row the source address
-    # advances by a fixed stride per group, b contiguous elements per
-    # group, wrapping only every m groups.  The pass is blocked over
-    # GBLK whole groups, and each block's column stripe is first staged
-    # into scratch with row-contiguous copies (prefetcher-friendly,
-    # bandwidth-bound) so the strided gather walks cache-resident
-    # scratch and the permuted rows stream straight back to the array.
-    gblk = min(
-        dec.c,
-        max(1, min(64, _COL_BLOCK_SCRATCH // max(dec.m * itemsize, 1)) // dec.b),
-    )
-    if inverse:
-        s_init = "int64_t s = i - k0; if (s < 0) s += M;"
-        run_cap = "s + 1"
-        step = "p -= wcols - B;"
-        s_reset = "s = M - 1;"
-    else:
-        s_init = "int64_t s = i + k0; if (s >= M) s -= M;"
-        run_cap = "M - s"
-        step = "p += wcols + B;"
-        s_reset = "s = 0;"
-    return f"""
-#define GBLK {gblk}
-#define ROT_SCRATCH (M * GBLK * B * (int64_t)sizeof(elem_t))
-
-void repro_pass_rotate(char *bufc, int64_t glo, int64_t ghi, char *scratch) {{
-  elem_t *V = (elem_t *) bufc;
-  elem_t *stage = (elem_t *) scratch;  /* M rows of GBLK groups */
-  int64_t g0, i;
-  for (g0 = glo; g0 < ghi; g0 += GBLK) {{
-    int64_t gw = (g0 + GBLK <= ghi) ? GBLK : (ghi - g0);
-    int64_t wcols = gw * B;
-    int64_t k0 = MOD_M(g0);
-    for (i = 0; i < M; ++i)
-      memcpy(stage + i * wcols, V + i * N + g0 * B,
-             (size_t)wcols * sizeof(elem_t));
-    for (i = 0; i < M; ++i) {{
-      elem_t *dst = V + i * N + g0 * B;
-      {s_init}
-      {{
-        int64_t g = 0;
-        while (g < gw) {{
-          int64_t run = {run_cap};
-          const elem_t *p = stage + s * wcols + g * B;
-          elem_t *to = dst + g * B;
-          int64_t gg, e;
-          if (run > gw - g) run = gw - g;
-          for (gg = 0; gg < run; ++gg) {{
-            for (e = 0; e < B; ++e) to[e] = p[e];
-            to += B;
-            {step}
-          }}
-          g += run;
-          {s_reset}
-        }}
-      }}
-    }}
   }}
 }}
 """
@@ -414,54 +524,7 @@ void repro_pass_gather_cols(char *bufc, int64_t lo, int64_t hi, char *scratch) {
 """
 
 
-def _skw(itemsize: int) -> int:
-    """Columns of one skew stripe: 512 bytes, at most 128 elements."""
-    return min(128, 512 // itemsize)
-
-
-def _ring_section(dec: Decomposition, itemsize: int, algorithm: str) -> str:
-    """The skew ring's constants and its diagonal copy, shared by the
-    in-place column shuffle and the band copies: stripes of ``SKW``
-    columns (512 bytes, at most 128 elements) through a ``RING x SKW``
-    ring, whose diagonal climbs one ring row per column for C2R
-    (``DSTEP = SKW + 1``) and descends for R2C (``1 - SKW``)."""
-    skw = _skw(itemsize)
-    ring = 2 * skw
-    m = dec.m
-    saverows = max(1, min(m, (m + skw) // 2))
-    dstep = "(SKW + 1)" if algorithm == "c2r" else "(1 - SKW)"
-    loads = "\n".join(f"    elem_t v{k} = p[{k} * DSTEP];" for k in range(8))
-    stores = "\n".join(f"    o[{k}] = v{k};" for k in range(8))
-    return f"""
-#define SKW INT64_C({skw})
-#define RING INT64_C({ring})
-#define RMASK INT64_C({ring - 1})
-#define RBIAS INT64_C({ring * (-(-2 * m // ring))})
-#define SAVEROWS INT64_C({saverows})
-#define DSTEP {dstep}
-#define PFSTEP INT64_C({max(1, 64 // itemsize)})
-
-/* o[t] = p[t * DSTEP] for t < len: eight loads, then eight stores (a
-   plain strided loop is SLP-vectorised through the stack). */
-static void repro_diag(elem_t *o, const elem_t *p, int64_t len) {{
-  while (len >= 8) {{
-{loads}
-{stores}
-    o += 8;
-    p += 8 * DSTEP;
-    len -= 8;
-  }}
-  while (len > 0) {{
-    o[0] = p[0];
-    o += 1;
-    p += DSTEP;
-    len -= 1;
-  }}
-}}
-"""
-
-
-def _gather_rows_pass(dec: Decomposition, itemsize: int, *, algorithm: str) -> str:
+def _gather_rows_pass(dec: Decomposition, *, algorithm: str) -> str:
     """Column shuffle as the paper's two restricted operations (Section
     4.2, Eqs. 32-35): a per-column rotation (the *skew*) and one static
     row permutation that moves whole sub-rows.
@@ -471,30 +534,15 @@ def _gather_rows_pass(dec: Decomposition, itemsize: int, *, algorithm: str) -> s
     (i*n - i//a) mod m`` (Eq. 33).  R2C inverts it: gather rows with
     ``q^{-1}`` (Eq. 34), then rotate column ``j`` down by ``j`` (Eq. 35).
 
-    The skew runs over stripes of ``SKW`` columns (512 bytes, at most 128
-    elements).  A stripe streams its row segments through a ``RING x SKW``
-    scratch ring, 16 output rows at a time, and builds each output row
-    from a diagonal of the ring; the segments 8 rows ahead are prefetched,
-    so both DRAM-facing streams are whole row segments.  The rows whose
-    rotation wraps are saved first.  A stripe is cut where its rotation
-    amount would pass ``m``; then every offset has one sign either on the
-    stripe or on its row-reversed view (``rs < 0``), and the side that
-    saves fewer rows (at most ``(m + SKW) / 2``) is taken.  The row
-    permutation follows the cycles of ``q`` (or ``q^{-1}``), computed on
-    the fly, over the chunk's whole sub-rows with one scratch sub-row and
-    a visited bitmap."""
-    permute = "\n  repro_permute_rows(X, rs, hi - lo, tmp, seen);"
+    The skew is the ring's ``repro_skew`` in units of one column.  The
+    row permutation follows the cycles of ``q`` (or ``q^{-1}``), computed
+    on the fly, over the chunk's whole sub-rows with one scratch sub-row
+    and a visited bitmap."""
+    permute = "\n  repro_permute_rows(V + lo, N, hi - lo, tmp, seen);"
     if algorithm == "c2r":
-        # out[x][t] = in[x + s + t]: the diagonal climbs one ring slot per
-        # column; sg = 1 when the stripe's shift is at most about M / 2
-        ring_slot, ring_run = "first + t", "RING - slot"
-        rising, near, far = "sg > 0", "1", "-1"
         q_map = "MOD_M(k * N - DIV_A(k))"
         perm_before, perm_after = "", permute
     else:
-        # out[x][t] = in[x - s - t]: the diagonal descends the ring
-        ring_slot, ring_run = "first + RING - t", "slot + 1"
-        rising, near, far = "sg < 0", "-1", "1"
         c1 = dec.c - 1
         b_inv = mmi(dec.b, dec.a)
         q_map = (
@@ -503,44 +551,6 @@ def _gather_rows_pass(dec: Decomposition, itemsize: int, *, algorithm: str) -> s
         )
         perm_before, perm_after = permute, ""
     return f"""
-/* Skew w columns of the view at X (row stride rs, negative on the
-   row-reversed view): out[x][t] = in[(x + o_t) mod M] with o_t = d + t
-   when the offsets rise ({rising}), else d - t; every o_t >= 0, so the
-   outputs ascend and only rows [0, omax) wrap.  They are saved first;
-   virtual row v (v >= M reads saved row v - M) sits in ring slot
-   (sg * v + RBIAS) & RMASK. */
-static void repro_skew(elem_t *X, int64_t rs, int64_t w, int64_t d,
-                       int64_t sg, elem_t *ring, elem_t *save) {{
-  int64_t omax = ({rising}) ? d + w - 1 : d;
-  int64_t nv = omax - w + 1;
-  size_t bytes = (size_t)w * sizeof(elem_t);
-  int64_t i, x, xe, k, t, first, slot, run;
-  for (i = 0; i < omax; ++i)
-    memcpy(save + i * SKW, X + i * rs, bytes);
-  for (x = 0; x < M; x = xe) {{
-    xe = x + 16;
-    if (xe > M) xe = M;
-    for (; nv < xe + omax; ++nv) {{
-      const elem_t *src = (nv < M) ? X + nv * rs : save + (nv - M) * SKW;
-      if (nv + 8 < M)
-        for (k = 0; k < w; k += PFSTEP) __builtin_prefetch(X + (nv + 8) * rs + k, 0, 3);
-      memcpy(ring + ((sg * nv + RBIAS) & RMASK) * SKW, src, bytes);
-    }}
-    for (i = x; i < xe; ++i) {{
-      elem_t *o = X + i * rs;
-      if (i + 8 < M)
-        for (k = 0; k < w; k += PFSTEP) __builtin_prefetch(o + 8 * rs + k, 1, 3);
-      first = (sg * (i + d) + RBIAS) & RMASK;
-      for (t = 0; t < w; t += run) {{  /* at most two runs: the ring wraps once */
-        slot = ({ring_slot}) & RMASK;
-        run = {ring_run};
-        if (run > w - t) run = w - t;
-        repro_diag(o + t, ring + slot * SKW + t, run);
-      }}
-    }}
-  }}
-}}
-
 /* Gather whole sub-rows with the static row map (Eq. 33 / Eq. 34):
    row i of X becomes old row Q(i), following each cycle once. */
 static void repro_permute_rows(elem_t *X, int64_t rs, int64_t wc,
@@ -576,19 +586,8 @@ void repro_pass_gather_rows(char *bufc, int64_t lo, int64_t hi, char *scratch) {
   elem_t *save = ring + RING * SKW;
   elem_t *tmp = save + SAVEROWS * SKW;
   uint64_t *seen = (uint64_t *)(scratch + ROWS_SEEN_OFF);
-  elem_t *X = V + lo;
-  int64_t rs = N, j0, w, s, sg;
   if (lo >= hi) return;{perm_before}
-  for (j0 = lo; j0 < hi; j0 += w) {{
-    elem_t *Xs = X + (j0 - lo);
-    s = MOD_M(j0);
-    w = hi - j0;
-    if (w > SKW) w = SKW;
-    if (w > M - s) w = M - s;  /* the rotation amount stays below M */
-    sg = (s + w - 1 <= M - s) ? {near} : {far};
-    repro_skew(sg > 0 ? Xs : Xs + (M - 1) * rs, sg * rs, w,
-               ({rising}) ? s : M - s, sg, ring, save);
-  }}{perm_after}
+  repro_skew(V, lo, hi, 1, ring, save);{perm_after}
 }}
 """
 
@@ -650,9 +649,9 @@ def _copy_passes(dec: Decomposition, itemsize: int, algorithm: str, kinds) -> st
       post-rotation a rotating load and a plain store.
 
     Rotations and skews run through ``repro_skew_band``: the source
-    segments of a stripe stream through the ``RING x SKW`` ring in row
-    order and each destination row is one diagonal of it (units of one
-    element for the skew, of one ``B``-element group for a narrow
+    segments of a stripe stream through the ring of :func:`_ring_section`
+    in row order and each destination row is one diagonal of it (units
+    of one element for the skew, of one ``B``-element group for a narrow
     rotation).  Wide groups (a cache line or more) are copied directly.
     Plain and permuting copies run through ``repro_rows_band``."""
     c2r = algorithm == "c2r"
@@ -660,30 +659,15 @@ def _copy_passes(dec: Decomposition, itemsize: int, algorithm: str, kinds) -> st
         # dst row y, unit u <- src row y + (d + u): the window of row y is
         # [y + d, y + d + nu) and its diagonal climbs the ring
         off, first = "d", "y + d + RBIAS"
-        slot, run, ustep = "first + u", "RING - slot", "(SKW + B)"
         u_lo, u_hi = "v0 - y - d", "v1 - y - d"
         rot_row = "y = i - k;\n      if (y < 0) y += M;"
     else:
         # dst row y, unit u <- src row y - (d + u): the window of row y is
         # [y - d - nu + 1, y - d + 1) and its diagonal descends the ring
         off, first = "-(d + nu - 1)", "y - d + RBIAS"
-        slot, run, ustep = "first + RING - u", "slot + 1", "(B - SKW)"
         u_lo, u_hi = "y - d - v1 + 1", "y - d - v0 + 1"
         rot_row = "y = i + k;\n      if (y >= M) y -= M;"
     parts = [f"""
-/* Unit-wise diagonal copy: len units of U elements (U is 1 or B), unit k
-   at p + k * (DSTEP + U - 1), the ring diagonal's step. */
-static void repro_diag_units(elem_t *o, const elem_t *p, int64_t len,
-                             int64_t U) {{
-  int64_t k;
-  if (U == 1) {{
-    repro_diag(o, p, len);
-    return;
-  }}
-  for (k = 0; k < len; ++k)
-    memcpy(o + k * B, p + k * {ustep}, (size_t)B * sizeof(elem_t));
-}}
-
 /* Whole sub-rows of band columns [c0, c0 + wb) between the matrix V and
    the band buffer W: mapped row i pairs with band row q(i) (Eq. 33) when
    perm, else row i.  A load copies V -> W, a store W -> V, for mapped
@@ -707,7 +691,7 @@ static void repro_rows_band(elem_t *V, elem_t *W, int64_t c0, int64_t wb,
    the unit's global index.  A load (V -> W) drives src rows [r0, r1),
    wherever their dst rows land; a store (W -> V) drives dst rows [r0, r1).
    Rows are reduced mod M when addressed.  The band runs in stripes of at
-   most SKW elements, cut where the shift would reach M.  A stripe's src
+   most STRIPE(U) units, cut where the shift would reach M.  A stripe's src
    segments stream through the ring in row order, and each dst row takes
    its units from one diagonal of the ring (row v sits in slot
    (v + RBIAS) & RMASK); the segments 8 rows ahead on both sides are
@@ -715,7 +699,8 @@ static void repro_rows_band(elem_t *V, elem_t *W, int64_t c0, int64_t wb,
 static void repro_skew_band(elem_t *V, elem_t *W, int64_t lo, int64_t hi,
                             int64_t U, int64_t r0, int64_t r1, int64_t load,
                             elem_t *ring) {{
-  int64_t wb = (hi - lo) * U, j0, nu, d, off, y0, y1, v0, v1, nv, w;
+  int64_t wb = (hi - lo) * U, rw = STRIPE(U) * U;
+  int64_t j0, nu, d, off, y0, y1, v0, v1, nv, w;
   int64_t drs = load ? wb : N, srs = load ? N : wb;
   int64_t y, ulo, uhi, u, k, first, slot, run;
   elem_t *dst, *o;
@@ -723,7 +708,7 @@ static void repro_skew_band(elem_t *V, elem_t *W, int64_t lo, int64_t hi,
   for (j0 = lo; j0 < hi; j0 += nu) {{
     d = MOD_M(j0);
     nu = hi - j0;
-    if (nu > SKW / U) nu = SKW / U;
+    if (nu > STRIPE(U)) nu = STRIPE(U);
     if (nu > M - d) nu = M - d;
     dst = load ? W + (j0 - lo) * U : V + j0 * U;
     src = load ? V + j0 * U : W + (j0 - lo) * U;
@@ -740,7 +725,7 @@ static void repro_skew_band(elem_t *V, elem_t *W, int64_t lo, int64_t hi,
       for (; nv < y + off + nu && nv < v1; ++nv) {{
         if (nv + 8 < v1)
           for (k = 0; k < w; k += PFSTEP) __builtin_prefetch(src + MOD_M(nv + 8 + M) * srs + k, 0, 3);
-        memcpy(ring + ((nv + RBIAS) & RMASK) * SKW, src + MOD_M(nv + M) * srs,
+        memcpy(ring + ((nv + RBIAS) & RMASK) * rw, src + MOD_M(nv + M) * srs,
                (size_t)w * sizeof(elem_t));
       }}
       ulo = {u_lo};
@@ -752,10 +737,10 @@ static void repro_skew_band(elem_t *V, elem_t *W, int64_t lo, int64_t hi,
       o = dst + MOD_M(y + M) * drs;
       first = ({first}) & RMASK;
       for (u = ulo; u < uhi; u += run) {{
-        slot = ({slot}) & RMASK;
-        run = {run};
+        slot = RING_SLOT(first, u);
+        run = RING_RUN(slot);
         if (run > uhi - u) run = uhi - u;
-        repro_diag_units(o + u * U, ring + slot * SKW + u * U, run, U);
+        repro_diag_units(o + u * U, ring + slot * rw + u * U, run, U);
       }}
     }}
   }}
@@ -774,7 +759,7 @@ static void repro_skew_band(elem_t *V, elem_t *W, int64_t lo, int64_t hi,
         parts.append(f"void repro_pass_gather_rows_load{head}{load}\n}}\n")
         parts.append(f"void repro_pass_gather_rows_store{head}{store}\n}}\n")
     if "rotate_groups" in kinds:
-        if dec.b * itemsize >= 64:
+        if _wide_groups(dec, itemsize):
             # wide groups: each group's row segment is a cache line or more
             load = f"""int64_t wb = (hi - lo) * B, i, g, k, y;
   size_t bytes = (size_t)B * sizeof(elem_t);
@@ -880,7 +865,7 @@ def generate_source(
         elif p.kind == "gather_cols":
             parts.append(_gather_cols_pass(dec, algorithm=algorithm))
         else:
-            parts.append(_gather_rows_pass(dec, itemsize, algorithm=algorithm))
+            parts.append(_gather_rows_pass(dec, algorithm=algorithm))
     parts += [_COPIES_BEGIN, _copy_passes(dec, itemsize, algorithm, emitted), _COPIES_END]
 
     # Whole-plan drivers (all passes over their full extents, one tile or
@@ -908,7 +893,7 @@ void repro_run_batch(char *bufc, int64_t k, char *scratch) {{
 /* One worker's scratch: the largest pass's at full extent, or the
    band-copy ring. */
 int64_t repro_scratch_bytes(void) {{
-  int64_t bytes = RING * SKW * (int64_t)sizeof(elem_t);
+  int64_t bytes = RING * RINGW * (int64_t)sizeof(elem_t);
 {sizes}
   return bytes;
 }}

@@ -32,6 +32,16 @@ class TestArithmetic:
         )
         assert it.call("f", 7, 3) == 25
 
+    def test_inline_and_attributes_are_compiler_advice(self):
+        it = interp(
+            """\
+            static inline __attribute__((always_inline)) int64_t
+            twice(int64_t a) { return 2 * a; }
+            int64_t f(int64_t a) { return twice(a) + 1; }
+            """
+        )
+        assert it.call("f", 20) == 41
+
     def test_division_truncates_toward_zero(self):
         it = interp(
             """\

@@ -235,8 +235,10 @@ def _run_chunked(kernel, addr: int, threads: int) -> None:
 class TestColumnShuffle:
     """The compiled column shuffle streams each stripe of columns through
     a ring (the skew, Eq. 32/35) and permutes whole sub-rows by cycle
-    following (Eq. 33/34); it must equal the restricted numpy form byte
-    for byte, whatever the stripe, chunk and band geometry."""
+    following (Eq. 33/34); the narrow-group rotation (Eq. 23/36, ``b *
+    itemsize < 64``) runs through the same ring in units of one group.
+    Every pass must equal the restricted numpy form byte for byte,
+    whatever the stripe, chunk and band geometry."""
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("alg", ALGORITHMS)
@@ -252,6 +254,9 @@ class TestColumnShuffle:
             (150, 1000, np.float64),
             (300, 96, np.complex128),  # itemsize 16
             (1536, 1024, np.float32),  # 4 KiB row pitch
+            (2000, 100, np.float64),  # tall and narrow: b = 1, two stripes
+            (300, 600, np.uint8),  # a = 1, b = 2: row-reversed stripes
+            (256, 384, np.uint8),  # b = 3: one memcpy per group
         ],
     )
     def test_byte_identical_to_restricted(self, m, n, dtype, alg, threads):
